@@ -41,7 +41,6 @@ from .priors import (
     CoefficientPrior,
     ModelSizePrior,
     log_dirichlet_normalizer,
-    log_pmf_J,
     priors_from_config,
     sample_coefficients,
 )

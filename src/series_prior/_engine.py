@@ -9,18 +9,23 @@ denominator sums in log space. Posterior moments of the series value
 f(x) = theta' b(x) come out of per-assignment posterior-moment identities,
 so the evaluation-point index never has to be enumerated explicitly.
 
-Everything here is pure given its inputs; Monte-Carlo callers pass a seeded
-generator derived from (seed, j) so results do not depend on scheduling.
+posterior_moments is the one driver every model goes through: it picks the
+mode, runs the per-dimension sums and mixes them over J. Everything here is
+pure given its inputs; the Monte-Carlo generator of dimension J is derived
+from (seed, J), so results do not depend on scheduling.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import prod
-from typing import NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
+
+#: Largest per-dimension assignment count that exact enumeration accepts.
+DEFAULT_TERM_CAP = 10_000_000
 
 
 class EnumerationCapError(RuntimeError):
@@ -49,6 +54,25 @@ class Slot(NamedTuple):
 
 def assignment_count(slots: Sequence[Slot]) -> int:
     return prod(len(s.indices) for s in slots) if slots else 1
+
+
+def slots_for(values: np.ndarray, groups=None, repeats=None) -> list[Slot]:
+    """Slots from basis values at the observations, one row per observation.
+
+    groups gives each observation's count group (default 0); repeats the
+    number of slots it contributes (default 1).
+    """
+    active = values > 0.0
+    cols = np.nonzero(active)[1]
+    logs = np.log(values[active])
+    ends = np.cumsum(np.count_nonzero(active, axis=1)).tolist()
+    slots = []
+    start = 0
+    for i, end in enumerate(ends):
+        slot = Slot(cols[start:end], logs[start:end], 0 if groups is None else int(groups[i]))
+        slots.extend([slot] * (1 if repeats is None else int(repeats[i])))
+        start = end
+    return slots
 
 
 class DirichletFamily:
@@ -435,3 +459,91 @@ def combine_mc(pieces: Sequence[McPiece], log_prior):
         second = np.exp(logsumexp(log_N2, axis=0) - (s_D + np.log(Dt)))
     j_weights_log = log_D - (s_D + np.log(Dt))
     return mean, se, second, j_weights_log
+
+
+@dataclass(frozen=True)
+class PosteriorSummary:
+    """Grid summary of the posterior over the estimated function.
+
+    mc_se is zero in exact mode. j_weights are the posterior probabilities
+    of each dimension in the truncation range (j_values aligned).
+    """
+
+    grid: np.ndarray
+    mean: np.ndarray
+    second_moment: np.ndarray | None
+    band_low: np.ndarray | None
+    band_high: np.ndarray | None
+    mc_se: np.ndarray
+    j_values: np.ndarray
+    j_weights: np.ndarray
+    mode: str
+
+
+def posterior_moments(
+    build: Callable[[int], tuple[Sequence[Slot], object, np.ndarray]],
+    bases: Mapping,
+    model_prior,
+    grid,
+    m: int = 2,
+    mode: str = "auto",
+    n_terms: int = 3000,
+    seed=0,
+    term_cap: int = DEFAULT_TERM_CAP,
+) -> PosteriorSummary:
+    """Posterior moments at the grid points, mixed over every dimension in bases.
+
+    build(j) returns (slots, family, eval_cols) for dimension j, where
+    eval_cols holds the basis values at the grid points (J x G). m=1 computes
+    the mean only; m=2 also the pointwise second moment. mode "exact"
+    enumerates every assignment and raises EnumerationCapError at the first
+    dimension that needs more than term_cap terms; "mc" samples n_terms
+    assignments per dimension; "auto" is exact when every dimension is within
+    the cap, sampled otherwise. Dimensions are built, used and dropped one at
+    a time.
+    """
+    if m not in (1, 2):
+        raise ValueError(f"moment order must be 1 or 2, got {m}")
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    j_values = np.asarray(sorted(bases), dtype=int)
+    if j_values.size == 0:
+        raise ValueError("empty truncation range")
+    missing = set(model_prior.support) - set(bases)
+    if missing:
+        raise ValueError(f"no basis supplied for dimensions {sorted(missing)}")
+    log_prior = model_prior.log_pmf(j_values)
+    if mode == "auto":
+        worst = max(assignment_count(build(j)[0]) for j in j_values)
+        mode = "exact" if worst <= term_cap else "mc"
+    per_j = []
+    for j in j_values:
+        slots, family, eval_cols = build(j)
+        J = bases[j].dimension
+        if mode == "exact":
+            total = assignment_count(slots)
+            if total > term_cap:
+                raise EnumerationCapError(total, term_cap, int(j))
+            per_j.append(exact_mixture(slots, family, J, eval_cols, second=(m == 2)))
+        else:
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
+            per_j.append(mc_mixture(slots, family, J, eval_cols, n_terms, rng, second=(m == 2)))
+    if mode == "exact":
+        mean, second, j_w_log = combine_exact(per_j, log_prior)
+        se = np.zeros_like(mean)
+    else:
+        mean, se, second, j_w_log = combine_mc(per_j, log_prior)
+        if second is not None:
+            second = np.maximum(second, mean**2)  # sampling noise may undershoot
+    return PosteriorSummary(
+        grid=grid,
+        mean=mean,
+        second_moment=second,
+        band_low=None,
+        band_high=None,
+        mc_se=se,
+        j_values=j_values,
+        j_weights=np.exp(j_w_log),
+        mode=mode,
+    )

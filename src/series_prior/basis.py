@@ -95,6 +95,8 @@ def _span_indices(basis: Basis, x: np.ndarray) -> np.ndarray:
 
 
 def _check_domain(x: np.ndarray) -> None:
+    if not np.all(np.isfinite(x)):
+        raise ValueError("evaluation points must be finite")
     if x.size and (np.min(x) < 0.0 or np.max(x) > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
 
@@ -104,7 +106,7 @@ def eval_basis(basis: Basis, x) -> np.ndarray:
 
     x may be a scalar (returns shape (J,)) or an array (returns (len(x), J)).
     Values are nonnegative, at most q are nonzero, and they sum to one.
-    Points outside [0, 1] raise ValueError; there is no clamping.
+    Points outside [0, 1] or non-finite raise ValueError; there is no clamping.
     """
     scalar = np.isscalar(x)
     pts = np.atleast_1d(np.asarray(x, dtype=float))

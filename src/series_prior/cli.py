@@ -14,6 +14,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
+from scipy.stats import norm
 
 from . import basis as basis_mod
 from . import harness
@@ -57,7 +58,7 @@ def _model_prior(args, cfg, jmin_default, jmax_default, p_default=0.9) -> ModelS
 
 def _write_summary_outputs(summary, output, j_table):
     harness.write_summary(output, summary)
-    harness.write_j_table(j_table, summary)
+    harness.write_j_table(j_table, summary.j_values, summary.j_weights)
     print(f"wrote {output} and {j_table}")
 
 
@@ -158,14 +159,25 @@ def _cmd_rates(args, cfg) -> int:
     return 0
 
 
+def _numbers(path, lineno, line):
+    try:
+        return [float(v) for v in line.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected numbers, got {line!r}") from None
+
+
 def _read_curves(path):
-    rows = []
-    with Path(path).open() as fh:
-        lines = [ln.split("#", 1)[0].strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
-    grid = np.asarray([float(v) for v in lines[0].replace(",", " ").split()])
-    for ln in lines[1:]:
-        rows.append([float(v) for v in ln.replace(",", " ").split()])
+    """Header row of grid times, then one curve per row, all rows of one length."""
+    lines = harness.data_lines(path)
+    if len(lines) < 2:
+        raise ValueError(f"{path}: need a header row of grid times and at least one curve row")
+    grid = np.asarray(_numbers(path, *lines[0]))
+    rows = [_numbers(path, i, ln) for i, ln in lines[1:]]
+    for (lineno, _), row in zip(lines[1:], rows):
+        if len(row) != len(rows[0]):
+            raise ValueError(
+                f"{path}:{lineno}: curve row has {len(row)} values, the first has {len(rows[0])}"
+            )
     return grid, np.asarray(rows)
 
 
@@ -192,9 +204,7 @@ def _cmd_funreg(args, cfg) -> int:
     tgrid = harness.metric_grid(grid_size)
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_predict(post, coef_designs)
-    from scipy.stats import norm as _norm
-
-    z = _norm.ppf(0.5 + level / 2.0)
+    z = norm.ppf(0.5 + level / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(args.output or "funreg_beta.csv")
     with out.open("w") as fh:
@@ -202,7 +212,7 @@ def _cmd_funreg(args, cfg) -> int:
         for i, x in enumerate(tgrid):
             fields = (x, mean[i], sd[i], mean[i] - z * sd[i], mean[i] + z * sd[i], 0.0)
             fh.write(",".join(harness.fmt(v) for v in fields) + "\n")
-    harness.write_j_table(out.with_name(out.stem + "_j.csv"), _as_summary(post, tgrid, mean))
+    harness.write_j_table(out.with_name(out.stem + "_j.csv"), post.j_values, post.j_weights)
     print(f"wrote {out}")
     if args.predict:
         pgrid, pcurves = _read_curves(args.predict)
@@ -218,24 +228,17 @@ def _cmd_funreg(args, cfg) -> int:
     return 0
 
 
-def _as_summary(post, grid, mean):
-    from .density import PosteriorSummary
-
-    return PosteriorSummary(
-        grid=grid, mean=mean, second_moment=None, band_low=None, band_high=None,
-        mc_se=np.zeros_like(mean), j_values=post.j_values, j_weights=post.j_weights,
-        mode="exact",
-    )
-
-
 def _read_two_columns(path):
+    """z,x per line."""
+    lines = harness.data_lines(path)
+    if not lines:
+        raise ValueError(f"{path}: no z,x rows")
     rows = []
-    with Path(path).open() as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                parts = line.replace(",", " ").split()
-                rows.append((float(parts[0]), float(parts[1])))
+    for lineno, line in lines:
+        row = _numbers(path, lineno, line)
+        if len(row) != 2:
+            raise ValueError(f"{path}:{lineno}: expected two columns z,x, got {line!r}")
+        rows.append(row)
     arr = np.asarray(rows)
     return arr[:, 0], arr[:, 1]
 

@@ -3,26 +3,35 @@
 The density is modeled as p(x) = sum_k theta_k B*_k(x) with normalized
 B-splines, a Dirichlet prior on theta given the dimension J, and a truncated
 prior on J. The posterior mean and second moment at any point are finite
-sums over active-set index assignments, evaluated exactly when the number of
-terms is manageable and by uniform term sampling with delta-method standard
-errors otherwise.
+sums over active-set index assignments.
+
+density_builder gives each dimension's slots and Dirichlet family. Every
+posterior-moment entry point of the package (exact_moment, mc_moment,
+j_posterior, harness.fit_density, regression.binary_moment and
+regression.poisson_moment) hands such a builder to one driver,
+_engine.posterior_moments, whose ``mode`` is one of:
+
+* "exact": enumerate every assignment. A dimension that needs more than the
+  term cap (the constant DEFAULT_TERM_CAP, 10M terms) raises
+  EnumerationCapError.
+* "mc": sample ``n_terms`` assignments per dimension uniformly from the
+  active sets, with delta-method standard errors in ``mc_se``.
+* "auto": exact when every dimension is within the term cap, "mc" otherwise.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaln
 from scipy.stats import norm
 
 from . import _engine
-from ._engine import EnumerationCapError
+from ._engine import DEFAULT_TERM_CAP, EnumerationCapError, PosteriorSummary
 from .basis import Basis, eval_normalized, make_basis
 from .priors import CoefficientPrior, ModelSizePrior, log_dirichlet_normalizer
-
-DEFAULT_TERM_CAP = 10_000_000
 
 __all__ = [
     "DensityDataset",
@@ -30,6 +39,7 @@ __all__ = [
     "PosteriorSummary",
     "EnumerationCapError",
     "bases_for_prior",
+    "density_builder",
     "log_term",
     "exact_moment",
     "mc_moment",
@@ -48,6 +58,8 @@ class DensityDataset:
         obs = np.atleast_1d(np.asarray(self.observations, dtype=float))
         if obs.ndim != 1:
             raise ValueError("observations must be one-dimensional")
+        if not np.all(np.isfinite(obs)):
+            raise ValueError("observations must be finite")
         if obs.size and (obs.min() < 0.0 or obs.max() > 1.0):
             raise ValueError(
                 "observations must lie in [0, 1]; pass rescale=True to from_array "
@@ -58,7 +70,7 @@ class DensityDataset:
     @staticmethod
     def from_array(x, rescale: bool = False) -> "DensityDataset":
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if rescale and x.size:
+        if rescale and x.size and np.all(np.isfinite(x)):  # non-finite values are rejected below
             lo, hi = x.min(), x.max()
             if hi > lo:
                 x = (x - lo) / (hi - lo)
@@ -78,25 +90,6 @@ class TermIndex:
 
     indices: tuple[int, ...]
     eval_index: int | None = None
-
-
-@dataclass(frozen=True)
-class PosteriorSummary:
-    """Grid summary of the posterior over the estimated function.
-
-    mc_se is zero in exact mode. j_weights are the posterior probabilities
-    of each dimension in the truncation range (j_values aligned).
-    """
-
-    grid: np.ndarray
-    mean: np.ndarray
-    second_moment: np.ndarray | None
-    band_low: np.ndarray | None
-    band_high: np.ndarray | None
-    mc_se: np.ndarray
-    j_values: np.ndarray
-    j_weights: np.ndarray
-    mode: str
 
 
 def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
@@ -122,13 +115,21 @@ def _dirichlet_params(a, J: int) -> np.ndarray:
     return arr
 
 
-def _slots_for(basis: Basis, observations: np.ndarray) -> list[_engine.Slot]:
-    slots = []
-    vals = eval_normalized(basis, observations) if observations.size else np.empty((0, basis.dimension))
-    for row in vals:
-        idx = np.flatnonzero(row > 0.0)
-        slots.append(_engine.Slot(indices=idx, log_values=np.log(row[idx]), group=0))
-    return slots
+def density_builder(data: DensityDataset, bases: Mapping[int, Basis], grid, a=1.0):
+    """The per-dimension (slots, family, eval_cols) builder of _engine.posterior_moments.
+
+    Observations are taken in sorted order, so outputs do not depend on
+    their order.
+    """
+    obs = np.sort(data.observations)
+    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+
+    def build(j):
+        basis = bases[j]
+        family = _engine.DirichletFamily(_dirichlet_params(a, basis.dimension))
+        return _engine.slots_for(eval_normalized(basis, obs)), family, eval_normalized(basis, grid).T
+
+    return build
 
 
 def log_term(
@@ -174,18 +175,6 @@ def log_term(
     )
 
 
-def _prepare(data, bases, model_prior):
-    j_values = np.asarray(sorted(bases), dtype=int)
-    if j_values.size == 0:
-        raise ValueError("empty truncation range")
-    missing = set(model_prior.support) - set(bases)
-    if missing:
-        raise ValueError(f"no basis supplied for dimensions {sorted(missing)}")
-    log_prior = model_prior.log_pmf(j_values)
-    obs = np.sort(data.observations)  # canonical order: output invariant under permutation
-    return j_values, log_prior, obs
-
-
 def exact_moment(
     data: DensityDataset,
     grid,
@@ -200,33 +189,9 @@ def exact_moment(
     m=1 computes the mean only; m=2 also the pointwise second moment. Raises
     EnumerationCapError when any dimension needs more than term_cap terms.
     """
-    if m not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {m}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    j_values, log_prior, obs = _prepare(data, bases, model_prior)
-    per_j = []
-    for j in j_values:
-        basis = bases[j]
-        slots = _slots_for(basis, obs)
-        total = _engine.assignment_count(slots)
-        if total > term_cap:
-            raise EnumerationCapError(total, term_cap, int(j))
-        family = _engine.DirichletFamily(_dirichlet_params(a, basis.dimension))
-        eval_cols = eval_normalized(basis, grid).T
-        per_j.append(
-            _engine.exact_mixture(slots, family, basis.dimension, eval_cols, second=(m == 2))
-        )
-    mean, second, j_w_log = _engine.combine_exact(per_j, log_prior)
-    return PosteriorSummary(
-        grid=grid,
-        mean=mean,
-        second_moment=second,
-        band_low=None,
-        band_high=None,
-        mc_se=np.zeros_like(mean),
-        j_values=j_values,
-        j_weights=np.exp(j_w_log),
-        mode="exact",
+    build = density_builder(data, bases, grid, a)
+    return _engine.posterior_moments(
+        build, bases, model_prior, grid, m=m, mode="exact", term_cap=term_cap
     )
 
 
@@ -247,35 +212,9 @@ def mc_moment(
     the mean. Reproducible for a given seed regardless of scheduling: each
     dimension uses a generator derived from (seed, j).
     """
-    if m not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {m}")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    j_values, log_prior, obs = _prepare(data, bases, model_prior)
-    pieces = []
-    for j in j_values:
-        basis = bases[j]
-        slots = _slots_for(basis, obs)
-        family = _engine.DirichletFamily(_dirichlet_params(a, basis.dimension))
-        eval_cols = eval_normalized(basis, grid).T
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
-        pieces.append(
-            _engine.mc_mixture(
-                slots, family, basis.dimension, eval_cols, n_terms, rng, second=(m == 2)
-            )
-        )
-    mean, se, second, j_w_log = _engine.combine_mc(pieces, log_prior)
-    if second is not None:
-        second = np.maximum(second, mean**2)  # sampling noise may undershoot
-    return PosteriorSummary(
-        grid=grid,
-        mean=mean,
-        second_moment=second,
-        band_low=None,
-        band_high=None,
-        mc_se=se,
-        j_values=j_values,
-        j_weights=np.exp(j_w_log),
-        mode="mc",
+    build = density_builder(data, bases, grid, a)
+    return _engine.posterior_moments(
+        build, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed
     )
 
 
@@ -300,18 +239,7 @@ def j_posterior(
     bases: Mapping[int, Basis],
     model_prior: ModelSizePrior,
     a=1.0,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Posterior weights of each dimension: prior times per-J marginal likelihood."""
-    j_values, log_prior, obs = _prepare(data, bases, model_prior)
-    per_j = []
-    for j in j_values:
-        basis = bases[j]
-        slots = _slots_for(basis, obs)
-        total = _engine.assignment_count(slots)
-        if total > term_cap:
-            raise EnumerationCapError(total, term_cap, int(j))
-        family = _engine.DirichletFamily(_dirichlet_params(a, basis.dimension))
-        per_j.append(_engine.exact_mixture(slots, family, basis.dimension, None))
-    _, _, j_w_log = _engine.combine_exact(per_j, log_prior)
-    return j_values, np.exp(j_w_log)
+    summary = exact_moment(data, np.empty(0), bases, model_prior, a=a, m=1)
+    return summary.j_values, summary.j_weights

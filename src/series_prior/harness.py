@@ -23,17 +23,9 @@ import numpy as np
 from scipy.special import betaincinv
 from scipy.stats import beta as beta_dist
 
+from . import _engine
 from .basis import Basis, eval_normalized
-from .density import (
-    DensityDataset,
-    PosteriorSummary,
-    bases_for_prior,
-    credible_band,
-    exact_moment,
-    mc_moment,
-    DEFAULT_TERM_CAP,
-)
-from ._engine import assignment_count, Slot
+from .density import DensityDataset, PosteriorSummary, bases_for_prior, credible_band, density_builder
 from .priors import ModelSizePrior
 from .quadrature import simpson_panel_rule
 
@@ -154,7 +146,6 @@ class ExperimentConfig:
     grid_size: int = 100
     level: float = 0.95
     mode: str = "auto"  # auto | exact | mc
-    term_cap: int = DEFAULT_TERM_CAP
     output_dir: str | None = None
 
     def __post_init__(self):
@@ -220,25 +211,14 @@ def fit_density(
     seed=0,
     mode: str = "auto",
     level: float = 0.95,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
     """Fit one dataset: exact when the term budget allows, sampled otherwise."""
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
-    if mode == "auto":
-        obs = data.observations
-        worst = 0
-        for j, basis in bases.items():
-            vals = eval_normalized(basis, obs) if obs.size else np.empty((0, basis.dimension))
-            slots = [Slot(np.flatnonzero(r > 0), np.empty(0)) for r in vals]
-            worst = max(worst, assignment_count(slots))
-        mode = "exact" if worst <= term_cap else "mc"
-    if mode == "exact":
-        summary = exact_moment(data, grid, bases, model_prior, a=a, m=2, term_cap=term_cap)
-    elif mode == "mc":
-        summary = mc_moment(data, grid, bases, model_prior, a=a, m=2, n_terms=n_terms, seed=seed)
-    else:
-        raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
+    summary = _engine.posterior_moments(
+        density_builder(data, bases, grid, a), bases, model_prior, grid,
+        m=2, mode=mode, n_terms=n_terms, seed=seed,
+    )
     return credible_band(summary, level)
 
 
@@ -255,7 +235,6 @@ def _one_replication(config: ExperimentConfig, density: TrueDensity, model_prior
         seed=int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0]),
         mode=config.mode,
         level=config.level,
-        term_cap=config.term_cap,
     )
     l1, l2 = grid_metrics(summary.mean, density, summary.grid)
     return MetricsRow(rep, l1, l2, time.perf_counter() - t0), summary
@@ -309,7 +288,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                 f"{fmt(result.l1_mean)},{fmt(result.l1_se)},{fmt(result.l2_mean)},{fmt(result.l2_se)}\n"
             )
         write_summary(out_dir / "summary_rep0.csv", summaries[0])
-        write_j_table(out_dir / "summary_rep0_j.csv", summaries[0])
+        write_j_table(out_dir / "summary_rep0_j.csv", summaries[0].j_values, summaries[0].j_weights)
     return result
 
 
@@ -340,36 +319,46 @@ def write_summary(path, summary: PosteriorSummary) -> None:
             )
 
 
-def write_j_table(path, summary: PosteriorSummary) -> None:
+def write_j_table(path, j_values, j_weights) -> None:
+    """j,weight rows: the posterior weight of each dimension."""
     with Path(path).open("w") as fh:
         fh.write("j,weight\n")
-        for j, w in zip(summary.j_values, summary.j_weights):
+        for j, w in zip(j_values, j_weights):
             fh.write(f"{int(j)},{fmt(w)}\n")
 
 
-def read_observations(path) -> np.ndarray:
-    """One observation per line; blank lines and # comments ignored."""
-    values = []
+def data_lines(path) -> list[tuple[int, str]]:
+    """(line number, text) of each non-blank line, # comments stripped."""
     with Path(path).open() as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                values.append(float(line))
+        lines = [(i, line.split("#", 1)[0].strip()) for i, line in enumerate(fh, 1)]
+    return [(i, line) for i, line in lines if line]
+
+
+def read_observations(path) -> np.ndarray:
+    """One observation per line; blank lines and # comments ignored.
+
+    A line that is not one number, or a file with no observations, raises
+    ValueError naming the file (and the line).
+    """
+    values = []
+    for lineno, line in data_lines(path):
+        try:
+            values.append(float(line))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected one number, got {line!r}") from None
+    if not values:
+        raise ValueError(f"{path}: no observations")
     return np.asarray(values)
 
 
 def read_config(path) -> dict[str, str]:
     """key=value lines with # comments."""
     options: dict[str, str] = {}
-    with Path(path).open() as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, value = line.split("=", 1)
-            options[key.strip()] = value.strip()
+    for lineno, line in data_lines(path):
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
+        key, value = line.split("=", 1)
+        options[key.strip()] = value.strip()
     return options
 
 

@@ -105,11 +105,6 @@ class ModelSizePrior:
         return float(out[0]) if np.isscalar(j) else out
 
 
-def log_pmf_J(prior: ModelSizePrior, j) -> np.ndarray | float:
-    """Functional alias for :meth:`ModelSizePrior.log_pmf`."""
-    return prior.log_pmf(j)
-
-
 def _positive_vector(value, J: int, name: str) -> np.ndarray:
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:

@@ -43,8 +43,3 @@ def simpson_panel_rule(breakpoints, total_points=10_000):
         wts.append(w * (h / 3.0))
     return np.concatenate(pts), np.concatenate(wts)
 
-
-def simpson_integral(f, breakpoints, total_points=10_000):
-    """Integrate a callable over [breakpoints[0], breakpoints[-1]]."""
-    x, w = simpson_panel_rule(breakpoints, total_points)
-    return float(w @ np.asarray(f(x), dtype=float))

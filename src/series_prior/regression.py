@@ -13,8 +13,14 @@ plain (unnormalized) basis:
   exponential factor collapses coordinatewise; each observation contributes
   X_i expansion slots.
 
-Binary and Poisson engines run exact or term-sampled, exactly as the density
-module, and return the same PosteriorSummary shape.
+binary_builder and poisson_builder give each dimension's slots and
+coefficient family; binary_moment and poisson_moment hand them to the shared
+driver _engine.posterior_moments, which returns the same PosteriorSummary as
+the density module. ``mode`` is "exact" (enumerate every assignment; a
+dimension past the term cap, the constant DEFAULT_TERM_CAP of 10M terms,
+raises EnumerationCapError), "mc" (``n_terms`` sampled assignments per
+dimension) or "auto" (exact within the term cap, sampled otherwise), as in
+the density module.
 """
 
 from __future__ import annotations
@@ -27,9 +33,8 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from . import _engine
-from ._engine import EnumerationCapError
+from ._engine import PosteriorSummary
 from .basis import Basis, eval_basis
-from .density import PosteriorSummary, DEFAULT_TERM_CAP
 from .priors import CoefficientPrior, ModelSizePrior
 
 
@@ -46,6 +51,7 @@ class RegressionDataset:
         x = np.atleast_1d(np.asarray(self.responses, dtype=float))
         if z.shape != x.shape or z.ndim != 1:
             raise ValueError("covariates and responses must be equal-length vectors")
+        _check_finite(covariates=z, responses=x)
         if z.size and (z.min() < 0.0 or z.max() > 1.0):
             raise ValueError("covariates must lie in [0, 1]")
         if self.kind == "binary" and not np.all(np.isin(x, (0.0, 1.0))):
@@ -76,6 +82,7 @@ class FunctionalDataset:
         x = np.atleast_1d(np.asarray(self.responses, dtype=float))
         if g.size < 2:
             raise ValueError("curve grid needs at least 2 points")
+        _check_finite(grid=g, curves=Z, responses=x)
         if np.any(np.diff(g) <= 0) or g.min() < 0.0 or g.max() > 1.0:
             raise ValueError("curve grid must be strictly increasing inside [0, 1]")
         if Z.shape[1] != g.size:
@@ -105,6 +112,7 @@ class LongitudinalDataset:
         x = np.atleast_1d(np.asarray(self.responses, dtype=float))
         if not (t.shape == z.shape == x.shape):
             raise ValueError("times, covariate values, and responses must match")
+        _check_finite(times=t, covariate_values=z, responses=x)
         if t.size and (t.min() < 0.0 or t.max() > 1.0):
             raise ValueError("times must lie in [0, 1]")
         object.__setattr__(self, "times", t)
@@ -270,64 +278,56 @@ def _coef_params(prior, family: str, J: int) -> tuple[np.ndarray, np.ndarray]:
     return pr.params_for(J)
 
 
-def _moment_summary(slot_builder, family_builder, bases, model_prior, z_grid, m, mode, n_terms, seed, term_cap):
-    if m not in (1, 2):
-        raise ValueError(f"moment order must be 1 or 2, got {m}")
+def _check_finite(**arrays) -> None:
+    for name, arr in arrays.items():
+        if not np.all(np.isfinite(arr)):
+            raise ValueError(f"{name} must be finite")
+
+
+def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_params, z_grid):
+    """The per-dimension (slots, family, eval_cols) builder of the binary model.
+
+    Each observation contributes one slot; successes and failures update the
+    two Beta count groups through the expansion of theta'B and (1-theta)'B.
+    """
+    if data.kind != "binary":
+        raise ValueError("binary_moment needs a binary dataset")
+    order = np.lexsort((data.responses, data.covariates))
+    z = data.covariates[order]
+    groups = np.where(data.responses[order] == 1.0, 0, 1)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    j_values = np.asarray(sorted(bases), dtype=int)
-    missing = set(model_prior.support) - set(bases)
-    if missing:
-        raise ValueError(f"no basis supplied for dimensions {sorted(missing)}")
-    log_prior = model_prior.log_pmf(j_values)
-    if mode == "auto":
-        worst = max(
-            _engine.assignment_count(slot_builder(bases[j])) for j in j_values
-        )
-        mode = "exact" if worst <= term_cap else "mc"
-    if mode == "exact":
-        per_j = []
-        for j in j_values:
-            basis = bases[j]
-            slots = slot_builder(basis)
-            total = _engine.assignment_count(slots)
-            if total > term_cap:
-                raise EnumerationCapError(total, term_cap, int(j))
-            eval_cols = eval_basis(basis, z_grid).T
-            per_j.append(
-                _engine.exact_mixture(
-                    slots, family_builder(basis), basis.dimension, eval_cols, second=(m == 2)
-                )
-            )
-        mean, second, j_w_log = _engine.combine_exact(per_j, log_prior)
-        se = np.zeros_like(mean)
-    elif mode == "mc":
-        pieces = []
-        for j in j_values:
-            basis = bases[j]
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
-            eval_cols = eval_basis(basis, z_grid).T
-            pieces.append(
-                _engine.mc_mixture(
-                    slot_builder(basis), family_builder(basis), basis.dimension,
-                    eval_cols, n_terms, rng, second=(m == 2),
-                )
-            )
-        mean, se, second, j_w_log = _engine.combine_mc(pieces, log_prior)
-        if second is not None:
-            second = np.maximum(second, mean**2)  # sampling noise may undershoot
-    else:
-        raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
-    return PosteriorSummary(
-        grid=z_grid,
-        mean=mean,
-        second_moment=second,
-        band_low=None,
-        band_high=None,
-        mc_se=se,
-        j_values=j_values,
-        j_weights=np.exp(j_w_log),
-        mode=mode,
-    )
+
+    def build(j):
+        basis = bases[j]
+        a, b = _coef_params(beta_params, "beta", basis.dimension)
+        slots = _engine.slots_for(eval_basis(basis, z), groups=groups)
+        return slots, _engine.BetaFamily(a, b), eval_basis(basis, z_grid).T
+
+    return build
+
+
+def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_params, z_grid):
+    """The per-dimension (slots, family, eval_cols) builder of the Poisson model.
+
+    The exponential likelihood factor contributes the per-coordinate tilt
+    c_k = sum_i B_k(Z_i); each observation then adds X_i expansion slots for
+    the monomial part (ordered tuples carry the multinomial multiplicities).
+    """
+    if data.kind != "poisson":
+        raise ValueError("poisson_moment needs a poisson dataset")
+    order = np.lexsort((data.responses, data.covariates))
+    z = data.covariates[order]
+    x = data.responses[order].astype(int)
+    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
+
+    def build(j):
+        basis = bases[j]
+        a, b = _coef_params(gamma_params, "gamma", basis.dimension)
+        vals = eval_basis(basis, z)
+        family = _engine.GammaFamily(a, b, vals.sum(axis=0))
+        return _engine.slots_for(vals, repeats=x), family, eval_basis(basis, z_grid).T
+
+    return build
 
 
 def binary_moment(
@@ -340,36 +340,10 @@ def binary_moment(
     mode: str = "auto",
     n_terms: int = 3000,
     seed=0,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
-    """Posterior moments of the success probability f(z) = theta' B(z).
-
-    Each observation contributes one slot; successes and failures update the
-    two Beta count groups through the expansion of theta'B and (1-theta)'B.
-    """
-    if data.kind != "binary":
-        raise ValueError("binary_moment needs a binary dataset")
-    order = np.lexsort((data.responses, data.covariates))
-    z = data.covariates[order]
-    x = data.responses[order]
-
-    def slot_builder(basis: Basis):
-        slots = []
-        vals = eval_basis(basis, z) if z.size else np.empty((0, basis.dimension))
-        for row, resp in zip(vals, x):
-            idx = np.flatnonzero(row > 0.0)
-            slots.append(
-                _engine.Slot(indices=idx, log_values=np.log(row[idx]), group=0 if resp == 1.0 else 1)
-            )
-        return slots
-
-    def family_builder(basis: Basis):
-        a, b = _coef_params(beta_params, "beta", basis.dimension)
-        return _engine.BetaFamily(a, b)
-
-    return _moment_summary(
-        slot_builder, family_builder, bases, model_prior, z_grid, m, mode, n_terms, seed, term_cap
-    )
+    """Posterior moments of the success probability f(z) = theta' B(z)."""
+    build = binary_builder(data, bases, beta_params, z_grid)
+    return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)
 
 
 def poisson_moment(
@@ -382,36 +356,7 @@ def poisson_moment(
     mode: str = "auto",
     n_terms: int = 3000,
     seed=0,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
-    """Posterior moments of the Poisson rate f(z) = theta' B(z).
-
-    The exponential likelihood factor contributes the per-coordinate tilt
-    c_k = sum_i B_k(Z_i); each observation then adds X_i expansion slots for
-    the monomial part (ordered tuples carry the multinomial multiplicities).
-    """
-    if data.kind != "poisson":
-        raise ValueError("poisson_moment needs a poisson dataset")
-    order = np.lexsort((data.responses, data.covariates))
-    z = data.covariates[order]
-    x = data.responses[order].astype(int)
-
-    def slot_builder(basis: Basis):
-        slots = []
-        vals = eval_basis(basis, z) if z.size else np.empty((0, basis.dimension))
-        for row, count in zip(vals, x):
-            idx = np.flatnonzero(row > 0.0)
-            logv = np.log(row[idx])
-            slots.extend(
-                _engine.Slot(indices=idx, log_values=logv, group=0) for _ in range(count)
-            )
-        return slots
-
-    def family_builder(basis: Basis):
-        a, b = _coef_params(gamma_params, "gamma", basis.dimension)
-        c = eval_basis(basis, z).sum(axis=0) if z.size else np.zeros(basis.dimension)
-        return _engine.GammaFamily(a, b, c)
-
-    return _moment_summary(
-        slot_builder, family_builder, bases, model_prior, z_grid, m, mode, n_terms, seed, term_cap
-    )
+    """Posterior moments of the Poisson rate f(z) = theta' B(z)."""
+    build = poisson_builder(data, bases, gamma_params, z_grid)
+    return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)

@@ -172,3 +172,54 @@ class TestRegressionCommands:
         assert rows.shape == (5, 3)
         truth = np.trapezoid(zte * beta, grid, axis=1)
         assert np.sqrt(np.mean((rows[:, 1] - truth) ** 2)) < 1.0
+
+
+class TestReaderErrors:
+    """Malformed input files exit 1 with the file (and line) named, no traceback."""
+
+    def _fails(self, capsys, path, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error: ") and str(path) in err
+        return err
+
+    def test_binreg_empty_file(self, capsys, tmp_path):
+        inp = tmp_path / "zx.txt"
+        inp.write_text("# no rows\n\n")
+        self._fails(capsys, inp, "binreg", "--input", str(inp))
+
+    def test_binreg_one_column_line(self, capsys, tmp_path):
+        inp = tmp_path / "zx.txt"
+        inp.write_text("0.1,1\n0.5\n")
+        err = self._fails(capsys, inp, "binreg", "--input", str(inp))
+        assert f"{inp}:2:" in err
+
+    def test_binreg_bad_token(self, capsys, tmp_path):
+        inp = tmp_path / "zx.txt"
+        inp.write_text("0.1,1\n0.5,yes\n")
+        err = self._fails(capsys, inp, "binreg", "--input", str(inp))
+        assert f"{inp}:2:" in err
+
+    def test_funreg_empty_file(self, capsys, tmp_path):
+        inp = tmp_path / "curves.txt"
+        inp.write_text("")
+        self._fails(capsys, inp, "funreg", "--curves", str(inp))
+
+    def test_funreg_ragged_rows(self, capsys, tmp_path):
+        inp = tmp_path / "curves.txt"
+        inp.write_text("0 0.5 1\n1 2 3 4\n# comment\n1 2 3\n")
+        err = self._fails(capsys, inp, "funreg", "--curves", str(inp))
+        assert f"{inp}:4:" in err
+
+    def test_density_fit_empty_file(self, capsys, tmp_path):
+        inp = tmp_path / "obs.txt"
+        inp.write_text("\n# nothing\n")
+        out = tmp_path / "fit.csv"
+        self._fails(capsys, inp, "density-fit", "--input", str(inp), "--output", str(out))
+        assert not out.exists()
+
+    def test_density_fit_nan_observation(self, capsys, tmp_path):
+        inp = tmp_path / "obs.txt"
+        inp.write_text("0.2\nnan\n")
+        code, _, err = run(capsys, "density-fit", "--input", str(inp), "--output", str(tmp_path / "f.csv"))
+        assert code == 1 and "finite" in err

@@ -1,0 +1,100 @@
+import numpy as np
+import pytest
+
+from series_prior import _engine
+from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
+from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment
+from series_prior.harness import fit_density
+from series_prior.priors import ModelSizePrior
+from series_prior.regression import (
+    RegressionDataset,
+    binary_builder,
+    binary_moment,
+    poisson_moment,
+)
+
+GRID = (np.arange(20) + 0.5) / 20
+
+
+def _density_case():
+    mp = ModelSizePrior.geometric(0.5, 4, 7)
+    bases = bases_for_prior(2, mp)
+    data = DensityDataset(np.random.default_rng(2).random(5))
+    return density_builder(data, bases, GRID), bases, mp
+
+
+def _binary_case():
+    mp = ModelSizePrior.geometric(0.5, 4, 7)
+    bases = bases_for_prior(2, mp)
+    rng = np.random.default_rng(3)
+    data = RegressionDataset(rng.random(6), (rng.random(6) < 0.5).astype(float), "binary")
+    return binary_builder(data, bases, (1.0, 1.0), GRID), bases, mp
+
+
+def _assert_same(a, b):
+    for field in ("mean", "second_moment", "mc_se", "j_values", "j_weights"):
+        np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+
+class TestAutoMode:
+    @pytest.mark.parametrize("case", [_density_case, _binary_case])
+    def test_exact_at_cap_mc_above(self, case):
+        build, bases, mp = case()
+        worst = max(assignment_count(build(j)[0]) for j in bases)
+        assert worst > 1
+        at_cap = posterior_moments(build, bases, mp, GRID, mode="auto", term_cap=worst)
+        assert at_cap.mode == "exact"
+        _assert_same(at_cap, posterior_moments(build, bases, mp, GRID, mode="exact", term_cap=worst))
+        over = posterior_moments(build, bases, mp, GRID, mode="auto", n_terms=200, seed=5, term_cap=worst - 1)
+        assert over.mode == "mc"
+        _assert_same(over, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=200, seed=5))
+
+    def test_fit_density_auto_equals_exact_moment(self):
+        mp = ModelSizePrior.geometric(0.6, 5, 9)
+        data = DensityDataset(np.random.default_rng(8).random(7))
+        fit = fit_density(data, 2, mp, grid=GRID, mode="auto")
+        exact = exact_moment(data, GRID, bases_for_prior(2, mp), mp)
+        assert fit.mode == "exact"
+        _assert_same(fit, exact)
+
+
+class TestExactCap:
+    def test_names_first_dimension_over_cap(self):
+        # Points on the J=5 knots (0.25, 0.5, 0.75) have one active hat each, so
+        # J=5 needs a single term and the first dimension over a cap of 4 is J=6.
+        mp = ModelSizePrior.geometric(0.5, 5, 8)
+        bases = bases_for_prior(2, mp)
+        build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
+        counts = {j: assignment_count(build(j)[0]) for j in sorted(bases)}
+        assert counts[5] == 1 and counts[6] > 4
+        with pytest.raises(EnumerationCapError, match="J=6") as err:
+            posterior_moments(build, bases, mp, GRID, mode="exact", term_cap=4)
+        assert err.value.j == 6 and err.value.total == counts[6]
+
+
+class TestValidation:
+    def test_unknown_mode_rejected_everywhere(self):
+        mp = ModelSizePrior.geometric(0.5, 4, 6)
+        bases = bases_for_prior(2, mp)
+        z = np.array([0.2, 0.7])
+        calls = [
+            lambda: fit_density(DensityDataset(z), 2, mp, grid=GRID, mode="fast"),
+            lambda: binary_moment(RegressionDataset(z, [0.0, 1.0], "binary"), bases, (1.0, 1.0), mp, GRID, mode="fast"),
+            lambda: poisson_moment(RegressionDataset(z, [1.0, 2.0], "poisson"), bases, (1.0, 1.0), mp, GRID, mode="fast"),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="mode must be"):
+                call()
+
+    def test_moment_order_checked(self):
+        build, bases, mp = _density_case()
+        with pytest.raises(ValueError, match="moment order"):
+            posterior_moments(build, bases, mp, GRID, m=3)
+
+
+def test_slots_for_groups_and_repeats():
+    values = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
+    slots = _engine.slots_for(values, groups=[1, 0], repeats=[1, 3])
+    assert [s.group for s in slots] == [1, 0, 0, 0]
+    np.testing.assert_array_equal(slots[0].indices, [1, 2])
+    np.testing.assert_array_equal(slots[3].log_values, [0.0])

@@ -5,7 +5,6 @@ from series_prior.priors import (
     CoefficientPrior,
     ModelSizePrior,
     log_dirichlet_normalizer,
-    log_pmf_J,
     priors_from_config,
     sample_coefficients,
 )
@@ -33,7 +32,7 @@ class TestModelSizePrior:
         prior = ModelSizePrior.geometric(0.5, 5, 25)
         assert prior.log_pmf(4) == -np.inf
         assert prior.log_pmf(26) == -np.inf
-        assert log_pmf_J(prior, 5) > -np.inf
+        assert prior.log_pmf(5) > -np.inf
 
     def test_memoryless_ratio_survives_truncation(self):
         prior = ModelSizePrior.geometric(0.3, 5, 25)

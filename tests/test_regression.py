@@ -7,7 +7,7 @@ from oracles import (
     poisson_quadrature_mean,
 )
 from series_prior.basis import eval_basis, make_basis
-from series_prior.density import bases_for_prior
+from series_prior.density import DensityDataset, bases_for_prior
 from series_prior.priors import ModelSizePrior
 from series_prior.regression import (
     FunctionalDataset,
@@ -19,6 +19,37 @@ from series_prior.regression import (
     gaussian_predict,
     poisson_moment,
 )
+
+
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: DensityDataset([0.2, NAN]),
+        lambda: DensityDataset.from_array([0.2, NAN, 3.0], rescale=True),
+        lambda: RegressionDataset([0.2, NAN], [0.0, 1.0]),
+        lambda: RegressionDataset([0.2, 0.4], [0.0, INF]),
+        lambda: RegressionDataset([0.2, 0.4], [NAN, 1.0], kind="binary"),
+        lambda: FunctionalDataset([0.0, 1.0], [[1.0, NAN]], [1.0]),
+        lambda: FunctionalDataset([0.0, 1.0], [[1.0, 2.0]], [NAN]),
+        lambda: FunctionalDataset([0.0, NAN, 1.0], [[1.0, 2.0, 3.0]], [1.0]),
+        lambda: LongitudinalDataset([NAN], [1.0], [1.0]),
+        lambda: LongitudinalDataset([0.5], [INF], [1.0]),
+        lambda: LongitudinalDataset([0.5], [1.0], [NAN]),
+        lambda: eval_basis(make_basis(2, 3), [NAN]),
+    ],
+    ids=[
+        "density", "density-rescaled", "regression-covariate", "regression-response",
+        "binary-response", "functional-curve", "functional-response", "functional-grid",
+        "longitudinal-time", "longitudinal-covariate", "longitudinal-response", "eval-basis",
+    ],
+)
+def test_non_finite_input_rejected(make):
+    with pytest.raises(ValueError, match="finite"):
+        make()
 
 
 class TestDatasets:
