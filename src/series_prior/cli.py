@@ -159,20 +159,13 @@ def _cmd_rates(args, cfg) -> int:
     return 0
 
 
-def _numbers(path, lineno, line):
-    try:
-        return [float(v) for v in line.replace(",", " ").split()]
-    except ValueError:
-        raise ValueError(f"{path}:{lineno}: expected numbers, got {line!r}") from None
-
-
 def _read_curves(path):
     """Header row of grid times, then one curve per row, all rows of one length."""
     lines = harness.data_lines(path)
     if len(lines) < 2:
         raise ValueError(f"{path}: need a header row of grid times and at least one curve row")
-    grid = np.asarray(_numbers(path, *lines[0]))
-    rows = [_numbers(path, i, ln) for i, ln in lines[1:]]
+    grid = np.asarray(harness.line_numbers(path, *lines[0]))
+    rows = [harness.line_numbers(path, i, ln) for i, ln in lines[1:]]
     for (lineno, _), row in zip(lines[1:], rows):
         if len(row) != len(rows[0]):
             raise ValueError(
@@ -235,7 +228,7 @@ def _read_two_columns(path):
         raise ValueError(f"{path}: no z,x rows")
     rows = []
     for lineno, line in lines:
-        row = _numbers(path, lineno, line)
+        row = harness.line_numbers(path, lineno, line)
         if len(row) != 2:
             raise ValueError(f"{path}:{lineno}: expected two columns z,x, got {line!r}")
         rows.append(row)

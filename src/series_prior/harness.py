@@ -334,6 +334,14 @@ def data_lines(path) -> list[tuple[int, str]]:
     return [(i, line) for i, line in lines if line]
 
 
+def line_numbers(path, lineno, line) -> list[float]:
+    """The comma- or space-separated numbers of one data line of path."""
+    try:
+        return [float(v) for v in line.replace(",", " ").split()]
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: expected numbers, got {line!r}") from None
+
+
 def read_observations(path) -> np.ndarray:
     """One observation per line; blank lines and # comments ignored.
 
@@ -342,10 +350,10 @@ def read_observations(path) -> np.ndarray:
     """
     values = []
     for lineno, line in data_lines(path):
-        try:
-            values.append(float(line))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected one number, got {line!r}") from None
+        row = line_numbers(path, lineno, line)
+        if len(row) != 1:
+            raise ValueError(f"{path}:{lineno}: expected one number, got {line!r}")
+        values.append(row[0])
     if not values:
         raise ValueError(f"{path}: no observations")
     return np.asarray(values)

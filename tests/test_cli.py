@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from series_prior.cli import cli
 
@@ -217,6 +218,13 @@ class TestReaderErrors:
         out = tmp_path / "fit.csv"
         self._fails(capsys, inp, "density-fit", "--input", str(inp), "--output", str(out))
         assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["0.4 0.6", "0.4,0.6", "half"])
+    def test_density_fit_not_one_number(self, capsys, tmp_path, bad):
+        inp = tmp_path / "obs.txt"
+        inp.write_text(f"0.2\n{bad}\n")
+        err = self._fails(capsys, inp, "density-fit", "--input", str(inp), "--output", str(tmp_path / "f.csv"))
+        assert f"{inp}:2:" in err
 
     def test_density_fit_nan_observation(self, capsys, tmp_path):
         inp = tmp_path / "obs.txt"
