@@ -2,21 +2,38 @@
 
 The supported likelihoods expand into sums over index assignments: each
 observation "slot" picks one basis function from its active set, and given
-the assignment the coefficient integral has a closed conjugate form. The
-engine enumerates all assignments (exact mode) or samples them uniformly
-from the active-set product (Monte-Carlo mode), accumulating numerator and
-denominator sums in log space. Posterior moments of the series value
-f(x) = theta' b(x) come out of per-assignment posterior-moment identities,
-so the evaluation-point index never has to be enumerated explicitly.
+the assignment the coefficient integral has a closed conjugate form.
+
+The exact mode (exact_mixture) sums every assignment without listing them.
+An assignment's log weight separates per basis index into a factor of that
+basis's counts, and every active set is a run of at most q consecutive
+indices, so the sum is a chain: one forward-backward recursion whose state
+is the joint count of the open basis functions (the Polya-urn count form).
+Its cost grows with the number of slots, J and the size of that count state,
+not with the q^n assignments; slots with a single active index cost nothing.
+The Monte-Carlo mode samples assignments uniformly from the active-set
+product. Posterior moments of the series value f(x) = theta' b(x) come out of
+the coefficient moments E[theta_k] and E[theta_k theta_l], so the
+evaluation-point index never has to be enumerated explicitly.
+
+Each coefficient family (Dirichlet, Beta, Gamma) gives, for basis index k
+(or an index array) and per-group counts c: log_close(k, c), the log factor
+of basis k in an assignment's weight; moments(k, c, n), E[theta_k] and
+E[theta_k^2] given the counts of n slots; cross(n), the ratio
+E[theta_k theta_l] / (E[theta_k] E[theta_l]) for k != l; and log_global(n),
+the log factor every assignment shares.
 
 posterior_moments is the one driver every model goes through: it picks the
-mode, runs the per-dimension sums and mixes them over J. Everything here is
-pure given its inputs; the Monte-Carlo generator of dimension J is derived
-from (seed, J), so results do not depend on scheduling.
+mode, runs the per-dimension sums and mixes them over J. The term cap on the
+q^n assignment count still decides which mode "auto" picks and where "exact"
+refuses. Everything here is pure given its inputs; the Monte-Carlo generator
+of dimension J is derived from (seed, J), so results do not depend on
+scheduling.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from math import prod
 from typing import Callable, Mapping, NamedTuple, Sequence
@@ -24,7 +41,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
 
-#: Largest per-dimension assignment count that exact enumeration accepts.
+#: Largest per-dimension assignment count that the exact mode accepts.
 DEFAULT_TERM_CAP = 10_000_000
 
 
@@ -89,14 +106,24 @@ class DirichletFamily:
         self.a0 = float(self.a.sum())
         self.log_norm = float(gammaln(self.a0) - gammaln(self.a).sum())
 
-    def log_weight(self, counts):
-        c = counts[0]
-        n = c.sum(axis=-1)
-        return self.log_norm + gammaln(self.a + c).sum(axis=-1) - gammaln(self.a0 + n)
+    def log_global(self, n):
+        return self.log_norm - gammaln(self.a0 + n)
 
-    def coord_mean(self, counts):
-        c = counts[0]
-        return (self.a + c) / (self.a0 + c.sum(axis=-1, keepdims=True))
+    def log_close(self, k, counts):
+        return gammaln(self.a[k] + counts[0])
+
+    def moments(self, k, counts, n):
+        s = self.a0 + n
+        alpha = self.a[k] + counts[0]
+        return alpha / s, alpha * (alpha + 1.0) / (s * (s + 1.0))
+
+    def cross(self, n):
+        s = self.a0 + n
+        return s / (s + 1.0)
+
+    def log_weight(self, counts):
+        n = counts[0].sum(axis=-1)
+        return self.log_norm + self.log_close(slice(None), counts).sum(axis=-1) - gammaln(self.a0 + n)
 
     def pair_mean(self, counts, k, l):
         c = counts[0]
@@ -106,18 +133,6 @@ class DirichletFamily:
         ak = alpha[rows, k]
         al = alpha[rows, l] + (k == l)
         return ak * al / (s * (s + 1.0))
-
-    def mixture_mean(self, counts, eval_cols):
-        alpha = self.a + counts[0]
-        s = self.a0 + counts[0].sum(axis=-1)
-        return (alpha @ eval_cols) / s[:, None]
-
-    def mixture_second(self, counts, eval_cols):
-        alpha = self.a + counts[0]
-        s = self.a0 + counts[0].sum(axis=-1)
-        lin = alpha @ eval_cols
-        quad = alpha @ (eval_cols**2)
-        return (lin**2 + quad) / (s * (s + 1.0))[:, None]
 
 
 class BetaFamily:
@@ -130,40 +145,30 @@ class BetaFamily:
         self.b = np.asarray(b, dtype=float)
         self.log_norm = -betaln(self.a, self.b)
 
-    def _post(self, counts):
-        A = self.a + counts[0]
-        B = self.b + counts[1]
-        return A, B
+    def log_global(self, n):
+        return 0.0
+
+    def log_close(self, k, counts):
+        return betaln(self.a[k] + counts[0], self.b[k] + counts[1]) + self.log_norm[k]
+
+    def moments(self, k, counts, n):
+        A = self.a[k] + counts[0]
+        S = A + (self.b[k] + counts[1])
+        return A / S, A * (A + 1.0) / (S * (S + 1.0))
+
+    def cross(self, n):
+        return 1.0
 
     def log_weight(self, counts):
-        A, B = self._post(counts)
-        return (betaln(A, B) + self.log_norm).sum(axis=-1)
-
-    def coord_mean(self, counts):
-        A, B = self._post(counts)
-        return A / (A + B)
-
-    def _second_diag(self, counts):
-        A, B = self._post(counts)
-        S = A + B
-        return A * (A + 1.0) / (S * (S + 1.0))
+        return self.log_close(slice(None), counts).sum(axis=-1)
 
     def pair_mean(self, counts, k, l):
         rows = np.arange(counts[0].shape[0])
-        e = self.coord_mean(counts)
-        e2 = self._second_diag(counts)
+        e, e2 = self.moments(slice(None), counts, None)
         same = k == l
         out = e[rows, k] * e[rows, l]
         out[same] = e2[rows[same], k[same]]
         return out
-
-    def mixture_mean(self, counts, eval_cols):
-        return self.coord_mean(counts) @ eval_cols
-
-    def mixture_second(self, counts, eval_cols):
-        e = self.coord_mean(counts)
-        var = self._second_diag(counts) - e**2
-        return (e @ eval_cols) ** 2 + var @ (eval_cols**2)
 
 
 class GammaFamily:
@@ -181,12 +186,22 @@ class GammaFamily:
         self.rate = self.b + np.asarray(c, dtype=float)
         self.log_norm = self.a * np.log(self.b) - gammaln(self.a)
 
-    def log_weight(self, counts):
-        A = self.a + counts[0]
-        return (self.log_norm + gammaln(A) - A * np.log(self.rate)).sum(axis=-1)
+    def log_global(self, n):
+        return 0.0
 
-    def coord_mean(self, counts):
-        return (self.a + counts[0]) / self.rate
+    def log_close(self, k, counts):
+        A = self.a[k] + counts[0]
+        return self.log_norm[k] + gammaln(A) - A * np.log(self.rate[k])
+
+    def moments(self, k, counts, n):
+        A = self.a[k] + counts[0]
+        return A / self.rate[k], A * (A + 1.0) / self.rate[k] ** 2
+
+    def cross(self, n):
+        return 1.0
+
+    def log_weight(self, counts):
+        return self.log_close(slice(None), counts).sum(axis=-1)
 
     def pair_mean(self, counts, k, l):
         rows = np.arange(counts[0].shape[0])
@@ -194,14 +209,6 @@ class GammaFamily:
         ak = A[rows, k]
         al = A[rows, l] + (k == l)
         return ak * al / (self.rate[k] * self.rate[l])
-
-    def mixture_mean(self, counts, eval_cols):
-        return self.coord_mean(counts) @ eval_cols
-
-    def mixture_second(self, counts, eval_cols):
-        e = self.coord_mean(counts)
-        var = (self.a + counts[0]) / self.rate**2
-        return (e @ eval_cols) ** 2 + var @ (eval_cols**2)
 
 
 def _counts_for(slots, digits, J, n_groups):
@@ -219,59 +226,218 @@ def _counts_for(slots, digits, J, n_groups):
     return counts
 
 
+def _lse(x, axis=None):
+    """log(sum(exp(x))) over axis, keeping the reduced axes; -inf where a slice is all -inf."""
+    m = x.max(axis=axis, keepdims=True)
+    m[~np.isfinite(m)] = 0.0
+    with np.errstate(divide="ignore"):
+        return np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
+
+
+def _assign(state, axes, log_values):
+    """Add one slot to the count state: it may raise any one of its candidate axes by one."""
+    shape = list(state.shape)
+    for ax in axes:
+        shape[ax] += 1
+    out = np.full(shape, -np.inf)
+    for ax, lv in zip(axes, log_values):
+        idx = [slice(None)] * state.ndim
+        for other in axes:
+            idx[other] = slice(0, state.shape[other])
+        idx[ax] = slice(1, None)
+        view = out[tuple(idx)]
+        np.logaddexp(view, state + lv, out=view)
+    return out
+
+
+def _assign_back(beta, axes, log_values):
+    """Adjoint of _assign: the backward message before the slot from the one after it."""
+    out = None
+    for ax, lv in zip(axes, log_values):
+        idx = [slice(None)] * beta.ndim
+        for other in axes:
+            idx[other] = slice(0, beta.shape[other] - 1)
+        idx[ax] = slice(1, None)
+        term = beta[tuple(idx)] + lv
+        out = term if out is None else np.logaddexp(out, term)
+    return out
+
+
+def _close(state, log_factor, G):
+    """Apply the closing factor of the oldest open basis, sum its counts out, open a new basis."""
+    out = _lse(state + log_factor, tuple(range(G)))
+    return out.reshape(state.shape[G:] + (1,) * G)
+
+
+def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
+    """Forward-backward sums over one run of bases that multi-index slots couple.
+
+    run holds slots sorted by window whose windows chain into the bases
+    start..stop-1, and no other slot reaches those bases except through the
+    folded counts in fixed. The state is the joint count, per group, of the
+    open bases: axis o*G + g counts the group-g slots assigned to basis
+    (oldest open) + o. Slots enter when the oldest open basis reaches their
+    window's start; a basis closes, with its log factor at its final count,
+    once every slot that may pick it has entered.
+
+    Returns (start, stop, log_z), log_z being the log sum of the run's terms.
+    If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
+    E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The d > 0
+    entries come from one tilted forward run per basis, carried over the
+    next band closings.
+    """
+    G = family.n_groups
+    start = int(run[0].indices[0])
+    stop = max(int(s.indices[-1]) for s in run) + 1
+    width = max(int(s.indices[-1] - s.indices[0]) + 1 for s in run)
+    ops = []  # (axes, log values) to add a slot, or the basis index to close
+    pos = 0
+    for k in range(start, stop):
+        while pos < len(run) and run[pos].indices[0] == k:
+            s = run[pos]
+            ops.append(((s.indices - k) * G + s.group, s.log_values))
+            pos += 1
+        ops.append(k)
+
+    states = [np.zeros((1,) * (width * G))]
+    closing = {}  # op position -> (counts on the leading axes, log factor broadcast to the state)
+    for i, op in enumerate(ops):
+        x = states[-1]
+        if isinstance(op, tuple):
+            states.append(_assign(x, *op))
+            continue
+        counts = tuple(
+            np.arange(x.shape[g]).reshape((-1,) + (1,) * (G - 1 - g)) + fixed[g, op] for g in range(G)
+        )
+        factor = np.broadcast_to(family.log_close(op, counts), x.shape[:G])
+        closing[i] = (counts, factor.reshape(x.shape[:G] + (1,) * (x.ndim - G)))
+        states.append(_close(x, closing[i][1], G))
+    log_z = float(states[-1].item())
+    if mean is None:
+        return start, stop, log_z
+
+    betas = [np.zeros_like(states[-1])]
+    for i in range(len(ops) - 1, -1, -1):
+        op, b = ops[i], betas[-1]
+        if isinstance(op, tuple):
+            betas.append(_assign_back(b, *op))
+        else:
+            betas.append(closing[i][1] + b.reshape((1,) * G + b.shape[:-G]))
+    betas = betas[::-1]
+
+    def after(i):  # backward message after closing op i, on op i's leading-axis layout
+        b = betas[i + 1]
+        return b.reshape((1,) * G + b.shape[:-G])
+
+    log_mass, tilt = {}, {}
+    for i, (counts, factor) in closing.items():
+        joint = states[i] + factor + after(i)
+        log_mass[i] = float(_lse(joint).item())
+        w = np.exp(joint - log_mass[i]).sum(axis=tuple(range(G, joint.ndim)))
+        e1, e2 = family.moments(ops[i], counts, n)
+        mean[ops[i]] = np.sum(w * e1)
+        if pair is not None:
+            pair[0, ops[i]] = np.sum(w * e2)
+            with np.errstate(divide="ignore"):
+                tilt[i] = np.log(np.broadcast_to(e1, w.shape)).reshape(factor.shape)
+    if pair is None or band == 0:
+        return start, stop, log_z
+    cross = family.cross(n)
+    for i in closing:
+        k = ops[i]
+        t = _close(states[i], closing[i][1] + tilt[i], G)
+        for j in range(i + 1, len(ops)):
+            if isinstance(ops[j], tuple):
+                t = _assign(t, *ops[j])
+                continue
+            log_pair = float(_lse(t + closing[j][1] + tilt[j] + after(j)).item())
+            pair[ops[j] - k, k] = np.exp(log_pair - log_mass[j]) * cross
+            if ops[j] - k == band:
+                break
+            t = _close(t, closing[j][1], G)
+    return start, stop, log_z
+
+
+def _window_key(slot):
+    return int(slot.indices[0]), int(slot.indices[-1]), slot.group, tuple(slot.log_values.tolist())
+
+
 def exact_mixture(
     slots: Sequence[Slot],
     family,
     J: int,
     eval_cols: np.ndarray | None,
     second: bool = False,
-    chunk: int = 8192,
-    grid_block: int = 256,
 ):
-    """Log-sum over every assignment.
+    """Exact sums over every assignment, by a banded forward-backward recursion.
 
     Returns (log_den, log_num1, log_num2): the log marginal sum, and the log
     numerator sums for the first and second posterior moments of theta'b at
     each evaluation column (None if not requested).
+
+    The log weight of an assignment separates per basis index into a closing
+    factor of that basis's counts, and every slot's active set is a run of
+    consecutive indices. Slots with one active index are folded into fixed
+    counts; the others, sorted by window, split into runs of bases that their
+    windows chain together, and each run is one forward-backward recursion
+    whose state is the joint count of the open bases (_run_moments). Bases
+    no run touches, and pairs of bases in different runs, are independent
+    given the data and take closed forms. The grid moments then come from
+    E[theta_k] and the band of E[theta_k theta_l] for |k - l| up to the
+    widest active set of an evaluation column, times eval_cols.
     """
-    ks = np.array([len(s.indices) for s in slots], dtype=np.int64)
-    total = assignment_count(slots)
-    strides = np.ones(len(slots), dtype=np.int64)
-    for s in range(len(slots) - 2, -1, -1):
-        strides[s] = strides[s + 1] * ks[s + 1]
-    den_parts = []
-    num1_parts = []
-    num2_parts = []
-    G = 0 if eval_cols is None else eval_cols.shape[1]
-    for start in range(0, total, chunk):
-        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (
-            (ids[None, :] // strides[:, None]) % ks[:, None]
-            if len(slots)
-            else np.zeros((0, ids.size), dtype=np.int64)
+    n = len(slots)
+    G = family.n_groups
+    fixed = np.zeros((G, J))
+    folded, chained = [], []
+    for s in slots:
+        if len(s.indices) == 1:
+            fixed[s.group, s.indices[0]] += 1.0
+            folded.append(float(s.log_values[0]))
+        else:
+            chained.append(s)
+    chained.sort(key=_window_key)
+    runs, last = [], -1
+    for s in chained:
+        if s.indices[0] > last:
+            runs.append([])
+        runs[-1].append(s)
+        last = max(last, int(s.indices[-1]))
+
+    moments = eval_cols is not None and eval_cols.shape[1] > 0
+    band = 0
+    if moments and second:
+        active = eval_cols != 0.0
+        first = active.argmax(axis=0)
+        final = J - 1 - active[::-1].argmax(axis=0)
+        band = int((final - first)[active.any(axis=0)].max(initial=0))
+    ks = np.arange(J)
+    mean, sq = family.moments(ks, tuple(fixed), n)  # exact for the bases no run touches
+    pair = np.full((band + 1, J), np.nan)
+    pair[0] = sq
+    free = np.ones(J, dtype=bool)
+    parts = [family.log_global(n), math.fsum(folded)]
+    for run in runs:
+        start, stop, log_z = _run_moments(
+            run, family, fixed, n, band, mean if moments else None, pair if second else None
         )
-        counts = _counts_for(slots, digits, J, family.n_groups)
-        logb = np.zeros(ids.size)
-        for s, d in zip(slots, digits):
-            logb += s.log_values[d]
-        logw = family.log_weight(counts) + logb
-        den_parts.append(logsumexp(logw))
-        if eval_cols is not None:
-            row1 = np.empty(G)
-            row2 = np.empty(G) if second else None
-            for g0 in range(0, G, grid_block):
-                cols = eval_cols[:, g0 : g0 + grid_block]
-                m1 = family.mixture_mean(counts, cols)
-                row1[g0 : g0 + cols.shape[1]] = logsumexp(logw[:, None] + np.log(m1), axis=0)
-                if second:
-                    m2 = family.mixture_second(counts, cols)
-                    row2[g0 : g0 + cols.shape[1]] = logsumexp(logw[:, None] + np.log(m2), axis=0)
-            num1_parts.append(row1)
-            if second:
-                num2_parts.append(row2)
-    log_den = float(logsumexp(np.array(den_parts)))
-    log_num1 = logsumexp(np.stack(num1_parts), axis=0) if num1_parts else None
-    log_num2 = logsumexp(np.stack(num2_parts), axis=0) if num2_parts else None
+        free[start:stop] = False
+        parts.append(log_z)
+    log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
+    if eval_cols is None:
+        return log_den, None, None
+    with np.errstate(divide="ignore"):
+        log_num1 = log_den + np.log(mean @ eval_cols)
+        if not second:
+            return log_den, log_num1, None
+        f2 = pair[0] @ eval_cols**2
+        cross = family.cross(n)
+        for d in range(1, band + 1):
+            row = pair[d, : J - d]
+            apart = np.isnan(row)
+            row[apart] = (mean[: J - d] * mean[d:] * cross)[apart]
+            f2 += 2.0 * row @ (eval_cols[: J - d] * eval_cols[d:])
+        log_num2 = log_den + np.log(f2)
     return log_den, log_num1, log_num2
 
 
@@ -332,7 +498,7 @@ def mc_mixture(
     log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
 
     G = eval_cols.shape[1]
-    e = family.coord_mean(counts)
+    e = family.moments(slice(None), counts, len(slots))[0]
     rows = np.arange(N)
     lt_num = np.empty((N, G))
     log_k0 = np.empty(G)
@@ -495,12 +661,13 @@ def posterior_moments(
 
     build(j) returns (slots, family, eval_cols) for dimension j, where
     eval_cols holds the basis values at the grid points (J x G). m=1 computes
-    the mean only; m=2 also the pointwise second moment. mode "exact"
-    enumerates every assignment and raises EnumerationCapError at the first
-    dimension that needs more than term_cap terms; "mc" samples n_terms
-    assignments per dimension; "auto" is exact when every dimension is within
-    the cap, sampled otherwise. Dimensions are built, used and dropped one at
-    a time.
+    the mean only; m=2 also the pointwise second moment. mode "exact" sums
+    every assignment by exact_mixture's forward-backward recursion, whose
+    cost does not grow with the assignment count, and raises
+    EnumerationCapError at the first dimension that has more than term_cap
+    assignments; "mc" samples n_terms assignments per dimension; "auto" is
+    exact when every dimension is within the cap, sampled otherwise.
+    Dimensions are built, used and dropped one at a time.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +256,8 @@ def _cmd_glm(args, cfg, kind: str) -> int:
         data, bases, (a, b), model_prior, zgrid, m=2, mode=mode, n_terms=n_terms, seed=seed
     )
     summary = credible_band(summary, level)
+    if kind == "binary":  # a success probability's band stays inside [0, 1]
+        summary = replace(summary, band_high=np.minimum(summary.band_high, 1.0))
     out = Path(args.output or f"{kind}_summary.csv")
     _write_summary_outputs(summary, out, out.with_name(out.stem + "_j.csv"))
     return 0

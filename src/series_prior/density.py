@@ -11,8 +11,11 @@ j_posterior, harness.fit_density, regression.binary_moment and
 regression.poisson_moment) hands such a builder to one driver,
 _engine.posterior_moments, whose ``mode`` is one of:
 
-* "exact": enumerate every assignment. A dimension that needs more than the
-  term cap (the constant DEFAULT_TERM_CAP, 10M terms) raises
+* "exact": sum every assignment by the engine's banded forward-backward
+  recursion over the counts of the open basis functions
+  (_engine.exact_mixture). Its cost grows with n, J and the count state, not
+  with the q^n assignments. The term cap still selects the mode: a dimension
+  with more assignments than the constant DEFAULT_TERM_CAP (10M) raises
   EnumerationCapError.
 * "mc": sample ``n_terms`` assignments per dimension uniformly from the
   active sets, with delta-method standard errors in ``mc_se``.
@@ -184,10 +187,11 @@ def exact_moment(
     m: int = 2,
     term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
-    """Posterior moments by full term enumeration.
+    """Exact posterior moments: every assignment, summed by the engine's
+    forward-backward recursion rather than listed one by one.
 
     m=1 computes the mean only; m=2 also the pointwise second moment. Raises
-    EnumerationCapError when any dimension needs more than term_cap terms.
+    EnumerationCapError when any dimension has more than term_cap assignments.
     """
     build = density_builder(data, bases, grid, a)
     return _engine.posterior_moments(

@@ -16,11 +16,13 @@ plain (unnormalized) basis:
 binary_builder and poisson_builder give each dimension's slots and
 coefficient family; binary_moment and poisson_moment hand them to the shared
 driver _engine.posterior_moments, which returns the same PosteriorSummary as
-the density module. ``mode`` is "exact" (enumerate every assignment; a
-dimension past the term cap, the constant DEFAULT_TERM_CAP of 10M terms,
-raises EnumerationCapError), "mc" (``n_terms`` sampled assignments per
-dimension) or "auto" (exact within the term cap, sampled otherwise), as in
-the density module.
+the density module. ``mode`` is "exact" (every assignment, summed by the
+engine's banded forward-backward recursion over the success/failure or
+count state of the open basis functions, at a cost that does not grow with
+the q^n assignments; a dimension with more assignments than the constant
+DEFAULT_TERM_CAP of 10M still raises EnumerationCapError), "mc" (``n_terms``
+sampled assignments per dimension) or "auto" (exact within the term cap,
+sampled otherwise), as in the density module.
 """
 
 from __future__ import annotations

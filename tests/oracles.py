@@ -1,8 +1,9 @@
 """Independent oracles used by the test suite.
 
 Everything here recomputes posterior quantities by a route disjoint from the
-library's term-expansion engine: direct quadrature over the coefficient
-space, importance sampling from the prior, or closed-form histogram algebra.
+library's exact engine: enumeration of every index assignment, direct
+quadrature over the coefficient space, importance sampling from the prior, or
+closed-form histogram algebra.
 """
 
 from __future__ import annotations
@@ -12,9 +13,62 @@ from functools import lru_cache
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy import integrate
-from scipy.special import gammaln, roots_laguerre
+from scipy.special import betaln, gammaln, logsumexp, roots_laguerre
 
+from series_prior._engine import BetaFamily, DirichletFamily, _counts_for, assignment_count
 from series_prior.basis import eval_basis, eval_normalized, make_basis
+
+
+def _assignment_terms(family, counts, eval_cols):
+    """Log weight, E[theta'b | counts] and E[(theta'b)^2 | counts] of each assignment row.
+
+    Computed from the family's parameters alone, with none of the family's
+    methods, so the enumeration shares no formula with the engine it checks.
+    """
+    if isinstance(family, DirichletFamily):
+        alpha = family.a + counts[0]
+        s = family.a0 + counts[0].sum(axis=-1)
+        log_w = family.log_norm + gammaln(alpha).sum(axis=-1) - gammaln(s)
+        lin = alpha @ eval_cols
+        return log_w, lin / s[:, None], (lin**2 + alpha @ eval_cols**2) / (s * (s + 1.0))[:, None]
+    if isinstance(family, BetaFamily):
+        A, B = family.a + counts[0], family.b + counts[1]
+        log_w = (betaln(A, B) - betaln(family.a, family.b)).sum(axis=-1)
+        mean, var = A / (A + B), A * B / ((A + B) ** 2 * (A + B + 1.0))
+    else:
+        A = family.a + counts[0]
+        log_w = (family.a * np.log(family.b) - gammaln(family.a) + gammaln(A) - A * np.log(family.rate)).sum(axis=-1)
+        mean, var = A / family.rate, A / family.rate**2
+    lin = mean @ eval_cols
+    return log_w, lin, lin**2 + var @ eval_cols**2
+
+
+def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, chunk: int = 8192):
+    """Log sums over every one of the q^n assignments: the reference for _engine.exact_mixture.
+
+    Same arguments and (log_den, log_num1, log_num2) return value.
+    """
+    cols = np.zeros((J, 0)) if eval_cols is None else eval_cols
+    ks = np.array([len(s.indices) for s in slots], dtype=np.int64)
+    total = assignment_count(slots)
+    strides = np.ones(len(slots), dtype=np.int64)
+    for s in range(len(slots) - 2, -1, -1):
+        strides[s] = strides[s + 1] * ks[s + 1]
+    den, num1, num2 = [], [], []
+    for start in range(0, total, chunk):
+        ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (ids[None, :] // strides[:, None]) % ks[:, None]
+        counts = _counts_for(slots, digits, J, family.n_groups)
+        log_w, m1, m2 = _assignment_terms(family, counts, cols)
+        log_w = log_w + sum((s.log_values[d] for s, d in zip(slots, digits)), np.zeros(ids.size))
+        den.append(logsumexp(log_w))
+        with np.errstate(divide="ignore"):
+            num1.append(logsumexp(log_w[:, None] + np.log(m1), axis=0))
+            num2.append(logsumexp(log_w[:, None] + np.log(m2), axis=0))
+    log_den = float(logsumexp(den))
+    if eval_cols is None:
+        return log_den, None, None
+    return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
 
 
 @lru_cache(maxsize=32)

@@ -120,6 +120,23 @@ class TestRegressionCommands:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.all(rows[:, 1] >= 0.0) and np.all(rows[:, 1] <= 1.0)
 
+    def test_binreg_band_capped_at_one(self, capsys, tmp_path):
+        # Mostly successes: the exact q=2 mean + 1.96 sd passes 1 at most grid points.
+        rng = np.random.default_rng(1)
+        z = rng.random(10)
+        x = (rng.random(10) < 0.8).astype(int)
+        inp = tmp_path / "zx.txt"
+        inp.write_text("".join(f"{a},{b}\n" for a, b in zip(z, x)))
+        out = tmp_path / "bin.csv"
+        code, _, _ = run(
+            capsys, "binreg", "--input", str(inp), "--q", "2", "--mode", "exact", "--output", str(out),
+        )
+        assert code == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        mean, sd, high = rows[:, 1], rows[:, 2], rows[:, 4]
+        assert np.any(mean + 1.96 * sd > 1.0)
+        assert np.all(high <= 1.0) and np.all(high >= mean)
+
     def test_poisreg(self, capsys, tmp_path):
         rng = np.random.default_rng(6)
         z = rng.random(15)

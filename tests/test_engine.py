@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import enumerate_mixture
 
 from series_prior import _engine
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
+from series_prior.basis import eval_basis, eval_normalized, make_basis
 from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment
 from series_prior.harness import fit_density
 from series_prior.priors import ModelSizePrior
@@ -98,3 +102,75 @@ def test_slots_for_groups_and_repeats():
     assert [s.group for s in slots] == [1, 0, 0, 0]
     np.testing.assert_array_equal(slots[0].indices, [1, 2])
     np.testing.assert_array_equal(slots[3].log_values, [0.0])
+
+
+unit = st.floats(0.0, 1.0)
+shape = st.floats(0.3, 3.0)
+
+
+@st.composite
+def chain_cases(draw):
+    """Slots, family and evaluation columns of one dimension, small enough to enumerate."""
+    q, K = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    basis = make_basis(q, K)
+    J = basis.dimension
+    points = st.one_of(unit, st.sampled_from(basis.breakpoints().tolist()))
+    x = np.array(draw(st.lists(points, max_size=6)))
+    grid = np.array(draw(st.lists(points, max_size=5)))
+    a = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
+    b = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
+    kind = draw(st.sampled_from(["dirichlet", "beta", "gamma"]))
+    if kind == "dirichlet":
+        slots = _engine.slots_for(eval_normalized(basis, x))
+        return slots, _engine.DirichletFamily(a), J, eval_normalized(basis, grid).T
+    vals = eval_basis(basis, x)
+    if kind == "beta":
+        groups = draw(st.lists(st.integers(0, 1), min_size=x.size, max_size=x.size))
+        slots = _engine.slots_for(vals, groups=groups)
+        return slots, _engine.BetaFamily(a, b), J, eval_basis(basis, grid).T
+    repeats = draw(st.lists(st.integers(0, 3), min_size=x.size, max_size=x.size))
+    slots = _engine.slots_for(vals, repeats=repeats)
+    return slots, _engine.GammaFamily(a, b, vals.sum(axis=0)), J, eval_basis(basis, grid).T
+
+
+def _assert_log_close(got, want):
+    if want is None:
+        assert got is None
+        return
+    got, want = np.atleast_1d(got), np.atleast_1d(want)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isfinite(got), np.isfinite(want))
+    finite = np.isfinite(want)
+    assert np.all(np.abs(got[finite] - want[finite]) <= 1e-12 * np.maximum(np.abs(want[finite]), 1.0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases(), st.booleans(), st.randoms(use_true_random=False))
+def test_exact_mixture_equals_enumeration(case, second, rnd):
+    slots, family, J, eval_cols = case
+    assume(assignment_count(slots) <= 5000)
+    got = _engine.exact_mixture(slots, family, J, eval_cols, second)
+    want = enumerate_mixture(slots, family, J, eval_cols, second)
+    for g, w in zip(got, want):
+        _assert_log_close(g, w)
+    shuffled = list(slots)
+    rnd.shuffle(shuffled)
+    for g, w in zip(_engine.exact_mixture(shuffled, family, J, eval_cols, second), got):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("kind", ["binary", "poisson"])
+def test_exact_regression_ignores_observation_order(kind):
+    mp = ModelSizePrior.geometric(0.5, 4, 7)
+    bases = bases_for_prior(3, mp)
+    rng = np.random.default_rng(4)
+    z = np.append(rng.random(8), 0.5)  # 0.5 is a knot of the J=5 basis
+    x = (rng.random(9) < 0.5).astype(float) if kind == "binary" else rng.integers(0, 3, 9).astype(float)
+    fit = binary_moment if kind == "binary" else poisson_moment
+    perm = rng.permutation(9)
+    runs = [
+        fit(RegressionDataset(z[order], x[order], kind), bases, (1.0, 1.0), mp, GRID, mode="exact")
+        for order in (np.arange(9), perm)
+    ]
+    assert runs[0].mode == "exact"
+    _assert_same(*runs)
