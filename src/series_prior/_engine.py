@@ -21,7 +21,10 @@ Each coefficient family (Dirichlet, Beta, Gamma) gives, for basis index k
 of basis k in an assignment's weight; moments(k, c, n), E[theta_k] and
 E[theta_k^2] given the counts of n slots; cross(n), the ratio
 E[theta_k theta_l] / (E[theta_k] E[theta_l]) for k != l; and log_global(n),
-the log factor every assignment shares.
+the log factor every assignment shares. For the Monte-Carlo mode, with one
+row of counts per sampled assignment, it also gives log_weight(counts), each
+row's log weight, and pair_mean(counts, k, l), each row's E[theta_k theta_l]
+for (N, G) index arrays k and l.
 
 posterior_moments is the one driver every model goes through: it picks the
 mode, runs the per-dimension sums and mixes them over J. The term cap on the
@@ -46,15 +49,16 @@ DEFAULT_TERM_CAP = 10_000_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact enumeration would exceed the configured term cap.
+    """A dimension has more index assignments than the term cap, so exact mode refuses it.
 
-    Callers should fall back to the Monte-Carlo mode (mc_moment) instead.
+    The cap counts the q^n assignments, not the recursion's work. Callers
+    should use the Monte-Carlo mode (mode="mc", or "auto") instead.
     """
 
     def __init__(self, total: int, cap: int, j: int):
         super().__init__(
-            f"exact enumeration needs {total} terms at J={j} (cap {cap}); use the "
-            f"Monte-Carlo mode instead"
+            f"dimension J={j} has {total} assignments, more than the term cap of {cap}; "
+            f"use the Monte-Carlo mode instead"
         )
         self.total = total
         self.cap = cap
@@ -127,12 +131,10 @@ class DirichletFamily:
 
     def pair_mean(self, counts, k, l):
         c = counts[0]
-        rows = np.arange(c.shape[0])
+        rows = np.arange(c.shape[0])[:, None]
         alpha = self.a + c
-        s = self.a0 + c.sum(axis=-1)
-        ak = alpha[rows, k]
-        al = alpha[rows, l] + (k == l)
-        return ak * al / (s * (s + 1.0))
+        s = (self.a0 + c.sum(axis=-1))[:, None]
+        return alpha[rows, k] * (alpha[rows, l] + (k == l)) / (s * (s + 1.0))
 
 
 class BetaFamily:
@@ -163,12 +165,9 @@ class BetaFamily:
         return self.log_close(slice(None), counts).sum(axis=-1)
 
     def pair_mean(self, counts, k, l):
-        rows = np.arange(counts[0].shape[0])
+        rows = np.arange(counts[0].shape[0])[:, None]
         e, e2 = self.moments(slice(None), counts, None)
-        same = k == l
-        out = e[rows, k] * e[rows, l]
-        out[same] = e2[rows[same], k[same]]
-        return out
+        return np.where(k == l, e2[rows, k], e[rows, k] * e[rows, l])
 
 
 class GammaFamily:
@@ -204,26 +203,9 @@ class GammaFamily:
         return self.log_close(slice(None), counts).sum(axis=-1)
 
     def pair_mean(self, counts, k, l):
-        rows = np.arange(counts[0].shape[0])
+        rows = np.arange(counts[0].shape[0])[:, None]
         A = self.a + counts[0]
-        ak = A[rows, k]
-        al = A[rows, l] + (k == l)
-        return ak * al / (self.rate[k] * self.rate[l])
-
-
-def _counts_for(slots, digits, J, n_groups):
-    """Per-assignment count matrices, one per group; digits is (n_slots, C)."""
-    C = digits.shape[1]
-    counts = []
-    rows = np.arange(C)
-    for g in range(n_groups):
-        cols = [s.indices[d] for s, d in zip(slots, digits) if s.group == g]
-        if cols:
-            flat = (rows[:, None] * J + np.stack(cols, axis=1)).ravel()
-            counts.append(np.bincount(flat, minlength=C * J).reshape(C, J).astype(float))
-        else:
-            counts.append(np.zeros((C, J)))
-    return counts
+        return A[rows, k] * (A[rows, l] + (k == l)) / (self.rate[k] * self.rate[l])
 
 
 def _lse(x, axis=None):
@@ -478,18 +460,33 @@ def mc_mixture(
     The i_1..i_n slot draws are reused for every evaluation column; only the
     evaluation-point index is redrawn per column. Estimates of each sum are
     (product of active-set sizes) times the sample mean of term values.
+
+    The draw order is the reproducibility contract: one rng.integers(0, k, N)
+    per slot, in slot order; then i0 for each grid column, in column order;
+    then, for the second moment, i0b for each column; all from rng, the
+    generator of (seed, J). A draw is an offset into an active set, a run of
+    consecutive indices, so the counts, grid moments and pair means are
+    whole-array passes over (N, J) and (N, G) arrays.
     """
     N = int(n_draws)
     if N < 2:
         raise ValueError(f"need at least 2 sampled terms, got {N}")
+    n = len(slots)
     ks = [len(s.indices) for s in slots]
-    digits = np.stack(
-        [rng.integers(0, k, N) for k in ks], axis=0
-    ) if slots else np.zeros((0, N), dtype=np.int64)
-    counts = _counts_for(slots, digits, J, family.n_groups)
+    # Adding each slot's log values right after its draw, in slot order, is
+    # faster than one gather over all slots, which moves N * n_slots floats.
     logb = np.zeros(N)
-    for s, d in zip(slots, digits):
+    cells = np.empty((n, N), dtype=np.int64)  # flat (draw, basis) cell of each slot's pick
+    row_start = np.arange(0, N * J, J)
+    for i, s in enumerate(slots):
+        d = rng.integers(0, ks[i], N)
         logb += s.log_values[d]
+        np.add(row_start, d + s.indices[0], out=cells[i])
+    groups = np.array([s.group for s in slots], dtype=np.int64)
+    counts = [
+        np.bincount(cells[groups == g].ravel(), minlength=N * J).reshape(N, J).astype(float)
+        for g in range(family.n_groups)
+    ]
     lt_den = family.log_weight(counts) + logb
     shift_den = float(np.max(lt_den))
     u_den = np.exp(lt_den - shift_den)
@@ -498,35 +495,34 @@ def mc_mixture(
     log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
 
     G = eval_cols.shape[1]
-    e = family.moments(slice(None), counts, len(slots))[0]
-    rows = np.arange(N)
-    lt_num = np.empty((N, G))
-    log_k0 = np.empty(G)
-    i0_all = np.empty((N, G), dtype=np.int64)
-    for g in range(G):
-        act = np.flatnonzero(eval_cols[:, g] > 0.0)
-        log_k0[g] = np.log(len(act))
-        i0 = act[rng.integers(0, len(act), N)]
-        i0_all[:, g] = i0
-        lt_num[:, g] = lt_den + np.log(eval_cols[i0, g]) + np.log(e[rows, i0])
+    active = eval_cols > 0.0
+    k0 = np.count_nonzero(active, axis=0)
+    first0 = active.argmax(axis=0)
+    cols = np.arange(G)
+    rows = np.arange(N)[:, None]
+
+    def column_draws():
+        draws = np.empty((N, G), dtype=np.int64)
+        for g, k in enumerate(k0.tolist()):
+            draws[:, g] = rng.integers(0, k, N)
+        return draws + first0
+
+    i0 = column_draws()
+    e = family.moments(slice(None), counts, n)[0]
+    lt_b0 = lt_den[:, None] + np.log(eval_cols[i0, cols])
+    lt_num = lt_b0 + np.log(e[rows, i0])
     shift_num = lt_num.max(axis=0)
     u_num = np.exp(lt_num - shift_num)
     mean_u_num = u_num.mean(axis=0)
     var_u_num = u_num.var(axis=0, ddof=1)
     cov_u = (u_num * u_den[:, None]).sum(axis=0) / (N - 1) - mean_u_num * mean_u_den * N / (N - 1)
+    log_k0 = np.log(k0)
     log_scale_num = log_scale_den + log_k0
 
     log_scale_num2 = shift_num2 = mean_u_num2 = None
     if second:
-        lt_num2 = np.empty((N, G))
-        for g in range(G):
-            act = np.flatnonzero(eval_cols[:, g] > 0.0)
-            i0 = i0_all[:, g]
-            i0b = act[rng.integers(0, len(act), N)]
-            pm = family.pair_mean(counts, i0, i0b)
-            lt_num2[:, g] = (
-                lt_den + np.log(eval_cols[i0, g]) + np.log(eval_cols[i0b, g]) + np.log(pm)
-            )
+        i0b = column_draws()
+        lt_num2 = lt_b0 + np.log(eval_cols[i0b, cols]) + np.log(family.pair_mean(counts, i0, i0b))
         shift_num2 = lt_num2.max(axis=0)
         u2 = np.exp(lt_num2 - shift_num2)
         mean_u_num2 = u2.mean(axis=0)

@@ -3,7 +3,9 @@
 Everything here recomputes posterior quantities by a route disjoint from the
 library's exact engine: enumeration of every index assignment, direct
 quadrature over the coefficient space, importance sampling from the prior, or
-closed-form histogram algebra.
+closed-form histogram algebra. reference_mc_mixture is the loop form of the
+Monte-Carlo engine, one slot and one grid column at a time, which the
+vectorized engine must match bit for bit from an equal generator.
 """
 
 from __future__ import annotations
@@ -15,8 +17,23 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import betaln, gammaln, logsumexp, roots_laguerre
 
-from series_prior._engine import BetaFamily, DirichletFamily, _counts_for, assignment_count
+from series_prior._engine import BetaFamily, DirichletFamily, McPiece, assignment_count
 from series_prior.basis import eval_basis, eval_normalized, make_basis
+
+
+def _counts_for(slots, digits, J, n_groups):
+    """Per-assignment count matrices, one per group; digits is (n_slots, C)."""
+    C = digits.shape[1]
+    counts = []
+    rows = np.arange(C)
+    for g in range(n_groups):
+        cols = [s.indices[d] for s, d in zip(slots, digits) if s.group == g]
+        if cols:
+            flat = (rows[:, None] * J + np.stack(cols, axis=1)).ravel()
+            counts.append(np.bincount(flat, minlength=C * J).reshape(C, J).astype(float))
+        else:
+            counts.append(np.zeros((C, J)))
+    return counts
 
 
 def _assignment_terms(family, counts, eval_cols):
@@ -69,6 +86,100 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     if eval_cols is None:
         return log_den, None, None
     return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
+
+
+def _pair_mean_column(family, counts, k, l):
+    """E[theta_k theta_l] per row for one grid column; k and l are (N,) index arrays.
+
+    Dirichlet, Beta, or (otherwise) Gamma family.
+    """
+    rows = np.arange(counts[0].shape[0])
+    if isinstance(family, DirichletFamily):
+        c = counts[0]
+        alpha = family.a + c
+        s = family.a0 + c.sum(axis=-1)
+        return alpha[rows, k] * (alpha[rows, l] + (k == l)) / (s * (s + 1.0))
+    if isinstance(family, BetaFamily):
+        e, e2 = family.moments(slice(None), counts, None)
+        same = k == l
+        out = e[rows, k] * e[rows, l]
+        out[same] = e2[rows[same], k[same]]
+        return out
+    A = family.a + counts[0]
+    return A[rows, k] * (A[rows, l] + (k == l)) / (family.rate[k] * family.rate[l])
+
+
+def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, second: bool = False):
+    """Loop form of _engine.mc_mixture: the reference for its vectorized passes.
+
+    Same arguments, same draws in the same order, same McPiece.
+    """
+    N = int(n_draws)
+    ks = [len(s.indices) for s in slots]
+    digits = np.stack(
+        [rng.integers(0, k, N) for k in ks], axis=0
+    ) if slots else np.zeros((0, N), dtype=np.int64)
+    counts = _counts_for(slots, digits, J, family.n_groups)
+    logb = np.zeros(N)
+    for s, d in zip(slots, digits):
+        logb += s.log_values[d]
+    lt_den = family.log_weight(counts) + logb
+    shift_den = float(np.max(lt_den))
+    u_den = np.exp(lt_den - shift_den)
+    mean_u_den = float(np.mean(u_den))
+    var_u_den = float(np.var(u_den, ddof=1))
+    log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
+
+    G = eval_cols.shape[1]
+    e = family.moments(slice(None), counts, len(slots))[0]
+    rows = np.arange(N)
+    lt_num = np.empty((N, G))
+    log_k0 = np.empty(G)
+    i0_all = np.empty((N, G), dtype=np.int64)
+    for g in range(G):
+        act = np.flatnonzero(eval_cols[:, g] > 0.0)
+        log_k0[g] = np.log(len(act))
+        i0 = act[rng.integers(0, len(act), N)]
+        i0_all[:, g] = i0
+        lt_num[:, g] = lt_den + np.log(eval_cols[i0, g]) + np.log(e[rows, i0])
+    shift_num = lt_num.max(axis=0)
+    u_num = np.exp(lt_num - shift_num)
+    mean_u_num = u_num.mean(axis=0)
+    var_u_num = u_num.var(axis=0, ddof=1)
+    cov_u = (u_num * u_den[:, None]).sum(axis=0) / (N - 1) - mean_u_num * mean_u_den * N / (N - 1)
+    log_scale_num = log_scale_den + log_k0
+
+    log_scale_num2 = shift_num2 = mean_u_num2 = None
+    if second:
+        lt_num2 = np.empty((N, G))
+        for g in range(G):
+            act = np.flatnonzero(eval_cols[:, g] > 0.0)
+            i0 = i0_all[:, g]
+            i0b = act[rng.integers(0, len(act), N)]
+            pm = _pair_mean_column(family, counts, i0, i0b)
+            lt_num2[:, g] = (
+                lt_den + np.log(eval_cols[i0, g]) + np.log(eval_cols[i0b, g]) + np.log(pm)
+            )
+        shift_num2 = lt_num2.max(axis=0)
+        u2 = np.exp(lt_num2 - shift_num2)
+        mean_u_num2 = u2.mean(axis=0)
+        log_scale_num2 = log_scale_den + 2.0 * log_k0
+
+    return McPiece(
+        log_scale_den=log_scale_den,
+        shift_den=shift_den,
+        mean_u_den=mean_u_den,
+        var_u_den=var_u_den,
+        log_scale_num=log_scale_num,
+        shift_num=shift_num,
+        mean_u_num=mean_u_num,
+        var_u_num=var_u_num,
+        cov_u=cov_u,
+        log_scale_num2=log_scale_num2,
+        shift_num2=shift_num2,
+        mean_u_num2=mean_u_num2,
+        n_draws=N,
+    )
 
 
 @lru_cache(maxsize=32)

@@ -1,12 +1,17 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_mixture
+from oracles import enumerate_mixture, reference_mc_mixture, union_breakpoint_rule
 
 from series_prior import _engine
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
 from series_prior.basis import eval_basis, eval_normalized, make_basis
+from series_prior.cli import cli
 from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment
 from series_prior.harness import fit_density
 from series_prior.priors import ModelSizePrior
@@ -109,13 +114,13 @@ shape = st.floats(0.3, 3.0)
 
 
 @st.composite
-def chain_cases(draw):
-    """Slots, family and evaluation columns of one dimension, small enough to enumerate."""
+def chain_cases(draw, max_points=6):
+    """Slots, family and evaluation columns of one dimension; the default size can be enumerated."""
     q, K = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     basis = make_basis(q, K)
     J = basis.dimension
     points = st.one_of(unit, st.sampled_from(basis.breakpoints().tolist()))
-    x = np.array(draw(st.lists(points, max_size=6)))
+    x = np.array(draw(st.lists(points, max_size=max_points)))
     grid = np.array(draw(st.lists(points, max_size=5)))
     a = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
     b = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
@@ -157,6 +162,61 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
     rnd.shuffle(shuffled)
     for g, w in zip(_engine.exact_mixture(shuffled, family, J, eval_cols, second), got):
         np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain_cases(max_points=40),
+    st.booleans(),
+    st.sampled_from([2, 3, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mc_mixture_equals_loop_reference(case, second, n_draws, seed):
+    slots, family, J, eval_cols = case
+    got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
+    want = reference_mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
+    for field in dataclasses.fields(_engine.McPiece):
+        g, w = getattr(got, field.name), getattr(want, field.name)
+        if w is None:
+            assert g is None, field.name
+        else:
+            assert np.array_equal(g, w), field.name
+
+
+knot_or_unit = st.one_of(unit, st.sampled_from([0.2, 0.25, 0.5, 0.75, 1.0 / 3.0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(knot_or_unit, max_size=8), st.floats(0.2, 0.95))
+def test_exact_density_mean_integrates_to_one(q, x, p):
+    # The mean is piecewise polynomial of degree q - 1 <= 2 between the knots
+    # of the union of the bases, where Simpson panels are exact.
+    mp = ModelSizePrior.geometric(p, q, q + 5)
+    bases = bases_for_prior(q, mp)
+    pts, wts = union_breakpoint_rule(bases, total_points=400)
+    mean = exact_moment(DensityDataset(np.array(x)), pts, bases, mp, m=1).mean
+    assert abs(wts @ mean - 1.0) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.tuples(knot_or_unit, st.integers(0, 1)), min_size=1, max_size=8),
+    st.sampled_from([0.5, 1.0, 2.0]),
+)
+def test_exact_binary_mean_and_band_in_unit_interval(q, rows, b):
+    # Through binreg, which caps the band at 1. Exact mode only: the sampled
+    # ratio estimator is no mixture of per-assignment means, so nothing keeps
+    # it inside [0, 1].
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "zx.txt", Path(tmp) / "bin.csv"
+        inp.write_text("".join(f"{zi!r},{int(xi)}\n" for zi, xi in rows))
+        argv = ["binreg", "--input", str(inp), "--q", str(q), "--b", str(b), "--mode", "exact"]
+        assert cli(argv + ["--jmin", "4", "--jmax", "8", "--grid", "20", "--output", str(out)]) == 0
+        csv = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    mean, low, high = csv[:, 1], csv[:, 3], csv[:, 4]
+    assert np.all((mean >= 0.0) & (mean <= 1.0))
+    assert np.all((low >= 0.0) & (low <= mean) & (mean <= high) & (high <= 1.0))
 
 
 @pytest.mark.parametrize("kind", ["binary", "poisson"])
