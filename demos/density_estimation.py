@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Density estimation without MCMC: exact term enumeration at q=1, sampled
-terms at q=3, credible bands, and the posterior over the series length."""
+"""Density estimation without MCMC: exact moments by the forward-backward
+recursion at q=1, sampled terms at q=3, credible bands, and the posterior
+over the series length."""
 
 import numpy as np
 

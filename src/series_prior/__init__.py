@@ -1,8 +1,8 @@
 """Finite random-series (B-spline) priors for Bayesian nonparametrics.
 
 Submodules:
-    basis       B-spline construction, evaluation, integrals, tensor products,
-                grid approximation fitting.
+    basis       B-spline construction, evaluation, integrals, grid
+                approximation fitting.
     priors      truncated priors on the series length and coefficient priors.
     density     MCMC-free posterior moments for density estimation.
     regression  conjugate Gaussian (g-prior), binary (Beta), and Poisson
@@ -14,33 +14,25 @@ Submodules:
 
 from .basis import (
     Basis,
-    TensorBasis,
     SimplexInfeasibleError,
-    active_set,
     eval_basis,
     eval_normalized,
-    eval_tensor,
     fit_coefficients,
     make_basis,
-    make_tensor,
     simplex_coefficients,
 )
 from .density import (
     DensityDataset,
     EnumerationCapError,
     PosteriorSummary,
-    TermIndex,
     bases_for_prior,
     credible_band,
     exact_moment,
-    j_posterior,
-    log_term,
     mc_moment,
 )
 from .priors import (
     CoefficientPrior,
     ModelSizePrior,
-    log_dirichlet_normalizer,
     priors_from_config,
     sample_coefficients,
 )

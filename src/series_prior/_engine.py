@@ -16,15 +16,16 @@ product. Posterior moments of the series value f(x) = theta' b(x) come out of
 the coefficient moments E[theta_k] and E[theta_k theta_l], so the
 evaluation-point index never has to be enumerated explicitly.
 
-Each coefficient family (Dirichlet, Beta, Gamma) gives, for basis index k
-(or an index array) and per-group counts c: log_close(k, c), the log factor
-of basis k in an assignment's weight; moments(k, c, n), E[theta_k] and
-E[theta_k^2] given the counts of n slots; cross(n), the ratio
-E[theta_k theta_l] / (E[theta_k] E[theta_l]) for k != l; and log_global(n),
-the log factor every assignment shares. For the Monte-Carlo mode, with one
-row of counts per sampled assignment, it also gives log_weight(counts), each
-row's log weight, and pair_mean(counts, k, l), each row's E[theta_k theta_l]
-for (N, G) index arrays k and l.
+Each coefficient family (Dirichlet, Beta, Gamma) is n_groups, the number of
+count groups, plus four closed forms, and both engines use only these. For
+basis index k (or an index array or slice) and per-group counts c:
+log_close(k, c), the log factor of basis k in an assignment's weight;
+moments(k, c, n), E[theta_k] and E[theta_k^2] given the counts of n slots;
+cross(n), the ratio E[theta_k theta_l] / (E[theta_k] E[theta_l]) for k != l;
+and log_global(n), the log factor every assignment shares. An assignment's
+log weight is log_global(n) plus log_close summed over the bases. The
+recursion applies these to count states; the sampler to one row of counts
+per sampled assignment.
 
 posterior_moments is the one driver every model goes through: it picks the
 mode, runs the per-dimension sums and mixes them over J. The term cap on the
@@ -125,17 +126,6 @@ class DirichletFamily:
         s = self.a0 + n
         return s / (s + 1.0)
 
-    def log_weight(self, counts):
-        n = counts[0].sum(axis=-1)
-        return self.log_norm + self.log_close(slice(None), counts).sum(axis=-1) - gammaln(self.a0 + n)
-
-    def pair_mean(self, counts, k, l):
-        c = counts[0]
-        rows = np.arange(c.shape[0])[:, None]
-        alpha = self.a + c
-        s = (self.a0 + c.sum(axis=-1))[:, None]
-        return alpha[rows, k] * (alpha[rows, l] + (k == l)) / (s * (s + 1.0))
-
 
 class BetaFamily:
     """Independent Beta(a_k, b_k) integrals; group 0 counts successes, group 1 failures."""
@@ -160,14 +150,6 @@ class BetaFamily:
 
     def cross(self, n):
         return 1.0
-
-    def log_weight(self, counts):
-        return self.log_close(slice(None), counts).sum(axis=-1)
-
-    def pair_mean(self, counts, k, l):
-        rows = np.arange(counts[0].shape[0])[:, None]
-        e, e2 = self.moments(slice(None), counts, None)
-        return np.where(k == l, e2[rows, k], e[rows, k] * e[rows, l])
 
 
 class GammaFamily:
@@ -198,14 +180,6 @@ class GammaFamily:
 
     def cross(self, n):
         return 1.0
-
-    def log_weight(self, counts):
-        return self.log_close(slice(None), counts).sum(axis=-1)
-
-    def pair_mean(self, counts, k, l):
-        rows = np.arange(counts[0].shape[0])[:, None]
-        A = self.a + counts[0]
-        return A[rows, k] * (A[rows, l] + (k == l)) / (self.rate[k] * self.rate[l])
 
 
 def _lse(x, axis=None):
@@ -487,7 +461,7 @@ def mc_mixture(
         np.bincount(cells[groups == g].ravel(), minlength=N * J).reshape(N, J).astype(float)
         for g in range(family.n_groups)
     ]
-    lt_den = family.log_weight(counts) + logb
+    lt_den = family.log_close(slice(None), counts).sum(axis=-1) + family.log_global(n) + logb
     shift_den = float(np.max(lt_den))
     u_den = np.exp(lt_den - shift_den)
     mean_u_den = float(np.mean(u_den))
@@ -508,7 +482,7 @@ def mc_mixture(
         return draws + first0
 
     i0 = column_draws()
-    e = family.moments(slice(None), counts, n)[0]
+    e, e2 = family.moments(slice(None), counts, n)  # every row's counts total n
     lt_b0 = lt_den[:, None] + np.log(eval_cols[i0, cols])
     lt_num = lt_b0 + np.log(e[rows, i0])
     shift_num = lt_num.max(axis=0)
@@ -522,7 +496,8 @@ def mc_mixture(
     log_scale_num2 = shift_num2 = mean_u_num2 = None
     if second:
         i0b = column_draws()
-        lt_num2 = lt_b0 + np.log(eval_cols[i0b, cols]) + np.log(family.pair_mean(counts, i0, i0b))
+        pair = np.where(i0 == i0b, e2[rows, i0], e[rows, i0] * e[rows, i0b] * family.cross(n))
+        lt_num2 = lt_b0 + np.log(eval_cols[i0b, cols]) + np.log(pair)
         shift_num2 = lt_num2.max(axis=0)
         u2 = np.exp(lt_num2 - shift_num2)
         mean_u_num2 = u2.mean(axis=0)

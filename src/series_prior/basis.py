@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -142,12 +142,6 @@ def eval_normalized(basis: Basis, x) -> np.ndarray:
     return eval_basis(basis, x) / basis.integrals
 
 
-def active_set(basis: Basis, x: float) -> np.ndarray:
-    """Indices of the basis functions strictly positive at a point (at most q)."""
-    vals = eval_basis(basis, float(x))
-    return np.flatnonzero(vals > 0.0)
-
-
 class FitResult(NamedTuple):
     coefficients: np.ndarray
     error: float
@@ -209,39 +203,3 @@ def simplex_coefficients(
     approx = eval_normalized(basis, grid) @ theta
     err = float(np.max(np.abs(approx - np.asarray(f(grid), dtype=float))))
     return FitResult(theta, err)
-
-
-@dataclass(frozen=True)
-class TensorBasis:
-    """Tensor product of univariate bases.
-
-    The flattened index runs in C order: the first factor varies slowest.
-    """
-
-    factors: tuple[Basis, ...]
-
-    @property
-    def dimension(self) -> int:
-        return int(np.prod([b.dimension for b in self.factors]))
-
-
-def make_tensor(factors: Sequence[Basis], dimension_cap: int = 1_000_000) -> TensorBasis:
-    """Combine 1 to 4 univariate bases into a tensor-product basis."""
-    factors = tuple(factors)
-    if not 1 <= len(factors) <= 4:
-        raise ValueError(f"tensor basis supports 1..4 factors, got {len(factors)}")
-    dim = int(np.prod([b.dimension for b in factors]))
-    if dim > dimension_cap:
-        raise ValueError(f"tensor dimension {dim} exceeds cap {dimension_cap}")
-    return TensorBasis(factors)
-
-
-def eval_tensor(tb: TensorBasis, point) -> np.ndarray:
-    """Evaluate all tensor-product functions at a point in [0, 1]^s."""
-    point = np.asarray(point, dtype=float)
-    if point.shape != (len(tb.factors),):
-        raise ValueError(f"point must have shape ({len(tb.factors)},), got {point.shape}")
-    vals = eval_basis(tb.factors[0], float(point[0]))
-    for basis, z in zip(tb.factors[1:], point[1:]):
-        vals = np.multiply.outer(vals, eval_basis(basis, float(z))).ravel()
-    return vals

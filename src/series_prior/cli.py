@@ -95,6 +95,7 @@ def _cmd_simulate(args, cfg) -> int:
         j_max=_config_get(cfg, args.jmax, "J.max", int, 25),
         geometric_p=_config_get(cfg, args.p, "J.p", float, 0.9),
         grid_size=_config_get(cfg, args.grid, "grid", int, 100),
+        level=_config_get(cfg, args.level, "level", float, 0.95),
         mode=_config_get(cfg, args.mode, "mode", str, "auto"),
         output_dir=args.outdir or cfg.get("outdir", "."),
     )

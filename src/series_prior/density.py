@@ -7,9 +7,9 @@ sums over active-set index assignments.
 
 density_builder gives each dimension's slots and Dirichlet family. Every
 posterior-moment entry point of the package (exact_moment, mc_moment,
-j_posterior, harness.fit_density, regression.binary_moment and
-regression.poisson_moment) hands such a builder to one driver,
-_engine.posterior_moments, whose ``mode`` is one of:
+harness.fit_density, regression.binary_moment and regression.poisson_moment)
+hands such a builder to one driver, _engine.posterior_moments, whose
+``mode`` is one of:
 
 * "exact": sum every assignment by the engine's banded forward-backward
   recursion over the counts of the open basis functions
@@ -28,26 +28,22 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln
 from scipy.stats import norm
 
 from . import _engine
 from ._engine import DEFAULT_TERM_CAP, EnumerationCapError, PosteriorSummary
 from .basis import Basis, eval_normalized, make_basis
-from .priors import CoefficientPrior, ModelSizePrior, log_dirichlet_normalizer
+from .priors import CoefficientPrior, ModelSizePrior
 
 __all__ = [
     "DensityDataset",
-    "TermIndex",
     "PosteriorSummary",
     "EnumerationCapError",
     "bases_for_prior",
     "density_builder",
-    "log_term",
     "exact_moment",
     "mc_moment",
     "credible_band",
-    "j_posterior",
 ]
 
 
@@ -84,15 +80,6 @@ class DensityDataset:
     @property
     def n(self) -> int:
         return self.observations.size
-
-
-@dataclass(frozen=True)
-class TermIndex:
-    """One expansion term: a basis index per observation, plus an optional
-    index for the evaluation point."""
-
-    indices: tuple[int, ...]
-    eval_index: int | None = None
 
 
 def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
@@ -133,49 +120,6 @@ def density_builder(data: DensityDataset, bases: Mapping[int, Basis], grid, a=1.
         return _engine.slots_for(eval_normalized(basis, obs)), family, eval_normalized(basis, grid).T
 
     return build
-
-
-def log_term(
-    basis: Basis,
-    a,
-    data: DensityDataset,
-    term: TermIndex,
-    x: float | None = None,
-) -> float:
-    """Log value of a single expansion term, comparable across dimensions.
-
-    Includes the Dirichlet prior normalizer, which differs across J and must
-    be carried for the model average to weight dimensions correctly. The term
-    is the conjugate integral for the given assignment times the product of
-    normalized basis values at the observations (and at x if present).
-    """
-    J = basis.dimension
-    avec = _dirichlet_params(a, J)
-    obs = data.observations
-    if len(term.indices) != obs.size:
-        raise ValueError("assignment length must match the number of observations")
-    if (x is None) != (term.eval_index is None):
-        raise ValueError("eval_index must be given exactly when x is")
-    points = list(obs)
-    idx = list(term.indices)
-    if x is not None:
-        points.append(float(x))
-        idx.append(term.eval_index)
-    counts = np.zeros(J)
-    log_b = 0.0
-    for p, i in zip(points, idx):
-        vals = eval_normalized(basis, float(p))
-        if not 0 <= i < J or vals[i] <= 0.0:
-            raise ValueError(f"index {i} is not active at point {p}")
-        counts[i] += 1
-        log_b += np.log(vals[i])
-    total = obs.size + (0 if x is None else 1)
-    return float(
-        log_dirichlet_normalizer(avec)
-        + gammaln(avec + counts).sum()
-        - gammaln(avec.sum() + total)
-        + log_b
-    )
 
 
 def exact_moment(
@@ -236,14 +180,3 @@ def credible_band(summary: PosteriorSummary, level: float = 0.95) -> PosteriorSu
     low = np.maximum(summary.mean - z * sd, 0.0)
     high = summary.mean + z * sd
     return replace(summary, band_low=low, band_high=high)
-
-
-def j_posterior(
-    data: DensityDataset,
-    bases: Mapping[int, Basis],
-    model_prior: ModelSizePrior,
-    a=1.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior weights of each dimension: prior times per-J marginal likelihood."""
-    summary = exact_moment(data, np.empty(0), bases, model_prior, a=a, m=1)
-    return summary.j_values, summary.j_weights

@@ -183,14 +183,6 @@ def sample_coefficients(prior: CoefficientPrior, J: int, seed) -> np.ndarray:
     raise ValueError("g-prior coefficients are sampled by the regression module, not here")
 
 
-def log_dirichlet_normalizer(a) -> float:
-    """log Gamma(sum a) - sum log Gamma(a_k), the Dirichlet density normalizer."""
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 1 or a.size == 0 or np.any(a <= 0.0):
-        raise ValueError("Dirichlet parameters must be a nonempty positive vector")
-    return float(gammaln(a.sum()) - gammaln(a).sum())
-
-
 def priors_from_config(options: Mapping[str, str]) -> tuple[ModelSizePrior, CoefficientPrior]:
     """Build the prior pair from flat key=value configuration text.
 

@@ -88,25 +88,25 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
 
 
-def _pair_mean_column(family, counts, k, l):
+def _log_weight(family, counts, n):
+    """Each row's log assignment weight, built one basis column at a time."""
+    terms = np.empty(counts[0].shape)
+    for k in range(terms.shape[1]):
+        terms[:, k] = family.log_close(k, tuple(c[:, k] for c in counts))
+    return terms.sum(axis=-1) + family.log_global(n)
+
+
+def _pair_mean_column(family, counts, n, k, l):
     """E[theta_k theta_l] per row for one grid column; k and l are (N,) index arrays.
 
-    Dirichlet, Beta, or (otherwise) Gamma family.
+    The second moment where k == l, else the product of means times cross(n).
     """
     rows = np.arange(counts[0].shape[0])
-    if isinstance(family, DirichletFamily):
-        c = counts[0]
-        alpha = family.a + c
-        s = family.a0 + c.sum(axis=-1)
-        return alpha[rows, k] * (alpha[rows, l] + (k == l)) / (s * (s + 1.0))
-    if isinstance(family, BetaFamily):
-        e, e2 = family.moments(slice(None), counts, None)
-        same = k == l
-        out = e[rows, k] * e[rows, l]
-        out[same] = e2[rows[same], k[same]]
-        return out
-    A = family.a + counts[0]
-    return A[rows, k] * (A[rows, l] + (k == l)) / (family.rate[k] * family.rate[l])
+    e, e2 = family.moments(slice(None), counts, n)
+    out = e[rows, k] * e[rows, l] * family.cross(n)
+    same = k == l
+    out[same] = e2[rows[same], k[same]]
+    return out
 
 
 def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, second: bool = False):
@@ -123,7 +123,8 @@ def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, se
     logb = np.zeros(N)
     for s, d in zip(slots, digits):
         logb += s.log_values[d]
-    lt_den = family.log_weight(counts) + logb
+    n = len(slots)
+    lt_den = _log_weight(family, counts, n) + logb
     shift_den = float(np.max(lt_den))
     u_den = np.exp(lt_den - shift_den)
     mean_u_den = float(np.mean(u_den))
@@ -131,7 +132,7 @@ def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, se
     log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
 
     G = eval_cols.shape[1]
-    e = family.moments(slice(None), counts, len(slots))[0]
+    e = family.moments(slice(None), counts, n)[0]
     rows = np.arange(N)
     lt_num = np.empty((N, G))
     log_k0 = np.empty(G)
@@ -156,7 +157,7 @@ def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, se
             act = np.flatnonzero(eval_cols[:, g] > 0.0)
             i0 = i0_all[:, g]
             i0b = act[rng.integers(0, len(act), N)]
-            pm = _pair_mean_column(family, counts, i0, i0b)
+            pm = _pair_mean_column(family, counts, n, i0, i0b)
             lt_num2[:, g] = (
                 lt_den + np.log(eval_cols[i0, g]) + np.log(eval_cols[i0b, g]) + np.log(pm)
             )

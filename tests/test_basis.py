@@ -5,13 +5,10 @@ from scipy.stats import beta as beta_dist
 
 from series_prior.basis import (
     SimplexInfeasibleError,
-    active_set,
     eval_basis,
     eval_normalized,
-    eval_tensor,
     fit_coefficients,
     make_basis,
-    make_tensor,
     quadrature_integrals,
     simplex_coefficients,
 )
@@ -111,25 +108,15 @@ class TestNormalized:
 
 
 class TestActiveSet:
+    @staticmethod
+    def _active(basis, x):
+        return np.flatnonzero(eval_basis(basis, x) > 0).tolist()
+
     def test_single_bin(self):
-        assert active_set(make_basis(1, 10), 0.05).tolist() == [0]
+        assert self._active(make_basis(1, 10), 0.05) == [0]
 
     def test_interior_window(self):
-        b = make_basis(3, 10)
-        assert active_set(b, 0.55).tolist() == [5, 6, 7]
-
-    def test_consistent_with_eval(self):
-        rng = np.random.default_rng(11)
-        b = make_basis(3, 9)
-        for x in rng.random(1000):
-            idx = active_set(b, x)
-            vals = eval_basis(b, float(x))
-            assert set(idx.tolist()) == set(np.flatnonzero(vals > 0).tolist())
-            assert idx.size <= b.order
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            active_set(make_basis(2, 4), 1.5)
+        assert self._active(make_basis(3, 10), 0.55) == [5, 6, 7]
 
 
 class TestFitting:
@@ -207,32 +194,6 @@ class TestSimplexCoefficients:
 
 
 class TestTensor:
-    def test_single_active_cell(self):
-        tb = make_tensor([make_basis(1, 2), make_basis(1, 2)])
-        vals = eval_tensor(tb, [0.3, 0.7])
-        assert vals.tolist() == [0, 1, 0, 0]
-        assert tb.dimension == 4
-
-    def test_sum_to_one_random(self):
-        tb = make_tensor([make_basis(3, 6), make_basis(2, 5)])
-        rng = np.random.default_rng(9)
-        for pt in rng.random((1000, 2)):
-            assert abs(eval_tensor(tb, pt).sum() - 1.0) < 1e-12
-
-    def test_three_factors(self):
-        tb = make_tensor([make_basis(2, 3)] * 3)
-        assert tb.dimension == 4**3
-        vals = eval_tensor(tb, [0.2, 0.5, 0.8])
-        assert abs(vals.sum() - 1.0) < 1e-12
-
-    def test_factor_count_and_cap(self):
-        with pytest.raises(ValueError):
-            make_tensor([])
-        with pytest.raises(ValueError):
-            make_tensor([make_basis(1, 2)] * 5)
-        with pytest.raises(ValueError):
-            make_tensor([make_basis(1, 100), make_basis(1, 100)], dimension_cap=100)
-
     def test_anisotropic_error_decay(self):
         # additive decay in the per-axis dimensions for a smooth product
         # target; preasymptotic slopes run steeper than -q, never shallower

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from series_prior.cli import cli
+from series_prior.density import credible_band
+from series_prior.harness import ExperimentConfig, run_experiment
 
 
 def run(capsys, *argv):
@@ -95,6 +97,20 @@ class TestSimulate:
         assert (tmp_path / "metrics.csv").exists()
         assert (tmp_path / "metrics_summary.csv").exists()
         assert "l1=" in out
+
+    def test_level_sets_band(self, capsys, tmp_path):
+        argv = ["simulate", "--q", "1", "--n", "20", "--reps", "1", "--seed", "7"]
+        fit = run_experiment(ExperimentConfig(n=20, q=1, replications=1, seed=7)).summaries[0]
+        bands = {}
+        for level in ("0.5", "0.99"):
+            code, _, _ = run(capsys, *argv, "--level", level, "--outdir", str(tmp_path / level))
+            assert code == 0
+            rows = np.loadtxt(tmp_path / level / "summary_rep0.csv", delimiter=",", skiprows=1)
+            want = credible_band(fit, float(level))
+            np.testing.assert_array_equal(rows[:, 3], want.band_low)
+            np.testing.assert_array_equal(rows[:, 4], want.band_high)
+            bands[level] = rows[:, 3:5]
+        assert not np.array_equal(bands["0.5"], bands["0.99"])
 
 
 class TestApproxCheck:

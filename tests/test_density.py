@@ -1,25 +1,24 @@
-import itertools
-
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
 from oracles import (
+    _stick_breaking_rule,
+    enumerate_mixture,
     histogram_posterior_mean,
     importance_sampling_mean,
     simplex_quadrature_mean,
     union_breakpoint_rule,
 )
-from series_prior.basis import active_set, make_basis
+from series_prior import _engine
+from series_prior.basis import eval_normalized, make_basis
 from series_prior.density import (
     DensityDataset,
     EnumerationCapError,
-    TermIndex,
     bases_for_prior,
     credible_band,
+    density_builder,
     exact_moment,
-    j_posterior,
-    log_term,
     mc_moment,
 )
 from series_prior.priors import ModelSizePrior
@@ -39,50 +38,35 @@ class TestDataset:
 
 
 class TestLogTerm:
+    """The log sum of every expansion term of one dimension: its marginal likelihood."""
+
+    @staticmethod
+    def _log_marginal(obs, basis, a=1.0):
+        J = basis.dimension
+        slots, family, _ = density_builder(DensityDataset(np.asarray(obs)), {J: basis}, np.empty(0), a)(J)
+        return _engine.exact_mixture(slots, family, J, None)[0]
+
     def test_empty_data_term_is_one(self):
-        b = make_basis(1, 2)
-        val = log_term(b, (1.0, 1.0), DensityDataset(np.array([])), TermIndex(indices=()))
-        assert abs(val) < 1e-14
+        assert abs(self._log_marginal([], make_basis(1, 2), (1.0, 1.0))) < 1e-14
 
     def test_hand_value_single_observation(self):
-        b = make_basis(1, 2)
-        data = DensityDataset(np.array([0.25]))
-        val = log_term(b, (1.0, 1.0), data, TermIndex(indices=(0,)))
+        # B*_0(0.25) = 2 and E[theta_0] = 1/2 under Dirichlet(1, 1)
+        val = self._log_marginal([0.25], make_basis(1, 2), (1.0, 1.0))
         assert abs(np.exp(val) - 1.0) < 1e-14
-
-    def test_inactive_index_rejected(self):
-        b = make_basis(1, 2)
-        data = DensityDataset(np.array([0.25]))
-        with pytest.raises(ValueError):
-            log_term(b, (1.0, 1.0), data, TermIndex(indices=(1,)))
-
-    def test_eval_index_consistency(self):
-        b = make_basis(2, 3)
-        data = DensityDataset(np.array([0.3]))
-        with pytest.raises(ValueError):
-            log_term(b, 1.0, data, TermIndex(indices=(1,), eval_index=None), x=0.5)
 
     def test_sum_over_terms_matches_quadrature_marginal(self):
         # the exponentiated term sum is the marginal likelihood of the data
         rng = np.random.default_rng(1)
         obs = np.sort(rng.random(3))
-        data = DensityDataset(obs)
         q, J = 2, 3
         b = make_basis(q, J - q + 1)
-        acts = [active_set(b, o) for o in obs]
-        terms = [
-            log_term(b, 1.0, data, TermIndex(indices=combo))
-            for combo in itertools.product(*acts)
-        ]
+        log_marginal = self._log_marginal(obs, b)
         # independent route: quadrature of the likelihood against the prior
-        from oracles import _stick_breaking_rule
-        from series_prior.basis import eval_normalized
-
         theta, W = _stick_breaking_rule(J, 12)
         like = np.prod(theta @ eval_normalized(b, obs).T, axis=1)
         dirichlet_density = float(np.prod(np.arange(1, J)))  # (J-1)! for the all-ones prior
         marginal = float(W @ like) * dirichlet_density
-        assert abs(np.exp(logsumexp(terms)) - marginal) < 1e-4 * marginal
+        assert abs(np.exp(log_marginal) - marginal) < 1e-4 * marginal
 
 
 class TestExactMoment:
@@ -107,27 +91,14 @@ class TestExactMoment:
         bases = bases_for_prior(2, mp)
         grid = np.array([0.15, 0.5, 0.85])
 
-        def brute(x=None):
-            per_j = []
-            for j in mp.support:
-                b = bases[j]
-                acts = [active_set(b, o) for o in obs]
-                terms = []
-                for combo in itertools.product(*acts):
-                    if x is None:
-                        terms.append(log_term(b, 1.0, data, TermIndex(indices=combo)))
-                    else:
-                        for i0 in active_set(b, x):
-                            terms.append(
-                                log_term(
-                                    b, 1.0, data, TermIndex(indices=combo, eval_index=int(i0)), x=x
-                                )
-                            )
-                per_j.append(mp.log_pmf(int(j)) + logsumexp(terms))
-            return logsumexp(per_j)
-
-        log_den = brute()
-        expected = np.array([np.exp(brute(float(x)) - log_den) for x in grid])
+        build = density_builder(data, bases, grid)
+        log_den, log_num = [], []
+        for j in mp.support:
+            slots, family, eval_cols = build(j)
+            den, num, _ = enumerate_mixture(slots, family, bases[j].dimension, eval_cols)
+            log_den.append(mp.log_pmf(int(j)) + den)
+            log_num.append(mp.log_pmf(int(j)) + num)
+        expected = np.exp(logsumexp(log_num, axis=0) - logsumexp(log_den))
         s = exact_moment(data, grid, bases, mp)
         np.testing.assert_allclose(s.mean, expected, rtol=1e-12)
 
@@ -301,7 +272,8 @@ class TestJPosterior:
     def test_no_data_returns_prior(self):
         mp = ModelSizePrior.geometric(0.6, 5, 12)
         bases = bases_for_prior(1, mp)
-        j_values, weights = j_posterior(DensityDataset(np.array([])), bases, mp)
+        s = exact_moment(DensityDataset(np.array([])), np.empty(0), bases, mp, m=1)
+        j_values, weights = s.j_values, s.j_weights
         np.testing.assert_allclose(weights, np.exp(mp.log_pmf(j_values)), atol=1e-12)
         assert abs(weights.sum() - 1.0) < 1e-12
 
@@ -310,16 +282,8 @@ class TestJPosterior:
         obs = np.concatenate([0.05 + 0.08 * rng.random(10), 0.85 + 0.08 * rng.random(10)])
         mp = ModelSizePrior.geometric(0.5, 5, 15)
         bases = bases_for_prior(1, mp)
-        j_values, weights = j_posterior(DensityDataset(obs), bases, mp)
+        s = exact_moment(DensityDataset(obs), np.empty(0), bases, mp, m=1)
+        j_values, weights = s.j_values, s.j_weights
         prior_mean_j = np.exp(mp.log_pmf(j_values)) @ j_values
         posterior_mean_j = weights @ j_values
         assert posterior_mean_j > prior_mean_j
-
-    def test_matches_exact_moment_weights(self):
-        rng = np.random.default_rng(3)
-        obs = np.sort(rng.random(6))
-        mp = ModelSizePrior.geometric(0.5, 4, 8)
-        bases = bases_for_prior(2, mp)
-        _, weights = j_posterior(DensityDataset(obs), bases, mp)
-        s = exact_moment(DensityDataset(obs), np.array([0.5]), bases, mp)
-        np.testing.assert_allclose(weights, s.j_weights, rtol=1e-12)

@@ -1,5 +1,11 @@
+import dataclasses
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
@@ -144,6 +150,37 @@ class TestRunExperiment:
         par = run_experiment(ExperimentConfig(**cfg))
         assert [r.l1 for r in seq.rows] == [r.l1 for r in par.rows]
         assert np.array_equal(seq.summaries[2].mean, par.summaries[2].mean)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        q=st.integers(1, 3),
+        mode=st.sampled_from(["auto", "mc"]),
+        n=st.integers(1, 30),
+        replications=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_thread_count_invariance(self, q, mode, n, replications, seed):
+        cfg = ExperimentConfig(
+            n=n, q=q, replications=replications, seed=seed, mode=mode, n_terms=40,
+            j_min=4, j_max=8, grid_size=20,
+        )
+        files = ("summary_rep0.csv", "summary_rep0_j.csv", "metrics_summary.csv")
+        runs = []
+        for threads in ("1", "2", "3"):
+            with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
+                mp.setenv("SERIES_PRIOR_THREADS", threads)
+                res = run_experiment(dataclasses.replace(cfg, output_dir=out))
+                runs.append((res, [(Path(out) / name).read_bytes() for name in files]))
+        (ref, ref_bytes), others = runs[0], runs[1:]
+        for res, got_bytes in others:
+            assert [(r.replication, r.l1, r.l2) for r in res.rows] == [
+                (r.replication, r.l1, r.l2) for r in ref.rows
+            ]
+            for got, want in zip(res.summaries, ref.summaries, strict=True):
+                for field in dataclasses.fields(want):
+                    a, b = getattr(got, field.name), getattr(want, field.name)
+                    assert (a is None and b is None) or np.array_equal(a, b), field.name
+            assert got_bytes == ref_bytes
 
     def test_reported_se_is_std_over_sqrt_reps(self):
         res = run_experiment(ExperimentConfig(density="beta-half", n=10, q=1, replications=5, seed=2))

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from series_prior._engine import DirichletFamily
+from series_prior.basis import make_basis
+from series_prior.density import DensityDataset, exact_moment
 from series_prior.priors import (
     CoefficientPrior,
     ModelSizePrior,
-    log_dirichlet_normalizer,
     priors_from_config,
     sample_coefficients,
 )
@@ -118,15 +120,17 @@ class TestCoefficientPrior:
 
 class TestDirichletNormalizer:
     def test_known_values(self):
-        assert abs(log_dirichlet_normalizer([1.0, 1.0])) < 1e-14
-        assert abs(log_dirichlet_normalizer([1.0, 1.0, 1.0]) - np.log(2.0)) < 1e-14
-        assert abs(log_dirichlet_normalizer([0.5, 0.5]) + np.log(np.pi)) < 1e-14
+        assert abs(DirichletFamily([1.0, 1.0]).log_norm) < 1e-14
+        assert abs(DirichletFamily([1.0, 1.0, 1.0]).log_norm - np.log(2.0)) < 1e-14
+        assert abs(DirichletFamily([0.5, 0.5]).log_norm + np.log(np.pi)) < 1e-14
 
     def test_invalid(self):
-        with pytest.raises(ValueError):
-            log_dirichlet_normalizer([1.0, 0.0])
-        with pytest.raises(ValueError):
-            log_dirichlet_normalizer([])
+        # the density entry points reject the parameters before any family is built
+        data, bases = DensityDataset(np.array([0.5])), {2: make_basis(1, 2)}
+        mp = ModelSizePrior.geometric(0.5, 2, 2)
+        for a in ([1.0, 0.0], [], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError):
+                exact_moment(data, np.array([0.5]), bases, mp, a=a)
 
 
 class TestConfigParsing:
