@@ -8,8 +8,8 @@ sums over active-set index assignments.
 density_builder gives each dimension's slots and Dirichlet family. Every
 posterior-moment entry point of the package (exact_moment, mc_moment,
 harness.fit_density, regression.binary_moment and regression.poisson_moment)
-hands such a builder to one driver, _engine.posterior_moments, whose
-``mode`` is one of:
+hands such a builder to _engine.posterior_moments, whose ``mode`` is one
+of:
 
 * "exact": sum every assignment by the engine's banded forward-backward
   recursion over the counts of the open basis functions
