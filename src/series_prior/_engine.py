@@ -11,10 +11,11 @@ indices, so the sum is a chain: one forward-backward recursion whose state
 is the joint count of the open basis functions (the Polya-urn count form).
 Its cost grows with the number of slots, J and the size of that count state,
 not with the q^n assignments; slots with a single active index cost nothing.
-The Monte-Carlo mode samples assignments uniformly from the active-set
-product. Posterior moments of the series value f(x) = theta' b(x) come out of
-the coefficient moments E[theta_k] and E[theta_k theta_l], so the
-evaluation-point index never has to be enumerated explicitly.
+The Monte-Carlo mode (mc_mixture) samples assignments uniformly from the
+active-set product. Given a sampled assignment's counts, the moments of the
+series value f(x) = theta' b(x) are closed forms of the coefficient moments
+E[theta_k] and E[theta_k theta_l], so the sampled posterior moments are
+weighted averages of exact per-draw moments.
 
 Each coefficient family (Dirichlet, Beta, Gamma) is n_groups, the number of
 count groups, plus four closed forms, and both engines use only these. For
@@ -399,23 +400,25 @@ def exact_mixture(
 
 @dataclass
 class McPiece:
-    """Sampled sums for a single dimension J, in shifted log form.
+    """Sampled sums of one dimension J, in shifted form.
 
-    Every estimator of a sum S is ``scale * mean(u) * exp(shift)`` where u are
-    the max-shifted term values; variances are sample variances (ddof=1).
+    Draw i has log weight lt_i and, given its counts, the conditional grid
+    moments f1_i = E[f | counts_i] and f2_i = E[f^2 | counts_i]. With
+    u_i = exp(lt_i - shift), the denominator sum is estimated by
+    exp(log_scale + shift) * mean(u), and the first and second moment
+    numerators by the same factor times mean(u f1) and mean(u f2).
+    var_u_den is the sample variance (ddof=1) of u; var_u_num and cov_u are
+    the sample variance of u (f1 - r) and its covariance with u, where
+    r = mean_u_num / mean_u_den is the dimension's own ratio.
     """
 
-    log_scale_den: float
-    shift_den: float
+    log_scale: float
+    shift: float
     mean_u_den: float
     var_u_den: float
-    log_scale_num: np.ndarray
-    shift_num: np.ndarray
     mean_u_num: np.ndarray
     var_u_num: np.ndarray
     cov_u: np.ndarray
-    log_scale_num2: np.ndarray | None
-    shift_num2: np.ndarray | None
     mean_u_num2: np.ndarray | None
     n_draws: int
 
@@ -429,18 +432,20 @@ def mc_mixture(
     rng: np.random.Generator,
     second: bool = False,
 ) -> McPiece:
-    """Uniform active-set sampling of assignments, shared between numerator and denominator.
+    """Uniform active-set sampling of assignments, with each draw's grid moments in closed form.
 
-    The i_1..i_n slot draws are reused for every evaluation column; only the
-    evaluation-point index is redrawn per column. Estimates of each sum are
-    (product of active-set sizes) times the sample mean of term values.
+    A draw's counts fix the conjugate coefficient posterior, so its grid
+    moments are exact given the draw (Rao-Blackwellization): with
+    e, e2 = family.moments(...) and c = family.cross(n),
+    E[f | counts] = e @ eval_cols and
+    E[f^2 | counts] = c (e @ eval_cols)^2 + (e2 - c e^2) @ eval_cols^2.
+    One set of draws serves the denominator and every grid column, so the
+    sampled posterior moments are weighted averages of per-draw moments.
 
     The draw order is the reproducibility contract: one rng.integers(0, k, N)
-    per slot, in slot order; then i0 for each grid column, in column order;
-    then, for the second moment, i0b for each column; all from rng, the
-    generator of (seed, J). A draw is an offset into an active set, a run of
-    consecutive indices, so the counts, grid moments and pair means are
-    whole-array passes over (N, J) and (N, G) arrays.
+    per slot, in slot order, from rng, the generator of (seed, J); nothing
+    else is drawn. A draw is an offset into an active set, a run of
+    consecutive indices, so the counts are one bincount per group.
     """
     N = int(n_draws)
     if N < 2:
@@ -461,60 +466,32 @@ def mc_mixture(
         np.bincount(cells[groups == g].ravel(), minlength=N * J).reshape(N, J).astype(float)
         for g in range(family.n_groups)
     ]
-    lt_den = family.log_close(slice(None), counts).sum(axis=-1) + family.log_global(n) + logb
-    shift_den = float(np.max(lt_den))
-    u_den = np.exp(lt_den - shift_den)
-    mean_u_den = float(np.mean(u_den))
-    var_u_den = float(np.var(u_den, ddof=1))
-    log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
+    lt = family.log_close(slice(None), counts).sum(axis=-1) + family.log_global(n) + logb
+    shift = float(np.max(lt))
+    u = np.exp(lt - shift)
 
-    G = eval_cols.shape[1]
-    active = eval_cols > 0.0
-    k0 = np.count_nonzero(active, axis=0)
-    first0 = active.argmax(axis=0)
-    cols = np.arange(G)
-    rows = np.arange(N)[:, None]
-
-    def column_draws():
-        draws = np.empty((N, G), dtype=np.int64)
-        for g, k in enumerate(k0.tolist()):
-            draws[:, g] = rng.integers(0, k, N)
-        return draws + first0
-
-    i0 = column_draws()
     e, e2 = family.moments(slice(None), counts, n)  # every row's counts total n
-    lt_b0 = lt_den[:, None] + np.log(eval_cols[i0, cols])
-    lt_num = lt_b0 + np.log(e[rows, i0])
-    shift_num = lt_num.max(axis=0)
-    u_num = np.exp(lt_num - shift_num)
-    mean_u_num = u_num.mean(axis=0)
-    var_u_num = u_num.var(axis=0, ddof=1)
-    cov_u = (u_num * u_den[:, None]).sum(axis=0) / (N - 1) - mean_u_num * mean_u_den * N / (N - 1)
-    log_k0 = np.log(k0)
-    log_scale_num = log_scale_den + log_k0
-
-    log_scale_num2 = shift_num2 = mean_u_num2 = None
+    f1 = e @ eval_cols
+    mean_u = float(np.mean(u))
+    mean_u_num = u @ f1 / N
+    # The spread is taken about the dimension's own ratio, so that a dominant
+    # draw leaves no difference of nearly equal variances for combine_mc, and
+    # about the first draw, so that equal terms give a variance of exactly 0.
+    dn = u[:, None] * (f1 - mean_u_num / mean_u)
+    dn -= dn[0]
+    du = u - u[0]
+    mean_u_num2 = None
     if second:
-        i0b = column_draws()
-        pair = np.where(i0 == i0b, e2[rows, i0], e[rows, i0] * e[rows, i0b] * family.cross(n))
-        lt_num2 = lt_b0 + np.log(eval_cols[i0b, cols]) + np.log(pair)
-        shift_num2 = lt_num2.max(axis=0)
-        u2 = np.exp(lt_num2 - shift_num2)
-        mean_u_num2 = u2.mean(axis=0)
-        log_scale_num2 = log_scale_den + 2.0 * log_k0
-
+        c = family.cross(n)
+        mean_u_num2 = u @ (c * f1**2 + (e2 - c * e**2) @ eval_cols**2) / N
     return McPiece(
-        log_scale_den=log_scale_den,
-        shift_den=shift_den,
-        mean_u_den=mean_u_den,
-        var_u_den=var_u_den,
-        log_scale_num=log_scale_num,
-        shift_num=shift_num,
+        log_scale=float(np.sum(np.log(ks))) if ks else 0.0,
+        shift=shift,
+        mean_u_den=mean_u,
+        var_u_den=float(np.var(u, ddof=1)),
         mean_u_num=mean_u_num,
-        var_u_num=var_u_num,
-        cov_u=cov_u,
-        log_scale_num2=log_scale_num2,
-        shift_num2=shift_num2,
+        var_u_num=dn.var(axis=0, ddof=1),
+        cov_u=(du - du.mean()) @ (dn - dn.mean(axis=0)) / (N - 1),
         mean_u_num2=mean_u_num2,
         n_draws=N,
     )
@@ -540,62 +517,30 @@ def combine_exact(per_j, log_prior):
 
 
 def combine_mc(pieces: Sequence[McPiece], log_prior):
-    """Ratio estimator and its delta-method standard error across dimensions.
+    """Self-normalized average of the draws of every dimension, and its delta-method standard error.
 
-    Draws are independent across dimensions; within a dimension the numerator
-    and denominator share slot draws, so their covariance enters the ratio
-    variance with a negative sign.
+    Returns (mean, se, second, j_weights_log); second is None if absent. Draw
+    i of dimension J weighs a_J u_i, with a_J = prior(J) exp(log_scale + shift).
+    The ratio's delta-method variance is that of sum a_J mean(u (f1 - mean)),
+    over the denominator squared. Draws are independent across dimensions,
+    and within one u (f1 - mean) = u (f1 - r) + (r - mean) u, r being the
+    dimension's own ratio.
     """
-    log_prior = np.asarray(log_prior, dtype=float)
-    n = pieces[0].n_draws
-    with np.errstate(divide="ignore"):
-        log_D = np.array(
-            [lp + p.log_scale_den + p.shift_den + np.log(p.mean_u_den) for lp, p in zip(log_prior, pieces)]
-        )
-        log_varD = np.array(
-            [
-                2.0 * (lp + p.log_scale_den + p.shift_den) + np.log(p.var_u_den) - np.log(n)
-                for lp, p in zip(log_prior, pieces)
-            ]
-        )
-        log_N = np.stack(
-            [lp + p.log_scale_num + p.shift_num + np.log(p.mean_u_num) for lp, p in zip(log_prior, pieces)]
-        )
-        log_varN = np.stack(
-            [
-                2.0 * (lp + p.log_scale_num + p.shift_num) + np.log(np.maximum(p.var_u_num, 0.0)) - np.log(n)
-                for lp, p in zip(log_prior, pieces)
-            ]
-        )
-    s_D = np.max(log_D)
-    Dt = np.sum(np.exp(log_D - s_D))
-    varD_rel = np.sum(np.exp(log_varD - 2.0 * s_D))
-    s_N = log_N.max(axis=0)
-    Nt = np.exp(log_N - s_N).sum(axis=0)
-    varN_rel = np.exp(log_varN - 2.0 * s_N).sum(axis=0)
-    cov_rel = np.zeros_like(Nt)
-    for lp, p in zip(log_prior, pieces):
-        fac = np.exp(
-            2.0 * lp + p.log_scale_num + p.log_scale_den + p.shift_num + p.shift_den
-            - s_N - s_D - np.log(n)
-        )
-        cov_rel += fac * p.cov_u
-    mean = np.exp(s_N - s_D) * Nt / Dt
-    rel_var = varN_rel / Nt**2 + varD_rel / Dt**2 - 2.0 * cov_rel / (Nt * Dt)
-    se = mean * np.sqrt(np.maximum(rel_var, 0.0))
-
+    log_a = np.asarray(log_prior, dtype=float) + np.array([p.log_scale + p.shift for p in pieces])
+    log_D = log_a + np.log([p.mean_u_den for p in pieces])
+    s = np.max(log_D)
+    a = np.exp(log_a - s)
+    Dt = np.sum(np.exp(log_D - s))
+    mean = a @ np.stack([p.mean_u_num for p in pieces]) / Dt
+    var = np.zeros_like(mean)
+    for ai, p in zip(a, pieces):
+        d = p.mean_u_num / p.mean_u_den - mean
+        var += ai**2 * (p.var_u_num + 2.0 * d * p.cov_u + d**2 * p.var_u_den)
+    se = np.sqrt(np.maximum(var / pieces[0].n_draws, 0.0)) / Dt
     second = None
     if pieces[0].mean_u_num2 is not None:
-        with np.errstate(divide="ignore"):
-            log_N2 = np.stack(
-                [
-                    lp + p.log_scale_num2 + p.shift_num2 + np.log(p.mean_u_num2)
-                    for lp, p in zip(log_prior, pieces)
-                ]
-            )
-        second = np.exp(logsumexp(log_N2, axis=0) - (s_D + np.log(Dt)))
-    j_weights_log = log_D - (s_D + np.log(Dt))
-    return mean, se, second, j_weights_log
+        second = a @ np.stack([p.mean_u_num2 for p in pieces]) / Dt
+    return mean, se, second, log_D - (s + np.log(Dt))
 
 
 @dataclass(frozen=True)
@@ -672,8 +617,6 @@ def posterior_moments(
         se = np.zeros_like(mean)
     else:
         mean, se, second, j_w_log = combine_mc(per_j, log_prior)
-        if second is not None:
-            second = np.maximum(second, mean**2)  # sampling noise may undershoot
     return PosteriorSummary(
         grid=grid,
         mean=mean,

@@ -18,7 +18,9 @@ of:
   with more assignments than the constant DEFAULT_TERM_CAP (10M) raises
   EnumerationCapError.
 * "mc": sample ``n_terms`` assignments per dimension uniformly from the
-  active sets, with delta-method standard errors in ``mc_se``.
+  active sets. Given a draw's counts the grid moments are closed forms, so
+  the sampled moments are weighted averages of per-draw posterior moments,
+  with delta-method standard errors in ``mc_se``.
 * "auto": exact when every dimension is within the term cap, "mc" otherwise.
 """
 
@@ -153,12 +155,14 @@ def mc_moment(
     n_terms: int = 3000,
     seed=0,
 ) -> PosteriorSummary:
-    """Posterior moments by uniform sampling of N terms per dimension.
+    """Posterior moments by uniform sampling of N assignments per dimension.
 
-    The slot draws are shared between numerator and denominator (the ratio
-    estimator has O(1/N) bias); mc_se is the delta-method standard error of
-    the mean. Reproducible for a given seed regardless of scheduling: each
-    dimension uses a generator derived from (seed, j).
+    Each draw contributes its weight and its exact posterior moments given
+    its counts, so the mean is a weighted average of densities and
+    integrates to 1. The draws are shared between numerator and denominator
+    (the ratio estimator has O(1/N) bias); mc_se is the delta-method
+    standard error of the mean. Reproducible for a given seed regardless of
+    scheduling: each dimension uses a generator derived from (seed, j).
     """
     build = density_builder(data, bases, grid, a)
     return _engine.posterior_moments(

@@ -21,8 +21,10 @@ engine's banded forward-backward recursion over the success/failure or
 count state of the open basis functions, at a cost that does not grow with
 the q^n assignments; a dimension with more assignments than the constant
 DEFAULT_TERM_CAP of 10M still raises EnumerationCapError), "mc" (``n_terms``
-sampled assignments per dimension) or "auto" (exact within the term cap,
-sampled otherwise), as in the density module.
+sampled assignments per dimension, each contributing its exact posterior
+moments given its counts, so a sampled success probability stays in [0, 1])
+or "auto" (exact within the term cap, sampled otherwise), as in the density
+module.
 """
 
 from __future__ import annotations

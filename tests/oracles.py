@@ -3,9 +3,9 @@
 Everything here recomputes posterior quantities by a route disjoint from the
 library's exact engine: enumeration of every index assignment, direct
 quadrature over the coefficient space, importance sampling from the prior, or
-closed-form histogram algebra. reference_mc_mixture is the loop form of the
-Monte-Carlo engine, one slot and one grid column at a time, which the
-vectorized engine must match bit for bit from an equal generator.
+closed-form histogram algebra. _counts_for and _assignment_terms also give
+the Monte-Carlo engine's reference: the weight and conditional moments of
+each sampled assignment, from the coefficient family's parameters alone.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import betaln, gammaln, logsumexp, roots_laguerre
 
-from series_prior._engine import BetaFamily, DirichletFamily, McPiece, assignment_count
+from series_prior._engine import BetaFamily, DirichletFamily, assignment_count
 from series_prior.basis import eval_basis, eval_normalized, make_basis
 
 
@@ -40,7 +40,8 @@ def _assignment_terms(family, counts, eval_cols):
     """Log weight, E[theta'b | counts] and E[(theta'b)^2 | counts] of each assignment row.
 
     Computed from the family's parameters alone, with none of the family's
-    methods, so the enumeration shares no formula with the engine it checks.
+    methods, so the enumeration and the sampler's reference share no formula
+    with the engines they check.
     """
     if isinstance(family, DirichletFamily):
         alpha = family.a + counts[0]
@@ -86,101 +87,6 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     if eval_cols is None:
         return log_den, None, None
     return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
-
-
-def _log_weight(family, counts, n):
-    """Each row's log assignment weight, built one basis column at a time."""
-    terms = np.empty(counts[0].shape)
-    for k in range(terms.shape[1]):
-        terms[:, k] = family.log_close(k, tuple(c[:, k] for c in counts))
-    return terms.sum(axis=-1) + family.log_global(n)
-
-
-def _pair_mean_column(family, counts, n, k, l):
-    """E[theta_k theta_l] per row for one grid column; k and l are (N,) index arrays.
-
-    The second moment where k == l, else the product of means times cross(n).
-    """
-    rows = np.arange(counts[0].shape[0])
-    e, e2 = family.moments(slice(None), counts, n)
-    out = e[rows, k] * e[rows, l] * family.cross(n)
-    same = k == l
-    out[same] = e2[rows[same], k[same]]
-    return out
-
-
-def reference_mc_mixture(slots, family, J: int, eval_cols, n_draws: int, rng, second: bool = False):
-    """Loop form of _engine.mc_mixture: the reference for its vectorized passes.
-
-    Same arguments, same draws in the same order, same McPiece.
-    """
-    N = int(n_draws)
-    ks = [len(s.indices) for s in slots]
-    digits = np.stack(
-        [rng.integers(0, k, N) for k in ks], axis=0
-    ) if slots else np.zeros((0, N), dtype=np.int64)
-    counts = _counts_for(slots, digits, J, family.n_groups)
-    logb = np.zeros(N)
-    for s, d in zip(slots, digits):
-        logb += s.log_values[d]
-    n = len(slots)
-    lt_den = _log_weight(family, counts, n) + logb
-    shift_den = float(np.max(lt_den))
-    u_den = np.exp(lt_den - shift_den)
-    mean_u_den = float(np.mean(u_den))
-    var_u_den = float(np.var(u_den, ddof=1))
-    log_scale_den = float(np.sum(np.log(ks))) if ks else 0.0
-
-    G = eval_cols.shape[1]
-    e = family.moments(slice(None), counts, n)[0]
-    rows = np.arange(N)
-    lt_num = np.empty((N, G))
-    log_k0 = np.empty(G)
-    i0_all = np.empty((N, G), dtype=np.int64)
-    for g in range(G):
-        act = np.flatnonzero(eval_cols[:, g] > 0.0)
-        log_k0[g] = np.log(len(act))
-        i0 = act[rng.integers(0, len(act), N)]
-        i0_all[:, g] = i0
-        lt_num[:, g] = lt_den + np.log(eval_cols[i0, g]) + np.log(e[rows, i0])
-    shift_num = lt_num.max(axis=0)
-    u_num = np.exp(lt_num - shift_num)
-    mean_u_num = u_num.mean(axis=0)
-    var_u_num = u_num.var(axis=0, ddof=1)
-    cov_u = (u_num * u_den[:, None]).sum(axis=0) / (N - 1) - mean_u_num * mean_u_den * N / (N - 1)
-    log_scale_num = log_scale_den + log_k0
-
-    log_scale_num2 = shift_num2 = mean_u_num2 = None
-    if second:
-        lt_num2 = np.empty((N, G))
-        for g in range(G):
-            act = np.flatnonzero(eval_cols[:, g] > 0.0)
-            i0 = i0_all[:, g]
-            i0b = act[rng.integers(0, len(act), N)]
-            pm = _pair_mean_column(family, counts, n, i0, i0b)
-            lt_num2[:, g] = (
-                lt_den + np.log(eval_cols[i0, g]) + np.log(eval_cols[i0b, g]) + np.log(pm)
-            )
-        shift_num2 = lt_num2.max(axis=0)
-        u2 = np.exp(lt_num2 - shift_num2)
-        mean_u_num2 = u2.mean(axis=0)
-        log_scale_num2 = log_scale_den + 2.0 * log_k0
-
-    return McPiece(
-        log_scale_den=log_scale_den,
-        shift_den=shift_den,
-        mean_u_den=mean_u_den,
-        var_u_den=var_u_den,
-        log_scale_num=log_scale_num,
-        shift_num=shift_num,
-        mean_u_num=mean_u_num,
-        var_u_num=var_u_num,
-        cov_u=cov_u,
-        log_scale_num2=log_scale_num2,
-        shift_num2=shift_num2,
-        mean_u_num2=mean_u_num2,
-        n_draws=N,
-    )
 
 
 @lru_cache(maxsize=32)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import enumerate_mixture, reference_mc_mixture, union_breakpoint_rule
+from oracles import _assignment_terms, _counts_for, enumerate_mixture, union_breakpoint_rule
 
 from series_prior import _engine
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
@@ -19,6 +19,7 @@ from series_prior.regression import (
     RegressionDataset,
     binary_builder,
     binary_moment,
+    poisson_builder,
     poisson_moment,
 )
 
@@ -164,6 +165,26 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
         np.testing.assert_array_equal(g, w)
 
 
+def _assert_rel(got, want, scale=0.0):
+    """Equal to 1e-12 relative, or relative to scale where cancellation can make want small."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(np.abs(want), scale))
+
+
+def _sampled_terms(slots, family, J, eval_cols, n_draws, seed):
+    """Log weight, E[f | counts] and E[f^2 | counts] of each draw of mc_mixture.
+
+    The same slot digits from an equal generator; weights and conditional
+    moments from the family parameters alone (_assignment_terms).
+    """
+    rng = np.random.default_rng(seed)
+    digits = np.array([rng.integers(0, len(s.indices), n_draws) for s in slots], dtype=np.int64)
+    digits = digits.reshape(len(slots), n_draws)
+    log_w, m1, m2 = _assignment_terms(family, _counts_for(slots, digits, J, family.n_groups), eval_cols)
+    return log_w + sum((s.log_values[d] for s, d in zip(slots, digits)), np.zeros(n_draws)), m1, m2
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     chain_cases(max_points=40),
@@ -171,52 +192,145 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
     st.sampled_from([2, 3, 64]),
     st.integers(0, 2**32 - 1),
 )
-def test_mc_mixture_equals_loop_reference(case, second, n_draws, seed):
+def test_mc_mixture_equals_reference(case, second, n_draws, seed):
     slots, family, J, eval_cols = case
     got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
-    want = reference_mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
-    for field in dataclasses.fields(_engine.McPiece):
-        g, w = getattr(got, field.name), getattr(want, field.name)
-        if w is None:
-            assert g is None, field.name
-        else:
-            assert np.array_equal(g, w), field.name
+    log_w, m1, m2 = _sampled_terms(slots, family, J, eval_cols, n_draws, seed)
+    u = np.exp(log_w - log_w.max())
+    ratio = (u @ m1) / u.sum()
+    dev = u[:, None] * (m1 - ratio)
+    du, ddev = u - u.mean(), dev - dev.mean(axis=0)
+    dev_scale = np.mean((u[:, None] * (np.abs(m1) + np.abs(ratio))) ** 2, axis=0)
+    assert [f.name for f in dataclasses.fields(got)] == [
+        "log_scale", "shift", "mean_u_den", "var_u_den", "mean_u_num", "var_u_num", "cov_u", "mean_u_num2", "n_draws"
+    ]
+    assert got.n_draws == n_draws
+    _assert_log_close(got.log_scale, np.log(np.prod([float(len(s.indices)) for s in slots])))
+    _assert_log_close(got.shift, log_w.max())
+    _assert_rel(got.mean_u_den, u.mean())
+    _assert_rel(got.var_u_den, du @ du / (n_draws - 1), np.mean(u**2))
+    _assert_rel(got.mean_u_num, (u[:, None] * m1).mean(axis=0))
+    _assert_rel(got.var_u_num, (ddev**2).sum(axis=0) / (n_draws - 1), dev_scale)
+    _assert_rel(got.cov_u, du @ ddev / (n_draws - 1), np.sqrt(np.mean(u**2) * dev_scale))
+    if second:
+        _assert_rel(got.mean_u_num2, (u[:, None] * m2).mean(axis=0))
+    else:
+        assert got.mean_u_num2 is None
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    chain_cases(max_points=40),
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.floats(-5.0, 5.0)), min_size=1, max_size=3),
+)
+def test_combine_mc_equals_pooled_draws(case, parts):
+    # Pieces of one case from independent generators stand in for dimensions.
+    # The reference pools every draw, weighted by prior x active-set product x
+    # exp(log weight), and takes the delta-method variance from each draw's
+    # deviation from the pooled mean.
+    slots, family, J, eval_cols = case
+    N = 64
+    log_scale = np.log(np.prod([float(len(s.indices)) for s in slots]))
+    pieces, log_ws, m1s, m2s = [], [], [], []
+    for seed, lp in parts:
+        pieces.append(_engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True))
+        log_w, m1, m2 = _sampled_terms(slots, family, J, eval_cols, N, seed)
+        log_ws.append(lp + log_scale + log_w)
+        m1s.append(m1)
+        m2s.append(m2)
+    mean, se, second, j_log = _engine.combine_mc(pieces, [lp for _, lp in parts])
+    top = max(lw.max() for lw in log_ws)
+    W = [np.exp(lw - top) for lw in log_ws]
+    total = sum(w.sum() for w in W)
+    want_mean = sum(w @ m1 for w, m1 in zip(W, m1s)) / total
+    dev = [w[:, None] * (m1 - want_mean) for w, m1 in zip(W, m1s)]
+    dev_scale = sum(np.mean((w[:, None] * (np.abs(m1) + np.abs(want_mean))) ** 2, axis=0) for w, m1 in zip(W, m1s))
+    _assert_rel(mean, want_mean)
+    _assert_rel(second, sum(w @ m2 for w, m2 in zip(W, m2s)) / total)
+    _assert_rel(np.exp(j_log), [w.sum() / total for w in W])
+    _assert_rel(se**2, sum(d.var(axis=0, ddof=1) for d in dev) * N / total**2, dev_scale * N / total**2)
 
 
 knot_or_unit = st.one_of(unit, st.sampled_from([0.2, 0.25, 0.5, 0.75, 1.0 / 3.0]))
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 3), st.lists(knot_or_unit, max_size=8), st.floats(0.2, 0.95))
-def test_exact_density_mean_integrates_to_one(q, x, p):
+def test_density_mean_integrates_to_one(mode, q, x, p):
     # The mean is piecewise polynomial of degree q - 1 <= 2 between the knots
-    # of the union of the bases, where Simpson panels are exact.
+    # of the union of the bases, where Simpson panels are exact. A sampled mean
+    # is a weighted average of per-draw posterior densities, so it integrates
+    # to 1 as well.
     mp = ModelSizePrior.geometric(p, q, q + 5)
     bases = bases_for_prior(q, mp)
     pts, wts = union_breakpoint_rule(bases, total_points=400)
-    mean = exact_moment(DensityDataset(np.array(x)), pts, bases, mp, m=1).mean
+    build = density_builder(DensityDataset(np.array(x)), bases, pts)
+    mean = posterior_moments(build, bases, mp, pts, m=1, mode=mode, n_terms=100).mean
     assert abs(wts @ mean - 1.0) <= 1e-10
 
 
+def _binreg(rows, *flags):
+    """binreg's mean, band_low and band_high for (z, x) rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        inp, out = Path(tmp) / "zx.txt", Path(tmp) / "bin.csv"
+        inp.write_text("".join(f"{zi!r},{int(xi)}\n" for zi, xi in rows))
+        assert cli(["binreg", "--input", str(inp), *flags, "--output", str(out)]) == 0
+        csv = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    return csv[:, 1], csv[:, 3], csv[:, 4]
+
+
+def _assert_unit_band(mean, low, high):
+    assert np.all((mean >= 0.0) & (mean <= 1.0))
+    assert np.all((low >= 0.0) & (low <= mean) & (mean <= high) & (high <= 1.0))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
 @settings(max_examples=25, deadline=None)
 @given(
     st.integers(1, 3),
     st.lists(st.tuples(knot_or_unit, st.integers(0, 1)), min_size=1, max_size=8),
     st.sampled_from([0.5, 1.0, 2.0]),
 )
-def test_exact_binary_mean_and_band_in_unit_interval(q, rows, b):
-    # Through binreg, which caps the band at 1. Exact mode only: the sampled
-    # ratio estimator is no mixture of per-assignment means, so nothing keeps
-    # it inside [0, 1].
-    with tempfile.TemporaryDirectory() as tmp:
-        inp, out = Path(tmp) / "zx.txt", Path(tmp) / "bin.csv"
-        inp.write_text("".join(f"{zi!r},{int(xi)}\n" for zi, xi in rows))
-        argv = ["binreg", "--input", str(inp), "--q", str(q), "--b", str(b), "--mode", "exact"]
-        assert cli(argv + ["--jmin", "4", "--jmax", "8", "--grid", "20", "--output", str(out)]) == 0
-        csv = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
-    mean, low, high = csv[:, 1], csv[:, 3], csv[:, 4]
-    assert np.all((mean >= 0.0) & (mean <= 1.0))
-    assert np.all((low >= 0.0) & (low <= mean) & (mean <= high) & (high <= 1.0))
+def test_binary_mean_and_band_in_unit_interval(mode, q, rows, b):
+    # Through binreg, which caps the band at 1. B-splines sum to 1, so every
+    # per-assignment mean, and any weighted average of them, lies in [0, 1].
+    flags = ["--q", str(q), "--b", str(b), "--mode", mode, "--N", "300", "--jmin", "4", "--jmax", "8"]
+    _assert_unit_band(*_binreg(rows, *flags, "--grid", "20"))
+
+
+def test_sampled_binary_mean_in_unit_interval_at_defaults():
+    # 10 Bernoulli points on which a sampler that drew one basis index per grid
+    # point gave posterior means up to 1.55.
+    z = [0.64, 0.27, 0.04, 0.02, 0.81, 0.91, 0.61, 0.73, 0.54, 0.94]
+    x = [0, 1, 0, 1, 0, 1, 0, 0, 1, 1]
+    _assert_unit_band(*_binreg(zip(z, x), "--q", "3", "--mode", "mc", "--N", "300"))
+
+
+@pytest.mark.parametrize("kind", ["density", "binary", "poisson"])
+def test_sampled_second_moment_at_least_mean_squared(kind):
+    # Each draw's E[f^2 | counts] is at least E[f | counts]^2, so by Jensen's
+    # inequality the weighted average of the former is at least the square of
+    # the weighted average of the latter: combine_mc needs no clamp.
+    mp = ModelSizePrior.geometric(0.9, 5, 15)
+    bases = bases_for_prior(3, mp)
+    rng = np.random.default_rng(6)
+    z = rng.random(60)
+    if kind == "density":
+        build = density_builder(DensityDataset(z), bases, GRID)
+    elif kind == "binary":
+        data = RegressionDataset(z, (rng.random(60) < z).astype(float), kind)
+        build = binary_builder(data, bases, (1.0, 1.0), GRID)
+    else:
+        data = RegressionDataset(z, rng.poisson(1.0 + 2.0 * z).astype(float), kind)
+        build = poisson_builder(data, bases, (1.0, 1.0), GRID)
+    pieces = []
+    for j in sorted(bases):
+        slots, family, eval_cols = build(j)
+        rng_j = np.random.default_rng(j)
+        pieces.append(_engine.mc_mixture(slots, family, bases[j].dimension, eval_cols, 500, rng_j, second=True))
+    mean, _, second, _ = _engine.combine_mc(pieces, mp.log_pmf(np.array(sorted(bases))))
+    assert np.all(second >= mean**2 * (1.0 - 1e-12))
 
 
 @pytest.mark.parametrize("kind", ["binary", "poisson"])
