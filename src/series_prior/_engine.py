@@ -67,6 +67,14 @@ class EnumerationCapError(RuntimeError):
         self.j = j
 
 
+def check_mode(mode: str, n_terms: int) -> None:
+    """Refuse an unknown mode, or fewer than 2 sampled terms in any mode."""
+    if mode not in ("auto", "exact", "mc"):
+        raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
+    if int(n_terms) < 2:
+        raise ValueError(f"need at least 2 sampled terms, got {n_terms}")
+
+
 class Slot(NamedTuple):
     """One expansion slot: the active basis indices and log basis values at its point."""
 
@@ -409,7 +417,9 @@ class McPiece:
     numerators by the same factor times mean(u f1) and mean(u f2).
     var_u_den is the sample variance (ddof=1) of u; var_u_num and cov_u are
     the sample variance of u (f1 - r) and its covariance with u, where
-    r = mean_u_num / mean_u_den is the dimension's own ratio.
+    r = mean_u_num / mean_u_den is the dimension's own ratio. The grid
+    fields are projected once per dimension from the draws' coefficient
+    moments (mc_mixture); no per-draw grid values are formed.
     """
 
     log_scale: float
@@ -421,6 +431,12 @@ class McPiece:
     cov_u: np.ndarray
     mean_u_num2: np.ndarray | None
     n_draws: int
+
+
+def _col_sq_norms(r, eval_cols):
+    """||r @ x||^2 for each column x of eval_cols: a sum of squares, so never negative."""
+    y = r @ eval_cols
+    return np.einsum("jg,jg->g", y, y)
 
 
 def mc_mixture(
@@ -442,10 +458,22 @@ def mc_mixture(
     One set of draws serves the denominator and every grid column, so the
     sampled posterior moments are weighted averages of per-draw moments.
 
+    Every per-draw grid quantity is a linear or quadratic form of the J
+    coefficient moments, so the sums over draws are taken in coefficient
+    space and projected onto the grid once per dimension. With
+    v_i = u_i (e_i - e_bar), e_bar the u-weighted mean of the e_i, the draw
+    deviations are u_i (f1_i - r) = v_i @ eval_cols, and their sample
+    variance is ||R @ eval_cols||^2 / (N - 1) column by column, R being the
+    triangular QR factor of the centered v; likewise the sum of
+    u_i (e_i @ eval_cols)^2 is ||R2 @ eval_cols||^2, R2 the factor of the
+    rows sqrt(u_i) e_i. The work is O(N J^2), not O(N J G).
+
     The draw order is the reproducibility contract: one rng.integers(0, k, N)
     per slot, in slot order, from rng, the generator of (seed, J); nothing
     else is drawn. A draw is an offset into an active set, a run of
-    consecutive indices, so the counts are one bincount per group.
+    consecutive indices, so the counts are taken per active window: slots
+    that share a group, a first index and a width add their picks of each
+    offset together.
     """
     N = int(n_draws)
     if N < 2:
@@ -455,43 +483,55 @@ def mc_mixture(
     # Adding each slot's log values right after its draw, in slot order, is
     # faster than one gather over all slots, which moves N * n_slots floats.
     logb = np.zeros(N)
-    cells = np.empty((n, N), dtype=np.int64)  # flat (draw, basis) cell of each slot's pick
-    row_start = np.arange(0, N * J, J)
+    picks = np.empty((n, N), dtype=np.min_scalar_type(max(ks, default=0)))
+    windows = {}  # (group, first index, width) -> the slots with that active window
     for i, s in enumerate(slots):
         d = rng.integers(0, ks[i], N)
         logb += s.log_values[d]
-        np.add(row_start, d + s.indices[0], out=cells[i])
-    groups = np.array([s.group for s in slots], dtype=np.int64)
-    counts = [
-        np.bincount(cells[groups == g].ravel(), minlength=N * J).reshape(N, J).astype(float)
-        for g in range(family.n_groups)
-    ]
+        picks[i] = d
+        windows.setdefault((s.group, int(s.indices[0]), ks[i]), []).append(i)
+    counts = [np.zeros((N, J)) for _ in range(family.n_groups)]
+    for (g, first, k), rows in windows.items():
+        if k == 1:
+            counts[g][:, first] += len(rows)
+            continue
+        window = picks[rows]
+        small = np.min_scalar_type(len(rows))  # no offset is picked more often than the window has slots
+        rest = np.full(N, len(rows), dtype=small)  # the last offset takes the picks no other one took
+        for o in range(k - 1):
+            picked = (window == o).sum(axis=0, dtype=small)
+            counts[g][:, first + o] += picked
+            rest -= picked
+        counts[g][:, first + k - 1] += rest
     lt = family.log_close(slice(None), counts).sum(axis=-1) + family.log_global(n) + logb
     shift = float(np.max(lt))
     u = np.exp(lt - shift)
+    mean_u = float(np.mean(u))
 
     e, e2 = family.moments(slice(None), counts, n)  # every row's counts total n
-    f1 = e @ eval_cols
-    mean_u = float(np.mean(u))
-    mean_u_num = u @ f1 / N
+    ue = u @ e
+    mean_u_num = (ue / N) @ eval_cols
     # The spread is taken about the dimension's own ratio, so that a dominant
     # draw leaves no difference of nearly equal variances for combine_mc, and
     # about the first draw, so that equal terms give a variance of exactly 0.
-    dn = u[:, None] * (f1 - mean_u_num / mean_u)
-    dn -= dn[0]
+    v = u[:, None] * (e - ue / np.sum(u))
+    v -= v[0]
+    v -= v.mean(axis=0)
     du = u - u[0]
+    du -= du.mean()
     mean_u_num2 = None
     if second:
         c = family.cross(n)
-        mean_u_num2 = u @ (c * f1**2 + (e2 - c * e**2) @ eval_cols**2) / N
+        r2 = np.linalg.qr(np.sqrt(u)[:, None] * e, mode="r")
+        mean_u_num2 = (c * _col_sq_norms(r2, eval_cols) + (u @ (e2 - c * e**2)) @ eval_cols**2) / N
     return McPiece(
         log_scale=float(np.sum(np.log(ks))) if ks else 0.0,
         shift=shift,
         mean_u_den=mean_u,
         var_u_den=float(np.var(u, ddof=1)),
         mean_u_num=mean_u_num,
-        var_u_num=dn.var(axis=0, ddof=1),
-        cov_u=(du - du.mean()) @ (dn - dn.mean(axis=0)) / (N - 1),
+        var_u_num=_col_sq_norms(np.linalg.qr(v, mode="r"), eval_cols) / (N - 1),
+        cov_u=(du @ v / (N - 1)) @ eval_cols,
         mean_u_num2=mean_u_num2,
         n_draws=N,
     )
@@ -582,13 +622,15 @@ def posterior_moments(
     cost does not grow with the assignment count, and raises
     EnumerationCapError at the first dimension that has more than term_cap
     assignments; "mc" samples n_terms assignments per dimension; "auto" is
-    exact when every dimension is within the cap, sampled otherwise.
-    Dimensions are built, used and dropped one at a time.
+    exact when every dimension is within the cap, sampled otherwise. An
+    unknown mode or n_terms below 2 is refused before any work, in every
+    mode. Dimensions are built, used and dropped one at a time, each once
+    unless "auto" meets a dimension over the cap: the dimensions summed
+    exactly before it are then built again and sampled.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")
-    if mode not in ("auto", "exact", "mc"):
-        raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
+    check_mode(mode, n_terms)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     j_values = np.asarray(sorted(bases), dtype=int)
     if j_values.size == 0:
@@ -597,22 +639,29 @@ def posterior_moments(
     if missing:
         raise ValueError(f"no basis supplied for dimensions {sorted(missing)}")
     log_prior = model_prior.log_pmf(j_values)
-    if mode == "auto":
-        worst = max(assignment_count(build(j)[0]) for j in j_values)
-        mode = "exact" if worst <= term_cap else "mc"
+    with_second = m == 2
+
+    def sampled(j, slots, family, eval_cols):
+        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
+        return mc_mixture(slots, family, bases[j].dimension, eval_cols, n_terms, rng, with_second)
+
+    engine = "mc" if mode == "mc" else "exact"
     per_j = []
-    for j in j_values:
+    for i, j in enumerate(j_values):
         slots, family, eval_cols = build(j)
-        J = bases[j].dimension
-        if mode == "exact":
+        if engine == "exact":
             total = assignment_count(slots)
             if total > term_cap:
-                raise EnumerationCapError(total, term_cap, int(j))
-            per_j.append(exact_mixture(slots, family, J, eval_cols, second=(m == 2)))
+                if mode == "exact":
+                    raise EnumerationCapError(total, term_cap, int(j))
+                # auto: sample every dimension, rebuilding the ones already summed.
+                engine = "mc"
+                per_j = [sampled(done, *build(done)) for done in j_values[:i]]
+        if engine == "exact":
+            per_j.append(exact_mixture(slots, family, bases[j].dimension, eval_cols, with_second))
         else:
-            rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
-            per_j.append(mc_mixture(slots, family, J, eval_cols, n_terms, rng, second=(m == 2)))
-    if mode == "exact":
+            per_j.append(sampled(j, slots, family, eval_cols))
+    if engine == "exact":
         mean, second, j_w_log = combine_exact(per_j, log_prior)
         se = np.zeros_like(mean)
     else:
@@ -626,5 +675,5 @@ def posterior_moments(
         mc_se=se,
         j_values=j_values,
         j_weights=np.exp(j_w_log),
-        mode=mode,
+        mode=engine,
     )

@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import basis as basis_mod
 from . import harness
@@ -199,7 +199,7 @@ def _cmd_funreg(args, cfg) -> int:
     tgrid = harness.metric_grid(grid_size)
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_predict(post, coef_designs)
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(args.output or "funreg_beta.csv")
     with out.open("w") as fh:

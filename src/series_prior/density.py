@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from typing import Mapping
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtri
 
 from . import _engine
 from ._engine import DEFAULT_TERM_CAP, EnumerationCapError, PosteriorSummary
@@ -179,7 +179,7 @@ def credible_band(summary: PosteriorSummary, level: float = 0.95) -> PosteriorSu
         raise ValueError(f"level must be in (0, 1), got {level}")
     if summary.second_moment is None:
         raise ValueError("second_moment not populated; rerun with m=2")
-    z = norm.ppf(0.5 + level / 2.0)
+    z = ndtri(0.5 + level / 2.0)
     sd = np.sqrt(np.maximum(summary.second_moment - summary.mean**2, 0.0))
     low = np.maximum(summary.mean - z * sd, 0.0)
     high = summary.mean + z * sd

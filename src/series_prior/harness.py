@@ -21,7 +21,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 from scipy.special import betaincinv
-from scipy.stats import beta as beta_dist
 
 from . import _engine
 from .basis import Basis, eval_normalized
@@ -44,9 +43,15 @@ class TrueDensity:
         return self._pdf_unnorm(x) / self.normalizer
 
 
+def _beta_half_pdf(x: np.ndarray) -> np.ndarray:
+    """1 / (pi sqrt(x (1 - x))) on [0, 1], inf at the endpoints, 0 outside."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((x < 0.0) | (x > 1.0), 0.0, 1.0 / (np.pi * np.sqrt(x * (1.0 - x))))
+
+
 def beta_half() -> TrueDensity:
     """Beta(0.5, 0.5); unbounded at the endpoints, normalized analytically."""
-    return TrueDensity("beta-half", 1.0, lambda x: beta_dist.pdf(x, 0.5, 0.5))
+    return TrueDensity("beta-half", 1.0, _beta_half_pdf)
 
 
 def _mixture_51_unnorm(x: np.ndarray) -> np.ndarray:
@@ -153,6 +158,7 @@ class ExperimentConfig:
             raise ValueError("grid size must be at least 2")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        _engine.check_mode(self.mode, self.n_terms)
 
 
 @dataclass
@@ -257,14 +263,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     rows: list[MetricsRow] = []
     summaries: list[PosteriorSummary] = []
     workers = worker_count(config.replications)
-    try:
-        def job(rep):
-            return _one_replication(config, density, model_prior, rep)
 
-        if workers == 1:
+    def job(rep):
+        return _one_replication(config, density, model_prior, rep)
+
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        if pool is None:
             produced: Iterable = (job(rep) for rep in range(config.replications))
         else:
-            pool = ThreadPoolExecutor(max_workers=workers)
             produced = pool.map(job, range(config.replications))
         for row, summary in produced:
             rows.append(row)
@@ -274,9 +281,10 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                     f"{row.replication},{fmt(row.l1)},{fmt(row.l2)},{fmt(row.wall_time_seconds)}\n"
                 )
                 metrics_file.flush()
-        if workers > 1:
-            pool.shutdown()
     finally:
+        # A replication that raises stops the run: the queued ones are dropped.
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if metrics_file is not None:
             metrics_file.close()
     result = ExperimentResult(config, rows, summaries)

@@ -13,7 +13,7 @@ from series_prior._engine import EnumerationCapError, assignment_count, posterio
 from series_prior.basis import eval_basis, eval_normalized, make_basis
 from series_prior.cli import cli
 from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment
-from series_prior.harness import fit_density
+from series_prior.harness import fit_density, metric_grid, mixture_51, sample_density
 from series_prior.priors import ModelSizePrior
 from series_prior.regression import (
     RegressionDataset,
@@ -67,6 +67,33 @@ class TestAutoMode:
         assert fit.mode == "exact"
         _assert_same(fit, exact)
 
+    def test_auto_builds_each_dimension_once_within_cap(self):
+        build, bases, mp = _density_case()
+        calls = []
+
+        def counted(j):
+            calls.append(int(j))
+            return build(j)
+
+        assert posterior_moments(counted, bases, mp, GRID, mode="auto").mode == "exact"
+        assert calls == sorted(bases)
+
+    def test_auto_rebuilds_only_the_dimensions_before_the_cap(self):
+        # J=5 needs one term (every point is a J=5 knot), J=6 is the first over a cap of 4.
+        mp = ModelSizePrior.geometric(0.5, 5, 8)
+        bases = bases_for_prior(2, mp)
+        build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
+        calls = []
+
+        def counted(j):
+            calls.append(int(j))
+            return build(j)
+
+        auto = posterior_moments(counted, bases, mp, GRID, mode="auto", n_terms=50, seed=3, term_cap=4)
+        assert auto.mode == "mc"
+        assert calls == [5, 6, 5, 7, 8]
+        _assert_same(auto, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
+
 
 class TestExactCap:
     def test_names_first_dimension_over_cap(self):
@@ -95,6 +122,15 @@ class TestValidation:
         for call in calls:
             with pytest.raises(ValueError, match="mode must be"):
                 call()
+
+    @pytest.mark.parametrize("mode", ["auto", "exact", "mc"])
+    def test_too_few_sampled_terms_rejected_in_every_mode(self, mode):
+        # auto picks exact here, so the sampled term count would go unused.
+        mp = ModelSizePrior.geometric(0.6, 5, 9)
+        data = DensityDataset(np.random.default_rng(8).random(7))
+        assert fit_density(data, 2, mp, grid=GRID, mode="auto").mode == "exact"
+        with pytest.raises(ValueError, match="at least 2 sampled terms"):
+            fit_density(data, 2, mp, grid=GRID, mode=mode, n_terms=1)
 
     def test_moment_order_checked(self):
         build, bases, mp = _density_case()
@@ -185,16 +221,12 @@ def _sampled_terms(slots, family, J, eval_cols, n_draws, seed):
     return log_w + sum((s.log_values[d] for s, d in zip(slots, digits)), np.zeros(n_draws)), m1, m2
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    chain_cases(max_points=40),
-    st.booleans(),
-    st.sampled_from([2, 3, 64]),
-    st.integers(0, 2**32 - 1),
-)
-def test_mc_mixture_equals_reference(case, second, n_draws, seed):
-    slots, family, J, eval_cols = case
-    got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
+def _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, second):
+    """mc_mixture's fields against grid-space sums over the same draws.
+
+    Each draw's grid moments are formed here, one (N, G) array per moment,
+    and the spreads are sums over draws of their deviations.
+    """
     log_w, m1, m2 = _sampled_terms(slots, family, J, eval_cols, n_draws, seed)
     u = np.exp(log_w - log_w.max())
     ratio = (u @ m1) / u.sum()
@@ -216,6 +248,37 @@ def test_mc_mixture_equals_reference(case, second, n_draws, seed):
         _assert_rel(got.mean_u_num2, (u[:, None] * m2).mean(axis=0))
     else:
         assert got.mean_u_num2 is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    chain_cases(max_points=40),
+    st.booleans(),
+    st.sampled_from([2, 3, 64]),
+    st.integers(0, 2**32 - 1),
+)
+def test_mc_mixture_equals_reference(case, second, n_draws, seed):
+    slots, family, J, eval_cols = case
+    got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
+    _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, second)
+
+
+def test_mc_mixture_with_dominant_draw():
+    # J=25 of a density-mc fit (q=3, n=500 mixture-51 draws, N=3000): one
+    # draw carries nearly all the weight, the regime of the paper's sizes
+    # that chain_cases does not reach.
+    mp = ModelSizePrior.geometric(0.9, 5, 25)
+    bases = bases_for_prior(3, mp)
+    data = sample_density(mixture_51(), 500, 7)
+    slots, family, eval_cols = density_builder(data, bases, metric_grid())(25)
+    J, N, seed = bases[25].dimension, 3000, 1
+    got = _engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True)
+    sum_u, sum_u2 = N * got.mean_u_den, (N - 1) * got.var_u_den + N * got.mean_u_den**2
+    assert sum_u**2 / sum_u2 < 1.01  # Kish effective sample size
+    _assert_matches_reference(got, slots, family, J, eval_cols, N, seed, True)
+    assert np.all(got.var_u_num >= 0.0)
+    mean, _, second, _ = _engine.combine_mc([got], [0.0])
+    assert np.all(second >= mean**2 * (1.0 - 1e-12))
 
 
 @settings(max_examples=100, deadline=None)

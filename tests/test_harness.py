@@ -1,5 +1,11 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import tempfile
+import threading
+import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +16,8 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
+import series_prior
+from series_prior import harness
 from series_prior.basis import make_basis
 from series_prior.harness import (
     ExperimentConfig,
@@ -42,6 +50,20 @@ class TestTrueDensities:
     def test_beta_half_integrates_to_one(self):
         val, _ = quad(beta_half().pdf, 0.0, 1.0, limit=200)
         assert abs(val - 1.0) < 1e-8
+
+    def test_beta_half_matches_scipy(self):
+        x = np.concatenate([
+            np.linspace(0.0, 1.0, 10_001), np.geomspace(1e-300, 0.5, 500), 1.0 - np.geomspace(1e-16, 0.5, 500),
+        ])
+        want = beta_dist.pdf(x, 0.5, 0.5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = beta_half().pdf(x)
+            outside = beta_half().pdf(np.array([-0.5, 1.5]))
+        inner = np.isfinite(want)
+        np.testing.assert_array_equal(got[~inner], want[~inner])  # inf at 0 and 1
+        assert np.all(np.abs(got[inner] - want[inner]) <= 2e-15 * want[inner])
+        np.testing.assert_array_equal(outside, [0.0, 0.0])
 
     def test_spline_density_exact(self):
         b = make_basis(2, 4)
@@ -182,6 +204,35 @@ class TestRunExperiment:
                     assert (a is None and b is None) or np.array_equal(a, b), field.name
             assert got_bytes == ref_bytes
 
+    @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"n_terms": 1}])
+    def test_bad_sampler_options_rejected_before_any_output(self, tmp_path, bad):
+        good = ExperimentConfig(n=10, replications=2, output_dir=str(tmp_path / "out"))
+        with pytest.raises(ValueError, match="mode must be|at least 2 sampled terms"):
+            run_experiment(dataclasses.replace(good, **bad))
+        assert not (tmp_path / "out").exists()
+
+    def test_raising_replication_stops_the_pool(self, monkeypatch):
+        monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
+        ran = []
+
+        def failing(config, density, model_prior, rep):
+            ran.append(rep)
+            if rep > 0:
+                time.sleep(0.5)
+            raise RuntimeError(f"replication {rep} failed")
+
+        monkeypatch.setattr(harness, "_one_replication", failing)
+        before = set(threading.enumerate())
+        with pytest.raises(RuntimeError, match="replication 0 failed") as caught:
+            run_experiment(ExperimentConfig(n=40, q=2, mode="exact", replications=12))
+        started = [t for t in threading.enumerate() if t not in before]
+        for t in started:
+            t.join(timeout=1.0)
+        # The traceback keeps run_experiment's frame, and so an unclosed pool, alive.
+        assert caught.tb is not None
+        assert not any(t.is_alive() for t in started)
+        assert len(ran) < 12
+
     def test_reported_se_is_std_over_sqrt_reps(self):
         res = run_experiment(ExperimentConfig(density="beta-half", n=10, q=1, replications=5, seed=2))
         vals = [r.l1 for r in res.rows]
@@ -230,3 +281,12 @@ class TestFiles:
         f.write_text("q: 3\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config(f)
+
+
+def test_package_import_leaves_out_scipy_stats():
+    # scipy.stats is most of the import time of the package; nothing in it needs the module.
+    src = str(Path(series_prior.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, series_prior, series_prior.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "False"
