@@ -611,7 +611,6 @@ def posterior_moments(
     mode: str = "auto",
     n_terms: int = 3000,
     seed=0,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
     """Posterior moments at the grid points, mixed over every dimension in bases.
 
@@ -620,13 +619,13 @@ def posterior_moments(
     the mean only; m=2 also the pointwise second moment. mode "exact" sums
     every assignment by exact_mixture's forward-backward recursion, whose
     cost does not grow with the assignment count, and raises
-    EnumerationCapError at the first dimension that has more than term_cap
-    assignments; "mc" samples n_terms assignments per dimension; "auto" is
-    exact when every dimension is within the cap, sampled otherwise. An
-    unknown mode or n_terms below 2 is refused before any work, in every
-    mode. Dimensions are built, used and dropped one at a time, each once
-    unless "auto" meets a dimension over the cap: the dimensions summed
-    exactly before it are then built again and sampled.
+    EnumerationCapError at the first dimension that has more than
+    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
+    dimension; "auto" is exact when every dimension is within the cap,
+    sampled otherwise. An unknown mode or n_terms below 2 is refused before
+    any work, in every mode. Dimensions are built, used and dropped one at a
+    time, each once unless "auto" meets a dimension over the cap: the
+    dimensions summed exactly before it are then built again and sampled.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")
@@ -651,9 +650,9 @@ def posterior_moments(
         slots, family, eval_cols = build(j)
         if engine == "exact":
             total = assignment_count(slots)
-            if total > term_cap:
+            if total > DEFAULT_TERM_CAP:
                 if mode == "exact":
-                    raise EnumerationCapError(total, term_cap, int(j))
+                    raise EnumerationCapError(total, DEFAULT_TERM_CAP, int(j))
                 # auto: sample every dimension, rebuilding the ones already summed.
                 engine = "mc"
                 per_j = [sampled(done, *build(done)) for done in j_values[:i]]

@@ -1,9 +1,13 @@
 """Command-line front end.
 
 Subcommands: density-fit, simulate, approx-check, rates, funreg, binreg,
-poisreg. Every flag can also come from a --config file of key=value lines
-(flags override the file). Exit codes: 0 success, 2 usage error, 1 runtime
-error. Numeric output is full-precision decimal (round-trip repr).
+poisreg. Each option is declared once (_Command.opt) with its flag, config
+key (its dest), type, choices and default. A --config file of key=value
+lines sets the subcommand's defaults, checked as its flags are, so flags
+override the file; an unknown or repeated key is an error. J.prior,
+J.lambda and J.r are config-only keys of the model prior. Exit codes: 0
+success, 2 usage error, 1 runtime error (bad input or config files
+included). Numeric output is full-precision decimal (round-trip repr).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy.special import ndtri
 from . import basis as basis_mod
 from . import harness
 from .density import DensityDataset, credible_band, bases_for_prior
-from .priors import ModelSizePrior, priors_from_config
+from .priors import ModelSizePrior
 from .rates import RateProblem, RateResult, SieveConstants, rate_exponents, solve_sieve
 from .regression import (
     FunctionalDataset,
@@ -33,28 +37,50 @@ from .regression import (
 )
 
 
-def _add_prior_flags(p: argparse.ArgumentParser, jmin: int, jmax: int) -> None:
-    p.add_argument("--jmin", type=int, default=None, help=f"smallest dimension (default {jmin})")
-    p.add_argument("--jmax", type=int, default=None, help=f"largest dimension (default {jmax})")
-    p.add_argument("--p", type=float, default=None, help="geometric prior parameter")
+class _Command(argparse.ArgumentParser):
+    """One subcommand's parser, whose options are also its config keys."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.key_types: dict[str, tuple] = {}  # config key -> (type, choices)
+        self.add_argument("--config", help="key=value file of this command's defaults; flags override")
+
+    def opt(self, flag, key=None, type=str, choices=None, default=None, help=None) -> None:
+        """Declare one option; key defaults to the flag's name and flag=None makes it config-only."""
+        key = key or flag[2:]
+        if flag is None:
+            self.set_defaults(**{key: default})
+        else:
+            self.add_argument(flag, dest=key, type=type, choices=choices, default=default, help=help)
+        self.key_types[key] = (type, choices)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """Parse once to find --config, load its keys as defaults, then parse again."""
+        parsed, rest = super().parse_known_args(args, namespace)
+        path = parsed.config
+        if path is None:
+            return parsed, rest
+        for key, text in harness.read_config(path).items():
+            if key not in self.key_types:
+                raise ValueError(f"{path}: unknown key {key!r} for {self.prog}")
+            cast, choices = self.key_types[key]
+            try:
+                value = cast(text)
+            except ValueError:
+                raise ValueError(f"{path}: {key}={text!r} is not a valid {cast.__name__}") from None
+            if choices is not None and value not in choices:
+                raise ValueError(f"{path}: {key}={text!r} is not one of {', '.join(choices)}")
+            self.set_defaults(**{key: value})
+        return super().parse_known_args(args, namespace)
 
 
-def _config_get(cfg: dict, flag_value, key: str, cast, default):
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cast(cfg[key])
-    return default
-
-
-def _model_prior(args, cfg, jmin_default, jmax_default, p_default=0.9) -> ModelSizePrior:
-    j_min = _config_get(cfg, args.jmin, "J.min", int, jmin_default)
-    j_max = _config_get(cfg, args.jmax, "J.max", int, jmax_default)
-    p = _config_get(cfg, getattr(args, "p", None), "J.p", float, p_default)
-    if cfg.get("J.prior", "geometric") != "geometric":
-        model, _ = priors_from_config({**cfg, "J.min": str(j_min), "J.max": str(j_max)})
-        return model
-    return ModelSizePrior.geometric(p, j_min, j_max)
+def _model_prior(opts) -> ModelSizePrior:
+    js = opts["J.min"], opts["J.max"]
+    if opts["J.prior"] == "poisson":
+        return ModelSizePrior.poisson(opts["J.lambda"], *js)
+    if opts["J.prior"] == "negative-binomial":
+        return ModelSizePrior.negative_binomial(opts["J.r"], opts["J.p"], *js)
+    return ModelSizePrior.geometric(opts["J.p"], *js)
 
 
 def _write_summary_outputs(summary, output, j_table):
@@ -63,41 +89,25 @@ def _write_summary_outputs(summary, output, j_table):
     print(f"wrote {output} and {j_table}")
 
 
-def _cmd_density_fit(args, cfg) -> int:
-    q = _config_get(cfg, args.q, "q", int, 3)
-    grid_size = _config_get(cfg, args.grid, "grid", int, 100)
-    a = _config_get(cfg, args.a, "theta.a", float, 1.0)
-    n_terms = _config_get(cfg, args.N, "N", int, 3000)
-    seed = _config_get(cfg, args.seed, "seed", int, 0)
-    mode = _config_get(cfg, args.mode, "mode", str, "auto")
-    level = _config_get(cfg, args.level, "level", float, 0.95)
-    model_prior = _model_prior(args, cfg, 5, 25)
-    obs = harness.read_observations(args.input)
-    data = DensityDataset.from_array(obs, rescale=args.rescale)
+def _cmd_density_fit(opts) -> int:
+    model_prior = _model_prior(opts)
+    obs = harness.read_observations(opts["input"])
+    data = DensityDataset.from_array(obs, rescale=opts["rescale"])
     summary = harness.fit_density(
-        data, q, model_prior, a=a, grid=harness.metric_grid(grid_size),
-        n_terms=n_terms, seed=seed, mode=mode, level=level,
+        data, opts["q"], model_prior, a=opts["theta.a"], grid=harness.metric_grid(opts["grid"]),
+        n_terms=opts["N"], seed=opts["seed"], mode=opts["mode"], level=opts["level"],
     )
-    out = Path(args.output or "density_summary.csv")
-    _write_summary_outputs(summary, out, Path(args.j_table or out.with_name(out.stem + "_j.csv")))
+    out = Path(opts["output"])
+    _write_summary_outputs(summary, out, Path(opts["j-table"] or out.with_name(out.stem + "_j.csv")))
     return 0
 
 
-def _cmd_simulate(args, cfg) -> int:
+def _cmd_simulate(opts) -> int:
     config = harness.ExperimentConfig(
-        density=_config_get(cfg, args.density, "density", str, "mixture-51"),
-        n=_config_get(cfg, args.n, "n", int, 20),
-        q=_config_get(cfg, args.q, "q", int, 1),
-        replications=_config_get(cfg, args.reps, "reps", int, 25),
-        n_terms=_config_get(cfg, args.N, "N", int, 3000),
-        seed=_config_get(cfg, args.seed, "seed", int, 0),
-        j_min=_config_get(cfg, args.jmin, "J.min", int, 5),
-        j_max=_config_get(cfg, args.jmax, "J.max", int, 25),
-        geometric_p=_config_get(cfg, args.p, "J.p", float, 0.9),
-        grid_size=_config_get(cfg, args.grid, "grid", int, 100),
-        level=_config_get(cfg, args.level, "level", float, 0.95),
-        mode=_config_get(cfg, args.mode, "mode", str, "auto"),
-        output_dir=args.outdir or cfg.get("outdir", "."),
+        density=opts["density"], n=opts["n"], q=opts["q"], replications=opts["reps"],
+        n_terms=opts["N"], seed=opts["seed"], mode=opts["mode"], grid_size=opts["grid"],
+        level=opts["level"], j_min=opts["J.min"], j_max=opts["J.max"], geometric_p=opts["J.p"],
+        output_dir=opts["outdir"],
     )
     result = harness.run_experiment(config)
     print(
@@ -109,9 +119,9 @@ def _cmd_simulate(args, cfg) -> int:
     return 0
 
 
-def _cmd_approx_check(args, cfg) -> int:
-    q = _config_get(cfg, args.q, "q", int, 3)
-    dims = [int(v) for v in (args.j or cfg.get("j", "8,16,32,64,128")).split(",")]
+def _cmd_approx_check(opts) -> int:
+    q = opts["q"]
+    dims = [int(v) for v in opts["j"].split(",")]
     target = lambda t: np.sin(2.0 * np.pi * t)
     errors = []
     for J in dims:
@@ -124,40 +134,31 @@ def _cmd_approx_check(args, cfg) -> int:
     return 0
 
 
-def _parse_alpha(text: str):
-    return tuple(Fraction(part) for part in text.split(","))
-
-
-def _cmd_rates(args, cfg) -> int:
-    alpha = _parse_alpha(_config_get(cfg, args.alpha, "alpha", str, "1"))
+def _cmd_rates(opts) -> int:
+    alpha = tuple(Fraction(part) for part in opts["alpha"].split(","))
     problem = RateProblem(
-        basis_family=_config_get(cfg, args.family, "family", str, "bspline"),
+        basis_family=opts["family"],
         alpha=alpha if len(alpha) > 1 else alpha[0],
-        s=_config_get(cfg, args.s, "s", int, len(alpha) if len(alpha) > 1 else 1),
-        t1=Fraction(_config_get(cfg, args.t1, "t1", str, _config_get(cfg, args.t2, "t2", str, "0"))),
-        t2=Fraction(_config_get(cfg, args.t2, "t2", str, "0")),
-        t3=Fraction(_config_get(cfg, args.t3, "t3", str, "1")),
-        r=float("inf") if _config_get(cfg, args.r, "r", str, "2") == "inf" else 2,
+        s=len(alpha) if opts["s"] is None else opts["s"],
+        t1=Fraction(opts["t2"] if opts["t1"] is None else opts["t1"]),
+        t2=Fraction(opts["t2"]),
+        t3=Fraction(opts["t3"]),
+        r=float("inf") if opts["r"] == "inf" else 2,
     )
     result: RateResult = rate_exponents(problem)
     print(f"gamma={result.poly_exp} delta={result.log_exp}")
-    if args.sieve_csv:
-        n_grid = [float(v) for v in (args.n_grid or "1e4,1e5,1e6,1e7,1e8").split(",")]
-        consts = SieveConstants(
-            c1=_config_get(cfg, args.c1, "c1", float, 1.0),
-            c3=_config_get(cfg, args.c3, "c3", float, 1.0),
-            C0=_config_get(cfg, args.C0, "C0", float, 1.0),
-            b=_config_get(cfg, args.b, "b", float, 1.0),
-        )
+    if opts["sieve-csv"]:
+        n_grid = [float(v) for v in opts["n-grid"].split(",")]
+        consts = SieveConstants(c1=opts["c1"], c3=opts["c3"], C0=opts["C0"], b=opts["b"])
         certified = solve_sieve(problem, consts, n_grid)
-        with Path(args.sieve_csv).open("w") as fh:
+        with Path(opts["sieve-csv"]).open("w") as fh:
             fh.write("n,j_bar,j,eps_bar,eps,m,all_hold\n")
             for row in certified.sieve:
                 fh.write(
                     f"{row.n!r},{row.j_bar},{row.j},{row.eps_bar!r},{row.eps!r},{row.m!r},"
                     f"{int(row.all_hold)}\n"
                 )
-        print(f"certified_from={certified.certified_from!r} sieve table in {args.sieve_csv}")
+        print(f"certified_from={certified.certified_from!r} sieve table in {opts['sieve-csv']}")
     return 0
 
 
@@ -176,32 +177,28 @@ def _read_curves(path):
     return grid, np.asarray(rows)
 
 
-def _cmd_funreg(args, cfg) -> int:
-    q = _config_get(cfg, args.q, "q", int, 3)
-    g = _config_get(cfg, args.g, "theta.g", float, None)
-    a = _config_get(cfg, args.a, "theta.a", float, 1.0)
-    b = _config_get(cfg, args.b, "theta.b", float, 1.0)
-    grid_size = _config_get(cfg, args.grid, "grid", int, 100)
-    level = _config_get(cfg, args.level, "level", float, 0.95)
-    model_prior = _model_prior(args, cfg, 5, 15)
-    grid, curves = _read_curves(args.curves)
-    if args.responses:
-        responses = harness.read_observations(args.responses)
+def _cmd_funreg(opts) -> int:
+    model_prior = _model_prior(opts)
+    grid, curves = _read_curves(opts["curves"])
+    if opts["responses"]:
+        responses = harness.read_observations(opts["responses"])
     else:
         responses = curves[:, -1]
         curves = curves[:, :-1]
         if curves.shape[1] != grid.size:
             raise ValueError("with responses in the last column, curve rows need one extra value")
     data = FunctionalDataset(grid=grid, curves=curves, responses=responses)
-    bases = bases_for_prior(q, model_prior)
+    bases = bases_for_prior(opts["q"], model_prior)
     designs = {j: design_matrix(data, basis) for j, basis in bases.items()}
-    post = gaussian_fit(designs, data.responses, model_prior, g=g, a=a, b=b)
-    tgrid = harness.metric_grid(grid_size)
+    post = gaussian_fit(
+        designs, data.responses, model_prior, g=opts["theta.g"], a=opts["theta.a"], b=opts["theta.b"]
+    )
+    tgrid = harness.metric_grid(opts["grid"])
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_predict(post, coef_designs)
-    z = ndtri(0.5 + level / 2.0)
+    z = ndtri(0.5 + opts["level"] / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
-    out = Path(args.output or "funreg_beta.csv")
+    out = Path(opts["output"])
     with out.open("w") as fh:
         fh.write("x,mean,sd,band_low,band_high,mc_se\n")
         for i, x in enumerate(tgrid):
@@ -209,12 +206,12 @@ def _cmd_funreg(args, cfg) -> int:
             fh.write(",".join(harness.fmt(v) for v in fields) + "\n")
     harness.write_j_table(out.with_name(out.stem + "_j.csv"), post.j_values, post.j_weights)
     print(f"wrote {out}")
-    if args.predict:
-        pgrid, pcurves = _read_curves(args.predict)
+    if opts["predict"]:
+        pgrid, pcurves = _read_curves(opts["predict"])
         pdata = FunctionalDataset(grid=pgrid, curves=pcurves, responses=np.zeros(pcurves.shape[0]))
         pdesigns = {j: design_matrix(pdata, bases[j]) for j in bases}
         pmean, pvar = gaussian_predict(post, pdesigns)
-        pred_path = Path(args.predictions or "predictions.csv")
+        pred_path = Path(opts["predictions"])
         with pred_path.open("w") as fh:
             fh.write("id,mean,sd\n")
             for i, (mu, v) in enumerate(zip(pmean, pvar)):
@@ -238,30 +235,42 @@ def _read_two_columns(path):
     return arr[:, 0], arr[:, 1]
 
 
-def _cmd_glm(args, cfg, kind: str) -> int:
-    q = _config_get(cfg, args.q, "q", int, 2)
-    a = _config_get(cfg, args.a, "theta.a", float, 1.0)
-    b = _config_get(cfg, args.b, "theta.b", float, 1.0)
-    grid_size = _config_get(cfg, args.grid, "grid", int, 100)
-    n_terms = _config_get(cfg, args.N, "N", int, 3000)
-    seed = _config_get(cfg, args.seed, "seed", int, 0)
-    mode = _config_get(cfg, args.mode, "mode", str, "auto")
-    level = _config_get(cfg, args.level, "level", float, 0.95)
-    model_prior = _model_prior(args, cfg, 5, 15)
-    z, x = _read_two_columns(args.input)
+def _cmd_glm(opts) -> int:
+    kind = opts["kind"]
+    model_prior = _model_prior(opts)
+    z, x = _read_two_columns(opts["input"])
     data = RegressionDataset(z, x, kind=kind)
-    bases = bases_for_prior(q, model_prior)
-    zgrid = harness.metric_grid(grid_size)
+    bases = bases_for_prior(opts["q"], model_prior)
+    zgrid = harness.metric_grid(opts["grid"])
     fn = binary_moment if kind == "binary" else poisson_moment
     summary = fn(
-        data, bases, (a, b), model_prior, zgrid, m=2, mode=mode, n_terms=n_terms, seed=seed
+        data, bases, (opts["theta.a"], opts["theta.b"]), model_prior, zgrid, m=2,
+        mode=opts["mode"], n_terms=opts["N"], seed=opts["seed"],
     )
-    summary = credible_band(summary, level)
+    summary = credible_band(summary, opts["level"])
     if kind == "binary":  # a success probability's band stays inside [0, 1]
         summary = replace(summary, band_high=np.minimum(summary.band_high, 1.0))
-    out = Path(args.output or f"{kind}_summary.csv")
+    out = Path(opts["output"])
     _write_summary_outputs(summary, out, out.with_name(out.stem + "_j.csv"))
     return 0
+
+
+def _fit_options(p: _Command, q: int, j_max: int, sampled=True, prior_families=True) -> None:
+    """The options every fitting subcommand shares."""
+    p.opt("--q", type=int, default=q, help="spline order")
+    p.opt("--grid", type=int, default=100, help="output grid size")
+    p.opt("--level", type=float, default=0.95, help="credible band level")
+    if sampled:
+        p.opt("--mode", choices=("auto", "exact", "mc"), default="auto")
+        p.opt("--N", type=int, default=3000, help="sampled term count in mc mode")
+        p.opt("--seed", type=int, default=0)
+    p.opt("--jmin", "J.min", type=int, default=5, help="smallest dimension")
+    p.opt("--jmax", "J.max", type=int, default=j_max, help="largest dimension")
+    p.opt("--p", "J.p", type=float, default=0.9, help="geometric or negative-binomial parameter")
+    if prior_families:
+        p.opt(None, "J.prior", choices=("geometric", "poisson", "negative-binomial"), default="geometric")
+        p.opt(None, "J.lambda", type=float, default=10.0)
+        p.opt(None, "J.r", type=float, default=1.0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -269,98 +278,75 @@ def build_parser() -> argparse.ArgumentParser:
         prog="series-prior",
         description="Random-series (B-spline) priors: MCMC-free posterior moments and rate tools",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, with_prior=True, jmin=5, jmax=25):
-        p.add_argument("--config", help="key=value config file; flags override")
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--grid", type=int, default=None)
-        p.add_argument("--mode", choices=("auto", "exact", "mc"), default=None)
-        p.add_argument("--N", type=int, default=None, help="sampled term count in mc mode")
-        p.add_argument("--level", type=float, default=None)
-        if with_prior:
-            _add_prior_flags(p, jmin, jmax)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Command)
 
     p = sub.add_parser("density-fit", help="fit the density posterior to a data file")
-    common(p)
+    _fit_options(p, q=3, j_max=25)
     p.add_argument("--input", required=True, help="one observation per line")
-    p.add_argument("--a", type=float, default=None, help="Dirichlet parameter")
     p.add_argument("--rescale", action="store_true", help="min-max rescale data into [0,1]")
-    p.add_argument("--output", default=None)
-    p.add_argument("--j-table", dest="j_table", default=None)
+    p.opt("--a", "theta.a", type=float, default=1.0, help="Dirichlet parameter")
+    p.opt("--output", default="density_summary.csv")
+    p.opt("--j-table", help="J weights file (default: the output name with _j)")
     p.set_defaults(func=_cmd_density_fit)
 
     p = sub.add_parser("simulate", help="replicate the reference simulation")
-    common(p)
-    p.add_argument("--density", choices=("beta-half", "mixture-51"), default=None)
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--reps", type=int, default=None)
-    p.add_argument("--outdir", default=None)
+    # The experiment's model prior is geometric (ExperimentConfig.geometric_p).
+    _fit_options(p, q=1, j_max=25, prior_families=False)
+    p.opt("--density", choices=("beta-half", "mixture-51"), default="mixture-51")
+    p.opt("--n", type=int, default=20)
+    p.opt("--reps", type=int, default=25)
+    p.opt("--outdir", default=".")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("approx-check", help="spline approximation-rate check")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--j", default=None, help="comma-separated dimensions")
+    p.opt("--q", type=int, default=3, help="spline order")
+    p.opt("--j", default="8,16,32,64,128", help="comma-separated dimensions")
     p.set_defaults(func=_cmd_approx_check)
 
     p = sub.add_parser("rates", help="contraction-rate exponents and sieve certification")
-    p.add_argument("--config", help="key=value config file; flags override")
-    p.add_argument("--family", default=None)
-    p.add_argument("--alpha", default=None, help="smoothness; comma-separated for tensor")
-    p.add_argument("--s", type=int, default=None)
-    p.add_argument("--t1", default=None)
-    p.add_argument("--t2", default=None)
-    p.add_argument("--t3", default=None)
-    p.add_argument("--r", choices=("2", "inf"), default=None)
-    p.add_argument("--sieve-csv", dest="sieve_csv", default=None)
-    p.add_argument("--n-grid", dest="n_grid", default=None)
-    p.add_argument("--c1", type=float, default=None)
-    p.add_argument("--c3", type=float, default=None)
-    p.add_argument("--C0", type=float, default=None)
-    p.add_argument("--b", type=float, default=None)
+    p.opt("--family", default="bspline")
+    p.opt("--alpha", default="1", help="smoothness; comma-separated for tensor")
+    p.opt("--s", type=int, help="dimension (default: the number of alpha values)")
+    p.opt("--t1", help="(default: t2)")
+    p.opt("--t2", default="0")
+    p.opt("--t3", default="1")
+    p.opt("--r", choices=("2", "inf"), default="2")
+    p.opt("--sieve-csv", help="write the certified sieve table here")
+    p.opt("--n-grid", default="1e4,1e5,1e6,1e7,1e8")
+    for name in ("--c1", "--c3", "--C0", "--b"):
+        p.opt(name, type=float, default=1.0)
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("funreg", help="scalar-on-function Gaussian regression")
-    common(p, jmin=5, jmax=15)
+    _fit_options(p, q=3, j_max=15, sampled=False)  # the Gaussian fit is closed-form
     p.add_argument("--curves", required=True, help="header row of grid times, one curve per row")
-    p.add_argument("--responses", default=None, help="one response per line (omit if last column)")
-    p.add_argument("--g", type=float, default=None, help="g-prior scale (default n)")
-    p.add_argument("--a", type=float, default=None, help="inverse-gamma shape")
-    p.add_argument("--b", type=float, default=None, help="inverse-gamma scale")
-    p.add_argument("--predict", default=None, help="curves file for held-out predictions")
-    p.add_argument("--predictions", default=None)
-    p.add_argument("--output", default=None)
+    p.opt("--responses", help="one response per line (omit if last column)")
+    p.opt("--g", "theta.g", type=float, help="g-prior scale (default: n)")
+    p.opt("--a", "theta.a", type=float, default=1.0, help="inverse-gamma shape")
+    p.opt("--b", "theta.b", type=float, default=1.0, help="inverse-gamma scale")
+    p.opt("--predict", help="curves file for held-out predictions")
+    p.opt("--predictions", default="predictions.csv")
+    p.opt("--output", default="funreg_beta.csv")
     p.set_defaults(func=_cmd_funreg)
 
     for name, kind in (("binreg", "binary"), ("poisreg", "poisson")):
         p = sub.add_parser(name, help=f"identity-link {kind} regression")
-        common(p, jmin=5, jmax=15)
+        _fit_options(p, q=2, j_max=15)
         p.add_argument("--input", required=True, help="z,x per line")
-        p.add_argument("--a", type=float, default=None)
-        p.add_argument("--b", type=float, default=None)
-        p.add_argument("--output", default=None)
-        p.set_defaults(func=lambda args, cfg, kind=kind: _cmd_glm(args, cfg, kind))
+        p.opt("--a", "theta.a", type=float, default=1.0)
+        p.opt("--b", "theta.b", type=float, default=1.0)
+        p.opt("--output", default=f"{kind}_summary.csv")
+        p.set_defaults(func=_cmd_glm, kind=kind)
 
     return parser
 
 
 def cli(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        opts = vars(build_parser().parse_args(argv))
+        return opts["func"](opts)
+    except SystemExit as exc:  # a usage error, or --help
         return int(exc.code or 0)
-    cfg = {}
-    if getattr(args, "config", None):
-        try:
-            cfg = harness.read_config(args.config)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-    try:
-        return args.func(args, cfg)
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

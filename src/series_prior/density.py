@@ -5,11 +5,13 @@ B-splines, a Dirichlet prior on theta given the dimension J, and a truncated
 prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
-density_builder gives each dimension's slots and Dirichlet family. Every
-posterior-moment entry point of the package (exact_moment, mc_moment,
-harness.fit_density, regression.binary_moment and regression.poisson_moment)
-hands such a builder to _engine.posterior_moments, whose ``mode`` is one
-of:
+density_builder gives each dimension's slots and Dirichlet family; its
+``a`` is a CoefficientPrior or the raw Dirichlet parameter, which becomes
+CoefficientPrior.dirichlet(a), so priors.CoefficientPrior alone checks the
+hyperparameters. Every posterior-moment entry point of the package
+(exact_moment, mc_moment, harness.fit_density, regression.binary_moment and
+regression.poisson_moment) hands such a builder to
+_engine.posterior_moments, whose ``mode`` is one of:
 
 * "exact": sum every assignment by the engine's banded forward-backward
   recursion over the counts of the open basis functions
@@ -33,7 +35,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from . import _engine
-from ._engine import DEFAULT_TERM_CAP, EnumerationCapError, PosteriorSummary
+from ._engine import EnumerationCapError, PosteriorSummary
 from .basis import Basis, eval_normalized, make_basis
 from .priors import CoefficientPrior, ModelSizePrior
 
@@ -94,31 +96,22 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
     return {j: make_basis(q, j - q + 1) for j in model_prior.support}
 
 
-def _dirichlet_params(a, J: int) -> np.ndarray:
-    if isinstance(a, CoefficientPrior):
-        if a.family != "dirichlet":
-            raise ValueError(f"density posterior needs a dirichlet prior, got {a.family!r}")
-        return a.params_for(J)[0]
-    arr = np.atleast_1d(np.asarray(a, dtype=float))
-    if arr.size == 1:
-        arr = np.full(J, arr[0])
-    if arr.shape != (J,) or np.any(arr <= 0.0):
-        raise ValueError("Dirichlet parameters must be positive, scalar or length J")
-    return arr
-
-
 def density_builder(data: DensityDataset, bases: Mapping[int, Basis], grid, a=1.0):
     """The per-dimension (slots, family, eval_cols) builder of _engine.posterior_moments.
 
-    Observations are taken in sorted order, so outputs do not depend on
-    their order.
+    a is a Dirichlet CoefficientPrior or its parameter, a positive scalar or
+    a length-J vector. Observations are taken in sorted order, so outputs do
+    not depend on their order.
     """
+    prior = a if isinstance(a, CoefficientPrior) else CoefficientPrior.dirichlet(a)
+    if prior.family != "dirichlet":
+        raise ValueError(f"density posterior needs a dirichlet prior, got {prior.family!r}")
     obs = np.sort(data.observations)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
 
     def build(j):
         basis = bases[j]
-        family = _engine.DirichletFamily(_dirichlet_params(a, basis.dimension))
+        family = _engine.DirichletFamily(prior.params_for(basis.dimension)[0])
         return _engine.slots_for(eval_normalized(basis, obs)), family, eval_normalized(basis, grid).T
 
     return build
@@ -131,18 +124,16 @@ def exact_moment(
     model_prior: ModelSizePrior,
     a=1.0,
     m: int = 2,
-    term_cap: int = DEFAULT_TERM_CAP,
 ) -> PosteriorSummary:
     """Exact posterior moments: every assignment, summed by the engine's
     forward-backward recursion rather than listed one by one.
 
     m=1 computes the mean only; m=2 also the pointwise second moment. Raises
-    EnumerationCapError when any dimension has more than term_cap assignments.
+    EnumerationCapError when any dimension has more than DEFAULT_TERM_CAP
+    assignments.
     """
     build = density_builder(data, bases, grid, a)
-    return _engine.posterior_moments(
-        build, bases, model_prior, grid, m=m, mode="exact", term_cap=term_cap
-    )
+    return _engine.posterior_moments(build, bases, model_prior, grid, m=m, mode="exact")
 
 
 def mc_moment(

@@ -368,13 +368,15 @@ def read_observations(path) -> np.ndarray:
 
 
 def read_config(path) -> dict[str, str]:
-    """key=value lines with # comments."""
+    """key=value lines with # comments; a key given twice is an error."""
     options: dict[str, str] = {}
     for lineno, line in data_lines(path):
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, value = line.split("=", 1)
-        options[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in options:
+            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
+        options[key] = value
     return options
 
 

@@ -272,14 +272,14 @@ def gaussian_predict(
     return acc_mean, acc_m2 - acc_mean**2
 
 
-def _coef_params(prior, family: str, J: int) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(prior, CoefficientPrior):
-        if prior.family != family:
-            raise ValueError(f"need a {family} coefficient prior, got {prior.family!r}")
-        return prior.params_for(J)
-    a, b = prior
-    pr = CoefficientPrior(family, a=a, b=b)
-    return pr.params_for(J)
+def _coef_prior(prior, family: str) -> CoefficientPrior:
+    """prior as a CoefficientPrior of family; raw hyperparameters come as (a, b)."""
+    if not isinstance(prior, CoefficientPrior):
+        a, b = prior
+        prior = CoefficientPrior(family, a=a, b=b)
+    if prior.family != family:
+        raise ValueError(f"need a {family} coefficient prior, got {prior.family!r}")
+    return prior
 
 
 def _check_finite(**arrays) -> None:
@@ -300,10 +300,11 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
     z = data.covariates[order]
     groups = np.where(data.responses[order] == 1.0, 0, 1)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    prior = _coef_prior(beta_params, "beta")
 
     def build(j):
         basis = bases[j]
-        a, b = _coef_params(beta_params, "beta", basis.dimension)
+        a, b = prior.params_for(basis.dimension)
         slots = _engine.slots_for(eval_basis(basis, z), groups=groups)
         return slots, _engine.BetaFamily(a, b), eval_basis(basis, z_grid).T
 
@@ -323,10 +324,11 @@ def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_p
     z = data.covariates[order]
     x = data.responses[order].astype(int)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
+    prior = _coef_prior(gamma_params, "gamma")
 
     def build(j):
         basis = bases[j]
-        a, b = _coef_params(gamma_params, "gamma", basis.dimension)
+        a, b = prior.params_for(basis.dimension)
         vals = eval_basis(basis, z)
         family = _engine.GammaFamily(a, b, vals.sum(axis=0))
         return _engine.slots_for(vals, repeats=x), family, eval_basis(basis, z_grid).T

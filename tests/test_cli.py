@@ -264,3 +264,166 @@ class TestReaderErrors:
         inp.write_text("0.2\nnan\n")
         code, _, err = run(capsys, "density-fit", "--input", str(inp), "--output", str(tmp_path / "f.csv"))
         assert code == 1 and "finite" in err
+
+
+@pytest.fixture
+def inputs(tmp_path):
+    """One small input file per fitting subcommand."""
+    rng = np.random.default_rng(11)
+    paths = {name: tmp_path / f"{name}.txt" for name in ("obs", "binary", "poisson", "curves")}
+    paths["obs"].write_text("".join(f"{v}\n" for v in rng.random(9)))
+    z = rng.random(10)
+    paths["binary"].write_text("".join(f"{a},{b}\n" for a, b in zip(z, (rng.random(10) < 0.5).astype(int))))
+    paths["poisson"].write_text("".join(f"{a},{b}\n" for a, b in zip(z, rng.poisson(2.0, 10))))
+    grid = np.linspace(0, 1, 12)
+    rows = [np.sin(np.pi * grid * (1 + rng.random())) + rng.standard_normal() for _ in range(15)]
+    with paths["curves"].open("w") as fh:
+        fh.write(" ".join(map(str, grid)) + "\n")
+        for row in rows:
+            fh.write(" ".join(map(str, row)) + f" {row.mean() + 0.1 * rng.standard_normal()}\n")
+    return paths
+
+
+_PRIOR = {"J.min": ("--jmin", "4"), "J.max": ("--jmax", "7"), "J.p": ("--p", "0.6")}
+_SAMPLED = {"N": ("--N", "40"), "seed": ("--seed", "3"), "mode": ("--mode", "mc")}
+_FIT = {"q": ("--q", "2"), "grid": ("--grid", "15"), "level": ("--level", "0.8")}
+
+# (argv with {d} for the run's output directory, {config key: (flag, value)},
+#  config-only keys). Every key each subcommand takes, at values off its defaults.
+_PARITY = {
+    "density-fit": (
+        ["density-fit", "--input", "{obs}", "--output", "{d}/fit.csv"],
+        {**_FIT, **_SAMPLED, **_PRIOR, "theta.a": ("--a", "1.5")},
+        {"J.prior": "geometric"},
+    ),
+    "density-fit-nb": (
+        ["density-fit", "--input", "{obs}", "--output", "{d}/fit.csv"],
+        # J.p at 0.5: without a config key, a negative-binomial prior took 0.5 whatever --p said
+        {**_FIT, **_SAMPLED, **_PRIOR, "J.p": ("--p", "0.5")},
+        {"J.prior": "negative-binomial", "J.r": "2.5"},
+    ),
+    "density-fit-poisson": (
+        ["density-fit", "--input", "{obs}", "--output", "{d}/fit.csv"],
+        {**_FIT, "mode": ("--mode", "exact"), "J.min": ("--jmin", "4"), "J.max": ("--jmax", "7")},
+        {"J.prior": "poisson", "J.lambda": "6"},
+    ),
+    "simulate": (
+        ["simulate"],
+        {**_FIT, **_SAMPLED, **_PRIOR, "density": ("--density", "beta-half"), "n": ("--n", "12"),
+         "reps": ("--reps", "2"), "outdir": ("--outdir", "{d}")},
+        {},
+    ),
+    "funreg": (
+        ["funreg", "--curves", "{curves}", "--output", "{d}/beta.csv"],
+        {**_FIT, **_PRIOR, "theta.g": ("--g", "5"), "theta.a": ("--a", "2"), "theta.b": ("--b", "0.5")},
+        {"J.prior": "poisson", "J.lambda": "5"},
+    ),
+    "binreg": (
+        ["binreg", "--input", "{binary}", "--output", "{d}/bin.csv"],
+        {**_FIT, **_SAMPLED, **_PRIOR, "J.p": ("--p", "0.5"), "theta.a": ("--a", "2"),
+         "theta.b": ("--b", "0.5")},
+        {"J.prior": "negative-binomial", "J.r": "2"},
+    ),
+    "poisreg": (
+        ["poisreg", "--input", "{poisson}", "--output", "{d}/poi.csv"],
+        {**_FIT, **_SAMPLED, **_PRIOR, "theta.a": ("--a", "2"), "theta.b": ("--b", "0.5")},
+        {"J.prior": "geometric"},
+    ),
+    "rates": (
+        ["rates", "--sieve-csv", "{d}/sieve.csv", "--n-grid", "1e5,1e7"],
+        {"family": ("--family", "bspline"), "alpha": ("--alpha", "2"), "s": ("--s", "1"),
+         "t1": ("--t1", "1"), "t2": ("--t2", "1"), "t3": ("--t3", "2"), "r": ("--r", "inf"),
+         "c1": ("--c1", "1.5"), "c3": ("--c3", "2"), "C0": ("--C0", "0.5"), "b": ("--b", "3")},
+        {},
+    ),
+    "approx-check": (["approx-check"], {"q": ("--q", "2"), "j": ("--j", "8,16")}, {}),
+}
+
+
+def _write_config(path, options):
+    path.write_text("".join(f"{k}={v}\n" for k, v in options.items()))
+    return str(path)
+
+
+class TestConfigFile:
+    @pytest.mark.parametrize("case", sorted(_PARITY))
+    def test_config_equals_flags(self, capsys, tmp_path, inputs, case):
+        argv, keyed, config_only = _PARITY[case]
+        results = {}
+        for how in ("config", "flags"):
+            d = tmp_path / how
+            d.mkdir()
+            fill = lambda s: s.format(d=d, **inputs)
+            cmd = [fill(a) for a in argv]
+            if how == "config":
+                options = {**{k: fill(v) for k, (_, v) in keyed.items()}, **config_only}
+            else:
+                options = config_only
+                cmd += [fill(part) for flag, v in keyed.values() for part in (flag, v)]
+            if options:
+                cmd += ["--config", _write_config(tmp_path / f"{how}.cfg", options)]
+            code, out, err = run(capsys, *cmd)
+            assert code == 0, err
+            files = {p.name: p.read_bytes() for p in d.iterdir() if p.name != "metrics.csv"}
+            results[how] = (out.replace(str(d), "{d}"), files)
+        assert results["config"][1] or case == "approx-check", "no output files written"
+        assert results["config"] == results["flags"]
+
+    @pytest.mark.parametrize("key", ["J.mni", "modee", "theta.prior"])
+    def test_unknown_key_is_an_error(self, capsys, tmp_path, inputs, key):
+        cfg = _write_config(tmp_path / "run.cfg", {"q": "2", key: "7"})
+        out = tmp_path / "fit.csv"
+        code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--config", cfg,
+                           "--output", str(out))
+        assert code == 1
+        assert cfg in err and repr(key) in err
+        assert not out.exists()
+
+    def test_duplicate_key_is_an_error(self, capsys, tmp_path, inputs):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("q=2\ngrid=10\nq=3\n")
+        code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--config", str(cfg),
+                           "--output", str(tmp_path / "fit.csv"))
+        assert code == 1
+        assert f"{cfg}:3:" in err and "'q'" in err
+
+    @pytest.mark.parametrize("key", ["J.prior", "J.lambda", "J.r"])
+    def test_simulate_refuses_model_prior_families(self, capsys, tmp_path, key):
+        # the simulation study's prior is geometric; other families were silently dropped
+        value = {"J.prior": "poisson", "J.lambda": "3", "J.r": "2"}[key]
+        cfg = _write_config(tmp_path / "run.cfg", {key: value})
+        code, _, err = run(capsys, "simulate", "--n", "10", "--reps", "1", "--config", cfg,
+                           "--outdir", str(tmp_path))
+        assert code == 1
+        assert cfg in err and repr(key) in err
+
+    def test_p_flag_sets_negative_binomial_p(self, capsys, tmp_path, inputs):
+        cfg = _write_config(tmp_path / "run.cfg", {"J.prior": "negative-binomial", "J.r": "2"})
+        tables = {}
+        for p in ("0.2", "0.8"):
+            out = tmp_path / f"fit{p}.csv"
+            code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--q", "1",
+                               "--p", p, "--config", cfg, "--output", str(out))
+            assert code == 0, err
+            tables[p] = np.loadtxt(tmp_path / f"fit{p}_j.csv", delimiter=",", skiprows=1)[:, 1]
+        assert not np.array_equal(tables["0.2"], tables["0.8"])
+        # more mass on small J when the success probability is larger
+        assert tables["0.8"][0] > tables["0.2"][0]
+
+    @pytest.mark.parametrize("flag", [["--mode", "mc"], ["--N", "1"], ["--seed", "4"]])
+    def test_funreg_has_no_sampling_flags(self, capsys, inputs, flag):
+        assert run(capsys, "funreg", "--curves", str(inputs["curves"]), *flag)[0] == 2
+
+    def test_config_value_outside_choices(self, capsys, tmp_path):
+        cfg = _write_config(tmp_path / "run.cfg", {"r": "3"})
+        assert run(capsys, "rates", "--r", "3")[0] == 2
+        code, out, err = run(capsys, "rates", "--config", cfg)
+        assert code == 1 and out == ""
+        assert cfg in err and "r=" in err
+
+    def test_config_value_of_wrong_type(self, capsys, tmp_path, inputs):
+        cfg = _write_config(tmp_path / "run.cfg", {"J.max": "many"})
+        code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--config", cfg,
+                           "--output", str(tmp_path / "fit.csv"))
+        assert code == 1
+        assert cfg in err and "J.max" in err

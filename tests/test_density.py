@@ -154,12 +154,13 @@ class TestExactMoment:
         np.testing.assert_allclose(s.mean, closed, rtol=1e-10)
 
     def test_cap_exceeded_instructs_mc(self):
+        # 30 points with 3 active cubic B-splines each: 3^30 assignments, over the 10M cap
         rng = np.random.default_rng(4)
         obs = rng.random(30)
         mp = ModelSizePrior.geometric(0.5, 6, 8)
         bases = bases_for_prior(3, mp)
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
-            exact_moment(DensityDataset(obs), np.array([0.5]), bases, mp, term_cap=10_000)
+            exact_moment(DensityDataset(obs), np.array([0.5]), bases, mp)
 
     def test_empty_truncation_rejected(self):
         mp = ModelSizePrior.geometric(0.5, 5, 6)

@@ -48,14 +48,16 @@ def _assert_same(a, b):
 
 class TestAutoMode:
     @pytest.mark.parametrize("case", [_density_case, _binary_case])
-    def test_exact_at_cap_mc_above(self, case):
+    def test_exact_at_cap_mc_above(self, case, monkeypatch):
         build, bases, mp = case()
         worst = max(assignment_count(build(j)[0]) for j in bases)
         assert worst > 1
-        at_cap = posterior_moments(build, bases, mp, GRID, mode="auto", term_cap=worst)
+        monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst)
+        at_cap = posterior_moments(build, bases, mp, GRID, mode="auto")
         assert at_cap.mode == "exact"
-        _assert_same(at_cap, posterior_moments(build, bases, mp, GRID, mode="exact", term_cap=worst))
-        over = posterior_moments(build, bases, mp, GRID, mode="auto", n_terms=200, seed=5, term_cap=worst - 1)
+        _assert_same(at_cap, posterior_moments(build, bases, mp, GRID, mode="exact"))
+        monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst - 1)
+        over = posterior_moments(build, bases, mp, GRID, mode="auto", n_terms=200, seed=5)
         assert over.mode == "mc"
         _assert_same(over, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=200, seed=5))
 
@@ -78,7 +80,7 @@ class TestAutoMode:
         assert posterior_moments(counted, bases, mp, GRID, mode="auto").mode == "exact"
         assert calls == sorted(bases)
 
-    def test_auto_rebuilds_only_the_dimensions_before_the_cap(self):
+    def test_auto_rebuilds_only_the_dimensions_before_the_cap(self, monkeypatch):
         # J=5 needs one term (every point is a J=5 knot), J=6 is the first over a cap of 4.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
@@ -89,14 +91,15 @@ class TestAutoMode:
             calls.append(int(j))
             return build(j)
 
-        auto = posterior_moments(counted, bases, mp, GRID, mode="auto", n_terms=50, seed=3, term_cap=4)
+        monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
+        auto = posterior_moments(counted, bases, mp, GRID, mode="auto", n_terms=50, seed=3)
         assert auto.mode == "mc"
         assert calls == [5, 6, 5, 7, 8]
         _assert_same(auto, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
 
 
 class TestExactCap:
-    def test_names_first_dimension_over_cap(self):
+    def test_names_first_dimension_over_cap(self, monkeypatch):
         # Points on the J=5 knots (0.25, 0.5, 0.75) have one active hat each, so
         # J=5 needs a single term and the first dimension over a cap of 4 is J=6.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
@@ -104,8 +107,9 @@ class TestExactCap:
         build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
         counts = {j: assignment_count(build(j)[0]) for j in sorted(bases)}
         assert counts[5] == 1 and counts[6] > 4
+        monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
         with pytest.raises(EnumerationCapError, match="J=6") as err:
-            posterior_moments(build, bases, mp, GRID, mode="exact", term_cap=4)
+            posterior_moments(build, bases, mp, GRID, mode="exact")
         assert err.value.j == 6 and err.value.total == counts[6]
 
 

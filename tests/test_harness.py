@@ -276,6 +276,12 @@ class TestFiles:
         f.write_text("# experiment\nq=3\nJ.min=5\ndensity=mixture-51\n")
         assert read_config(f) == {"q": "3", "J.min": "5", "density": "mixture-51"}
 
+    def test_duplicate_config_key(self, tmp_path):
+        f = tmp_path / "run.cfg"
+        f.write_text("q=3\n# again\n q = 2\n")
+        with pytest.raises(ValueError, match=r"run.cfg:3: duplicate key 'q'"):
+            read_config(f)
+
     def test_bad_config_line(self, tmp_path):
         f = tmp_path / "bad.cfg"
         f.write_text("q: 3\n")
