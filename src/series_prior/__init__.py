@@ -33,7 +33,6 @@ from .density import (
 from .priors import (
     CoefficientPrior,
     ModelSizePrior,
-    priors_from_config,
     sample_coefficients,
 )
 from .rates import RateProblem, RateResult, SieveConstants, rate_exponents, solve_sieve

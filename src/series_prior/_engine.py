@@ -4,6 +4,13 @@ The supported likelihoods expand into sums over index assignments: each
 observation "slot" picks one basis function from its active set, and given
 the assignment the coefficient integral has a closed conjugate form.
 
+Every active set is a run of at most q consecutive indices, so four numbers
+describe a slot: its first index, its width, its count group and its log
+basis values. A dimension's slots are one SlotTable, a frozen table with
+those four columns (log_values is n x q, 0 past each row's width), built by
+slots_for from the basis values with whole-array operations. The engines
+read the columns; there is no per-slot Python object.
+
 The exact mode (exact_mixture) sums every assignment without listing them.
 An assignment's log weight separates per basis index into a factor of that
 basis's counts, and every active set is a run of at most q consecutive
@@ -38,10 +45,11 @@ scheduling.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 from scipy.special import betaln, gammaln, logsumexp
@@ -75,35 +83,59 @@ def check_mode(mode: str, n_terms: int) -> None:
         raise ValueError(f"need at least 2 sampled terms, got {n_terms}")
 
 
-class Slot(NamedTuple):
-    """One expansion slot: the active basis indices and log basis values at its point."""
+@dataclass(frozen=True, eq=False)
+class SlotTable:
+    """The expansion slots of one dimension, one row per slot, as columns.
 
-    indices: np.ndarray
-    log_values: np.ndarray
-    group: int = 0
-
-
-def assignment_count(slots: Sequence[Slot]) -> int:
-    return prod(len(s.indices) for s in slots) if slots else 1
-
-
-def slots_for(values: np.ndarray, groups=None, repeats=None) -> list[Slot]:
-    """Slots from basis values at the observations, one row per observation.
-
-    groups gives each observation's count group (default 0); repeats the
-    number of slots it contributes (default 1).
+    Row i picks one basis index from its active window
+    first[i] .. first[i] + width[i] - 1, a run of consecutive indices;
+    log_values[i, o] is the log basis value of index first[i] + o, and 0
+    past width[i]. group[i] is the row's count group. len() is the row count.
     """
+
+    first: np.ndarray
+    width: np.ndarray
+    group: np.ndarray
+    log_values: np.ndarray
+
+    def __len__(self):
+        return self.first.shape[0]
+
+    def take(self, rows) -> SlotTable:
+        """The table of the given rows (an index array, mask or slice), in that order."""
+        return SlotTable(self.first[rows], self.width[rows], self.group[rows], self.log_values[rows])
+
+
+def assignment_count(slots: SlotTable) -> int:
+    """The number of index assignments, the product of the widths, as an exact int."""
+    return prod(w**c for w, c in enumerate(np.bincount(slots.width).tolist()))
+
+
+def slots_for(values: np.ndarray, groups=None, repeats=None) -> SlotTable:
+    """The slot table of the basis values at the observations, one value row per observation.
+
+    A row's active window is the run of its positive values: first is its
+    first column, width its length, and log_values the logs of its values.
+    groups gives each observation's count group (default 0); repeats the
+    number of rows it contributes, in place (default 1, 0 drops it). A row
+    with no positive value, or whose positive values are not consecutive,
+    raises ValueError.
+    """
+    values = np.asarray(values, dtype=float)
     active = values > 0.0
-    cols = np.nonzero(active)[1]
-    logs = np.log(values[active])
-    ends = np.cumsum(np.count_nonzero(active, axis=1)).tolist()
-    slots = []
-    start = 0
-    for i, end in enumerate(ends):
-        slot = Slot(cols[start:end], logs[start:end], 0 if groups is None else int(groups[i]))
-        slots.extend([slot] * (1 if repeats is None else int(repeats[i])))
-        start = end
-    return slots
+    width = np.count_nonzero(active, axis=1)
+    if not np.all(width > 0):
+        raise ValueError(f"observation {int(np.argmin(width))} has no active basis")
+    first = active.argmax(axis=1)
+    q = int(width.max(initial=1))  # one log-value column even with no rows
+    cols = np.minimum(first[:, None] + np.arange(q), values.shape[1] - 1)
+    inside = np.arange(q) < width[:, None]
+    window = np.where(inside, np.take_along_axis(values, cols, axis=1), 1.0)
+    if not np.all(window > 0.0):
+        raise ValueError("an observation's active basis indices are not consecutive")
+    group = np.zeros(len(values), dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
+    table = SlotTable(first, width, group, np.log(window))
+    return table if repeats is None else table.take(np.repeat(np.arange(len(values)), repeats))
 
 
 class DirichletFamily:
@@ -237,13 +269,13 @@ def _close(state, log_factor, G):
 def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     """Forward-backward sums over one run of bases that multi-index slots couple.
 
-    run holds slots sorted by window whose windows chain into the bases
-    start..stop-1, and no other slot reaches those bases except through the
-    folded counts in fixed. The state is the joint count, per group, of the
-    open bases: axis o*G + g counts the group-g slots assigned to basis
-    (oldest open) + o. Slots enter when the oldest open basis reaches their
-    window's start; a basis closes, with its log factor at its final count,
-    once every slot that may pick it has entered.
+    run is a SlotTable of rows sorted by window whose windows chain into the
+    bases start..stop-1, and no other row reaches those bases except through
+    the folded counts in fixed. The state is the joint count, per group, of
+    the open bases: axis o*G + g counts the group-g rows assigned to basis
+    (oldest open) + o. Rows enter when the oldest open basis reaches their
+    window's first index; a basis closes, with its log factor at its final
+    count, once every row that may pick it has entered.
 
     Returns (start, stop, log_z), log_z being the log sum of the run's terms.
     If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
@@ -252,15 +284,16 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     next band closings.
     """
     G = family.n_groups
-    start = int(run[0].indices[0])
-    stop = max(int(s.indices[-1]) for s in run) + 1
-    width = max(int(s.indices[-1] - s.indices[0]) + 1 for s in run)
-    ops = []  # (axes, log values) to add a slot, or the basis index to close
+    first, widths = run.first.tolist(), run.width.tolist()
+    start = first[0]
+    stop = int((run.first + run.width).max())
+    width = max(widths)
+    ops = []  # (axes, log values) to add a row, or the basis index to close
     pos = 0
     for k in range(start, stop):
-        while pos < len(run) and run[pos].indices[0] == k:
-            s = run[pos]
-            ops.append(((s.indices - k) * G + s.group, s.log_values))
+        while pos < len(first) and first[pos] == k:
+            w = widths[pos]
+            ops.append((np.arange(w) * G + run.group[pos], run.log_values[pos, :w]))
             pos += 1
         ops.append(k)
 
@@ -323,12 +356,8 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     return start, stop, log_z
 
 
-def _window_key(slot):
-    return int(slot.indices[0]), int(slot.indices[-1]), slot.group, tuple(slot.log_values.tolist())
-
-
 def exact_mixture(
-    slots: Sequence[Slot],
+    slots: SlotTable,
     family,
     J: int,
     eval_cols: np.ndarray | None,
@@ -341,33 +370,31 @@ def exact_mixture(
     each evaluation column (None if not requested).
 
     The log weight of an assignment separates per basis index into a closing
-    factor of that basis's counts, and every slot's active set is a run of
-    consecutive indices. Slots with one active index are folded into fixed
-    counts; the others, sorted by window, split into runs of bases that their
-    windows chain together, and each run is one forward-backward recursion
-    whose state is the joint count of the open bases (_run_moments). Bases
-    no run touches, and pairs of bases in different runs, are independent
-    given the data and take closed forms. The grid moments then come from
-    E[theta_k] and the band of E[theta_k theta_l] for |k - l| up to the
-    widest active set of an evaluation column, times eval_cols.
+    factor of that basis's counts, and every row's active window is a run of
+    consecutive indices. The width-1 rows of the slot table are folded into
+    fixed counts (one bincount) and an exact sum of their log values. The
+    other rows are sorted by window with one lexsort on (first, last, group,
+    log values) and split into runs of bases that their windows chain
+    together, where the first index passes the running maximum of the last;
+    each run is one forward-backward recursion whose state is the joint
+    count of the open bases (_run_moments). Bases no run touches, and pairs
+    of bases in different runs, are independent given the data and take
+    closed forms. The grid moments then come from E[theta_k] and the band of
+    E[theta_k theta_l] for |k - l| up to the widest active set of an
+    evaluation column, times eval_cols.
     """
     n = len(slots)
     G = family.n_groups
-    fixed = np.zeros((G, J))
-    folded, chained = [], []
-    for s in slots:
-        if len(s.indices) == 1:
-            fixed[s.group, s.indices[0]] += 1.0
-            folded.append(float(s.log_values[0]))
-        else:
-            chained.append(s)
-    chained.sort(key=_window_key)
-    runs, last = [], -1
-    for s in chained:
-        if s.indices[0] > last:
-            runs.append([])
-        runs[-1].append(s)
-        last = max(last, int(s.indices[-1]))
+    single = slots.width == 1
+    cells = slots.group[single] * J + slots.first[single]
+    fixed = np.bincount(cells, minlength=G * J).reshape(G, J).astype(float)
+    chained = slots.take(~single)
+    last = chained.first + chained.width - 1
+    order = np.lexsort((*chained.log_values.T[::-1], chained.group, last, chained.first))
+    chained, last = chained.take(order), last[order]
+    # A run starts at each row whose first index passes every earlier row's last.
+    starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.r_[-1, last])[:-1])
+    edges = [*starts.tolist(), len(chained)]
 
     moments = eval_cols is not None and eval_cols.shape[1] > 0
     band = 0
@@ -381,10 +408,10 @@ def exact_mixture(
     pair = np.full((band + 1, J), np.nan)
     pair[0] = sq
     free = np.ones(J, dtype=bool)
-    parts = [family.log_global(n), math.fsum(folded)]
-    for run in runs:
+    parts = [family.log_global(n), math.fsum(slots.log_values[single, 0].tolist())]
+    for a, b in itertools.pairwise(edges):
         start, stop, log_z = _run_moments(
-            run, family, fixed, n, band, mean if moments else None, pair if second else None
+            chained.take(slice(a, b)), family, fixed, n, band, mean if moments else None, pair if second else None
         )
         free[start:stop] = False
         parts.append(log_z)
@@ -440,7 +467,7 @@ def _col_sq_norms(r, eval_cols):
 
 
 def mc_mixture(
-    slots: Sequence[Slot],
+    slots: SlotTable,
     family,
     J: int,
     eval_cols: np.ndarray,
@@ -468,35 +495,39 @@ def mc_mixture(
     u_i (e_i @ eval_cols)^2 is ||R2 @ eval_cols||^2, R2 the factor of the
     rows sqrt(u_i) e_i. The work is O(N J^2), not O(N J G).
 
-    The draw order is the reproducibility contract: one rng.integers(0, k, N)
-    per slot, in slot order, from rng, the generator of (seed, J); nothing
-    else is drawn. A draw is an offset into an active set, a run of
-    consecutive indices, so the counts are taken per active window: slots
-    that share a group, a first index and a width add their picks of each
-    offset together.
+    The draw order is the reproducibility contract: one
+    rng.integers(0, width[i], N) per row i of the slot table, in row order,
+    from rng, the generator of (seed, J); nothing else is drawn. A draw is
+    an offset into the row's active window, so the counts are taken per
+    window: the rows that share a group, a first index and a width (one
+    np.unique over those columns) add their picks of each offset together.
+    log_scale, the log of the active-set product, is the sum of log(width).
     """
     N = int(n_draws)
     if N < 2:
         raise ValueError(f"need at least 2 sampled terms, got {N}")
     n = len(slots)
-    ks = [len(s.indices) for s in slots]
-    # Adding each slot's log values right after its draw, in slot order, is
-    # faster than one gather over all slots, which moves N * n_slots floats.
+    widths = slots.width.tolist()
+    # Adding each row's log values right after its draw, in row order, is
+    # faster than one gather over all rows, which moves N * n floats.
     logb = np.zeros(N)
-    picks = np.empty((n, N), dtype=np.min_scalar_type(max(ks, default=0)))
-    windows = {}  # (group, first index, width) -> the slots with that active window
-    for i, s in enumerate(slots):
-        d = rng.integers(0, ks[i], N)
-        logb += s.log_values[d]
+    picks = np.empty((n, N), dtype=np.min_scalar_type(max(widths, default=0)))
+    for i, k in enumerate(widths):
+        d = rng.integers(0, k, N)
+        logb += slots.log_values[i][d]
         picks[i] = d
-        windows.setdefault((s.group, int(s.indices[0]), ks[i]), []).append(i)
+    # The rows that share a group, a first index and a width form one active window.
+    keys = np.stack([slots.group, slots.first, slots.width], axis=1)
+    windows, which = np.unique(keys, axis=0, return_inverse=True)
+    which = which.ravel()
+    members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
     counts = [np.zeros((N, J)) for _ in range(family.n_groups)]
-    for (g, first, k), rows in windows.items():
+    for (g, first, k), rows in zip(windows.tolist(), members):
         if k == 1:
             counts[g][:, first] += len(rows)
             continue
         window = picks[rows]
-        small = np.min_scalar_type(len(rows))  # no offset is picked more often than the window has slots
+        small = np.min_scalar_type(len(rows))  # no offset is picked more often than the window has rows
         rest = np.full(N, len(rows), dtype=small)  # the last offset takes the picks no other one took
         for o in range(k - 1):
             picked = (window == o).sum(axis=0, dtype=small)
@@ -525,7 +556,7 @@ def mc_mixture(
         r2 = np.linalg.qr(np.sqrt(u)[:, None] * e, mode="r")
         mean_u_num2 = (c * _col_sq_norms(r2, eval_cols) + (u @ (e2 - c * e**2)) @ eval_cols**2) / N
     return McPiece(
-        log_scale=float(np.sum(np.log(ks))) if ks else 0.0,
+        log_scale=float(np.sum(np.log(slots.width))),
         shift=shift,
         mean_u_den=mean_u,
         var_u_den=float(np.var(u, ddof=1)),
@@ -603,7 +634,7 @@ class PosteriorSummary:
 
 
 def posterior_moments(
-    build: Callable[[int], tuple[Sequence[Slot], object, np.ndarray]],
+    build: Callable[[int], tuple[SlotTable, object, np.ndarray]],
     bases: Mapping,
     model_prior,
     grid,
@@ -615,17 +646,18 @@ def posterior_moments(
     """Posterior moments at the grid points, mixed over every dimension in bases.
 
     build(j) returns (slots, family, eval_cols) for dimension j, where
-    eval_cols holds the basis values at the grid points (J x G). m=1 computes
-    the mean only; m=2 also the pointwise second moment. mode "exact" sums
-    every assignment by exact_mixture's forward-backward recursion, whose
-    cost does not grow with the assignment count, and raises
-    EnumerationCapError at the first dimension that has more than
-    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
-    dimension; "auto" is exact when every dimension is within the cap,
-    sampled otherwise. An unknown mode or n_terms below 2 is refused before
-    any work, in every mode. Dimensions are built, used and dropped one at a
-    time, each once unless "auto" meets a dimension over the cap: the
-    dimensions summed exactly before it are then built again and sampled.
+    slots is the dimension's SlotTable and eval_cols holds the basis values
+    at the grid points (J x G). m=1 computes the mean only; m=2 also the
+    pointwise second moment. mode "exact" sums every assignment by
+    exact_mixture's forward-backward recursion, whose cost does not grow
+    with the assignment count, and raises EnumerationCapError at the first
+    dimension that has more than DEFAULT_TERM_CAP assignments; "mc" samples
+    n_terms assignments per dimension; "auto" is exact when every dimension
+    is within the cap, sampled otherwise. An unknown mode or n_terms below 2
+    is refused before any work, in every mode. Dimensions are built, used
+    and dropped one at a time, each once unless "auto" meets a dimension
+    over the cap: the dimensions summed exactly before it are then built
+    again and sampled.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")

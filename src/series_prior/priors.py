@@ -12,7 +12,6 @@ inverse-gamma pair for Gaussian series regression.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
@@ -182,40 +181,3 @@ def sample_coefficients(prior: CoefficientPrior, J: int, seed) -> np.ndarray:
         return rng.gamma(shape=a, scale=1.0 / b)
     raise ValueError("g-prior coefficients are sampled by the regression module, not here")
 
-
-def priors_from_config(options: Mapping[str, str]) -> tuple[ModelSizePrior, CoefficientPrior]:
-    """Build the prior pair from flat key=value configuration text.
-
-    Recognized keys: J.prior (geometric|poisson|negative-binomial), J.p,
-    J.lambda, J.r, J.min, J.max, theta.prior (dirichlet|beta|gamma|g-prior),
-    theta.a, theta.b, theta.g.
-    """
-    fam = options.get("J.prior", "geometric")
-    j_min = int(options.get("J.min", 5))
-    j_max = int(options.get("J.max", 25))
-    if fam == "geometric":
-        model = ModelSizePrior.geometric(float(options.get("J.p", 0.5)), j_min, j_max)
-    elif fam == "poisson":
-        model = ModelSizePrior.poisson(float(options.get("J.lambda", 10.0)), j_min, j_max)
-    elif fam == "negative-binomial":
-        model = ModelSizePrior.negative_binomial(
-            float(options.get("J.r", 1.0)), float(options.get("J.p", 0.5)), j_min, j_max
-        )
-    else:
-        raise ValueError(f"unknown J.prior {fam!r}")
-
-    tfam = options.get("theta.prior", "dirichlet")
-    a = float(options.get("theta.a", 1.0))
-    b = float(options.get("theta.b", 1.0))
-    if tfam == "dirichlet":
-        coef = CoefficientPrior.dirichlet(a)
-    elif tfam == "beta":
-        coef = CoefficientPrior.beta(a, b)
-    elif tfam == "gamma":
-        coef = CoefficientPrior.gamma(a, b)
-    elif tfam == "g-prior":
-        g = options.get("theta.g")
-        coef = CoefficientPrior.g_prior(None if g is None else float(g), a, b)
-    else:
-        raise ValueError(f"unknown theta.prior {tfam!r}")
-    return model, coef

@@ -3,7 +3,8 @@
 Everything here recomputes posterior quantities by a route disjoint from the
 library's exact engine: enumeration of every index assignment, direct
 quadrature over the coefficient space, importance sampling from the prior, or
-closed-form histogram algebra. _counts_for and _assignment_terms also give
+closed-form histogram algebra. Slots are read from the columns of
+_engine.SlotTable. _counts_for and _assignment_terms also give
 the Monte-Carlo engine's reference: the weight and conditional moments of
 each sampled assignment, from the coefficient family's parameters alone.
 """
@@ -22,18 +23,20 @@ from series_prior.basis import eval_basis, eval_normalized, make_basis
 
 
 def _counts_for(slots, digits, J, n_groups):
-    """Per-assignment count matrices, one per group; digits is (n_slots, C)."""
+    """Per-assignment count matrices, one per group; digits is (n_slots, C), offsets into each row's window."""
     C = digits.shape[1]
+    picked = slots.first[:, None] + digits
     counts = []
-    rows = np.arange(C)
     for g in range(n_groups):
-        cols = [s.indices[d] for s, d in zip(slots, digits) if s.group == g]
-        if cols:
-            flat = (rows[:, None] * J + np.stack(cols, axis=1)).ravel()
-            counts.append(np.bincount(flat, minlength=C * J).reshape(C, J).astype(float))
-        else:
-            counts.append(np.zeros((C, J)))
+        flat = (np.arange(C) * J + picked[slots.group == g]).ravel()
+        counts.append(np.bincount(flat, minlength=C * J).reshape(C, J).astype(float))
     return counts
+
+
+def _log_values_for(slots, digits):
+    """The summed log basis values of each assignment column of digits, row after row."""
+    picked = np.take_along_axis(slots.log_values, digits, axis=1)
+    return sum(picked, np.zeros(digits.shape[1]))
 
 
 def _assignment_terms(family, counts, eval_cols):
@@ -67,7 +70,7 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     Same arguments and (log_den, log_num1, log_num2) return value.
     """
     cols = np.zeros((J, 0)) if eval_cols is None else eval_cols
-    ks = np.array([len(s.indices) for s in slots], dtype=np.int64)
+    ks = slots.width.astype(np.int64)
     total = assignment_count(slots)
     strides = np.ones(len(slots), dtype=np.int64)
     for s in range(len(slots) - 2, -1, -1):
@@ -78,7 +81,7 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
         digits = (ids[None, :] // strides[:, None]) % ks[:, None]
         counts = _counts_for(slots, digits, J, family.n_groups)
         log_w, m1, m2 = _assignment_terms(family, counts, cols)
-        log_w = log_w + sum((s.log_values[d] for s, d in zip(slots, digits)), np.zeros(ids.size))
+        log_w = log_w + _log_values_for(slots, digits)
         den.append(logsumexp(log_w))
         with np.errstate(divide="ignore"):
             num1.append(logsumexp(log_w[:, None] + np.log(m1), axis=0))

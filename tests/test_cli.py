@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from series_prior.cli import cli
 from series_prior.density import credible_band
 from series_prior.harness import ExperimentConfig, run_experiment
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -421,9 +429,26 @@ class TestConfigFile:
         assert code == 1 and out == ""
         assert cfg in err and "r=" in err
 
+    def test_unknown_model_prior_family_is_an_error(self, capsys, tmp_path, inputs):
+        cfg = _write_config(tmp_path / "run.cfg", {"J.prior": "zeta"})
+        code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--config", cfg,
+                           "--output", str(tmp_path / "fit.csv"))
+        assert code == 1
+        assert cfg in err and "J.prior=" in err
+
     def test_config_value_of_wrong_type(self, capsys, tmp_path, inputs):
         cfg = _write_config(tmp_path / "run.cfg", {"J.max": "many"})
         code, _, err = run(capsys, "density-fit", "--input", str(inputs["obs"]), "--config", cfg,
                            "--output", str(tmp_path / "fit.csv"))
         assert code == 1
         assert cfg in err and "J.max" in err
+
+
+def test_module_runs_the_cli(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-m", "series_prior.cli", "--help"], cwd=tmp_path, env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: series-prior")

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tempfile
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import _assignment_terms, _counts_for, enumerate_mixture, union_breakpoint_rule
+from oracles import _assignment_terms, _counts_for, _log_values_for, enumerate_mixture, union_breakpoint_rule
 
 from series_prior import _engine
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
@@ -142,16 +143,48 @@ class TestValidation:
             posterior_moments(build, bases, mp, GRID, m=3)
 
 
-def test_slots_for_groups_and_repeats():
-    values = np.array([[0.0, 0.5, 0.5], [1.0, 0.0, 0.0]])
-    slots = _engine.slots_for(values, groups=[1, 0], repeats=[1, 3])
-    assert [s.group for s in slots] == [1, 0, 0, 0]
-    np.testing.assert_array_equal(slots[0].indices, [1, 2])
-    np.testing.assert_array_equal(slots[3].log_values, [0.0])
-
-
 unit = st.floats(0.0, 1.0)
 shape = st.floats(0.3, 3.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_slots_for_groups_and_repeats(data):
+    q, K = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    basis = make_basis(q, K)
+    points = st.one_of(unit, st.sampled_from(basis.breakpoints().tolist()))
+    x = np.array(data.draw(st.lists(points, max_size=8)), dtype=float)
+    values = data.draw(st.sampled_from([eval_basis, eval_normalized]))(basis, x)
+    n = x.size
+    groups = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    repeats = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    table = _engine.slots_for(values, groups=groups, repeats=repeats)
+    want = []  # (first, width, group, log values) of each row, repeats expanded in place
+    for i, row in enumerate(values):
+        active = np.flatnonzero(row > 0.0)
+        np.testing.assert_array_equal(active, np.arange(active[0], active[-1] + 1))
+        g = 0 if groups is None else groups[i]
+        want += [(active[0], active.size, g, np.log(row[active]))] * (1 if repeats is None else repeats[i])
+    assert len(table) == len(want)
+    for r, (first, width, g, logs) in enumerate(want):
+        assert (table.first[r], table.width[r], table.group[r]) == (first, width, g)
+        np.testing.assert_array_equal(table.log_values[r, :width], logs)
+        assert not np.any(table.log_values[r, width:])
+    assert assignment_count(table) == math.prod(int(width) for _, width, *_ in want)
+    at = data.draw(st.integers(0, n))
+    with pytest.raises(ValueError, match="no active basis"):
+        _engine.slots_for(np.insert(values, at, 0.0, axis=0))
+    if basis.dimension >= 3:
+        gap = np.zeros(basis.dimension)
+        gap[[0, 2]] = 0.5
+        with pytest.raises(ValueError, match="not consecutive"):
+            _engine.slots_for(np.insert(values, at, gap, axis=0))
+
+
+def test_assignment_count_is_exact_past_the_cap():
+    table = _engine.slots_for(np.full((500, 3), 1.0 / 3.0))
+    assert assignment_count(table) == 3**500 > _engine.DEFAULT_TERM_CAP
+    assert assignment_count(_engine.slots_for(np.zeros((0, 3)))) == 1
 
 
 @st.composite
@@ -199,9 +232,25 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
     want = enumerate_mixture(slots, family, J, eval_cols, second)
     for g, w in zip(got, want):
         _assert_log_close(g, w)
-    shuffled = list(slots)
-    rnd.shuffle(shuffled)
-    for g, w in zip(_engine.exact_mixture(shuffled, family, J, eval_cols, second), got):
+    perm = list(range(len(slots)))
+    rnd.shuffle(perm)
+    for g, w in zip(_engine.exact_mixture(slots.take(perm), family, J, eval_cols, second), got):
+        np.testing.assert_array_equal(g, w)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_mixture_ignores_row_order(seed):
+    # 30 rows on 2 knot intervals: many rows share a window, so the rows'
+    # order within a window decides the recursion's rounding unless the sort
+    # on log values fixes it.
+    rng = np.random.default_rng(seed)
+    basis = make_basis(3, 2)
+    slots = _engine.slots_for(eval_normalized(basis, rng.random(30)))
+    family = _engine.DirichletFamily(np.ones(basis.dimension))
+    eval_cols = eval_normalized(basis, GRID).T
+    want = _engine.exact_mixture(slots, family, basis.dimension, eval_cols, True)
+    got = _engine.exact_mixture(slots.take(rng.permutation(len(slots))), family, basis.dimension, eval_cols, True)
+    for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
 
@@ -219,10 +268,10 @@ def _sampled_terms(slots, family, J, eval_cols, n_draws, seed):
     moments from the family parameters alone (_assignment_terms).
     """
     rng = np.random.default_rng(seed)
-    digits = np.array([rng.integers(0, len(s.indices), n_draws) for s in slots], dtype=np.int64)
+    digits = np.array([rng.integers(0, k, n_draws) for k in slots.width.tolist()], dtype=np.int64)
     digits = digits.reshape(len(slots), n_draws)
     log_w, m1, m2 = _assignment_terms(family, _counts_for(slots, digits, J, family.n_groups), eval_cols)
-    return log_w + sum((s.log_values[d] for s, d in zip(slots, digits)), np.zeros(n_draws)), m1, m2
+    return log_w + _log_values_for(slots, digits), m1, m2
 
 
 def _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, second):
@@ -241,7 +290,7 @@ def _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, s
         "log_scale", "shift", "mean_u_den", "var_u_den", "mean_u_num", "var_u_num", "cov_u", "mean_u_num2", "n_draws"
     ]
     assert got.n_draws == n_draws
-    _assert_log_close(got.log_scale, np.log(np.prod([float(len(s.indices)) for s in slots])))
+    _assert_log_close(got.log_scale, np.log(np.prod(slots.width.astype(float))))
     _assert_log_close(got.shift, log_w.max())
     _assert_rel(got.mean_u_den, u.mean())
     _assert_rel(got.var_u_den, du @ du / (n_draws - 1), np.mean(u**2))
@@ -297,7 +346,7 @@ def test_combine_mc_equals_pooled_draws(case, parts):
     # deviation from the pooled mean.
     slots, family, J, eval_cols = case
     N = 64
-    log_scale = np.log(np.prod([float(len(s.indices)) for s in slots]))
+    log_scale = np.log(np.prod(slots.width.astype(float)))
     pieces, log_ws, m1s, m2s = [], [], [], []
     for seed, lp in parts:
         pieces.append(_engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True))

@@ -4,12 +4,7 @@ import pytest
 from series_prior._engine import DirichletFamily
 from series_prior.basis import make_basis
 from series_prior.density import DensityDataset, exact_moment
-from series_prior.priors import (
-    CoefficientPrior,
-    ModelSizePrior,
-    priors_from_config,
-    sample_coefficients,
-)
+from series_prior.priors import CoefficientPrior, ModelSizePrior, sample_coefficients
 
 
 class TestModelSizePrior:
@@ -131,28 +126,3 @@ class TestDirichletNormalizer:
         for a in ([1.0, 0.0], [], [1.0, 1.0, 1.0]):
             with pytest.raises(ValueError):
                 exact_moment(data, np.array([0.5]), bases, mp, a=a)
-
-
-class TestConfigParsing:
-    def test_defaults_and_overrides(self):
-        model, coef = priors_from_config(
-            {"J.prior": "geometric", "J.p": "0.5", "J.min": "5", "J.max": "25",
-             "theta.prior": "dirichlet", "theta.a": "1.0"}
-        )
-        assert model.family == "geometric" and model.params == (0.5,)
-        assert (model.j_min, model.j_max) == (5, 25)
-        assert coef.family == "dirichlet" and coef.a == 1.0
-
-    def test_other_families(self):
-        model, coef = priors_from_config(
-            {"J.prior": "poisson", "J.lambda": "7", "theta.prior": "gamma", "theta.a": "2",
-             "theta.b": "3"}
-        )
-        assert model.family == "poisson"
-        assert coef.family == "gamma" and (coef.a, coef.b) == (2.0, 3.0)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            priors_from_config({"J.prior": "zeta"})
-        with pytest.raises(ValueError):
-            priors_from_config({"theta.prior": "cauchy"})
