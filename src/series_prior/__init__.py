@@ -44,6 +44,7 @@ from .regression import (
     binary_moment,
     design_matrix,
     gaussian_fit,
+    gaussian_function_moments,
     gaussian_predict,
     poisson_moment,
 )

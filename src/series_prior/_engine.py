@@ -36,11 +36,10 @@ recursion applies these to count states; the sampler to one row of counts
 per sampled assignment.
 
 posterior_moments is the one driver every model goes through: it picks the
-mode, runs the per-dimension sums and mixes them over J. The term cap on the
-q^n assignment count still decides which mode "auto" picks and where "exact"
-refuses. Everything here is pure given its inputs; the Monte-Carlo generator
-of dimension J is derived from (seed, J), so results do not depend on
-scheduling.
+mode, runs the per-dimension sums and mixes them over J, and its docstring
+is the one statement of the mode rules. Everything here is pure given its
+inputs; the Monte-Carlo generator of dimension J is derived from (seed, J),
+so results do not depend on scheduling.
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ lines sets the subcommand's defaults, checked as its flags are, so flags
 override the file; an unknown or repeated key is an error. J.prior,
 J.lambda and J.r are config-only keys of the model prior. Exit codes: 0
 success, 2 usage error, 1 runtime error (bad input or config files
-included). Numeric output is full-precision decimal (round-trip repr).
+included). The commands open no file themselves: numeric inputs are read by
+harness.read_rows, and every output is a CSV written by harness.write_table.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .regression import (
     binary_moment,
     design_matrix,
     gaussian_fit,
+    gaussian_function_moments,
     gaussian_predict,
     poisson_moment,
 )
@@ -151,30 +153,25 @@ def _cmd_rates(opts) -> int:
         n_grid = [float(v) for v in opts["n-grid"].split(",")]
         consts = SieveConstants(c1=opts["c1"], c3=opts["c3"], C0=opts["C0"], b=opts["b"])
         certified = solve_sieve(problem, consts, n_grid)
-        with Path(opts["sieve-csv"]).open("w") as fh:
-            fh.write("n,j_bar,j,eps_bar,eps,m,all_hold\n")
-            for row in certified.sieve:
-                fh.write(
-                    f"{row.n!r},{row.j_bar},{row.j},{row.eps_bar!r},{row.eps!r},{row.m!r},"
-                    f"{int(row.all_hold)}\n"
-                )
+        harness.write_table(
+            opts["sieve-csv"],
+            ("n", "j_bar", "j", "eps_bar", "eps", "m", "all_hold"),
+            [(r.n, r.j_bar, r.j, r.eps_bar, r.eps, r.m, int(r.all_hold)) for r in certified.sieve],
+        )
         print(f"certified_from={certified.certified_from!r} sieve table in {opts['sieve-csv']}")
     return 0
 
 
 def _read_curves(path):
     """Header row of grid times, then one curve per row, all rows of one length."""
-    lines = harness.data_lines(path)
-    if len(lines) < 2:
+    rows = harness.read_rows(path)
+    if len(rows) < 2:
         raise ValueError(f"{path}: need a header row of grid times and at least one curve row")
-    grid = np.asarray(harness.line_numbers(path, *lines[0]))
-    rows = [harness.line_numbers(path, i, ln) for i, ln in lines[1:]]
-    for (lineno, _), row in zip(lines[1:], rows):
-        if len(row) != len(rows[0]):
-            raise ValueError(
-                f"{path}:{lineno}: curve row has {len(row)} values, the first has {len(rows[0])}"
-            )
-    return grid, np.asarray(rows)
+    width = len(rows[1][1])
+    for lineno, row in rows[2:]:
+        if len(row) != width:
+            raise ValueError(f"{path}:{lineno}: curve row has {len(row)} values, the first has {width}")
+    return np.asarray(rows[0][1]), np.asarray([row for _, row in rows[1:]])
 
 
 def _cmd_funreg(opts) -> int:
@@ -195,15 +192,15 @@ def _cmd_funreg(opts) -> int:
     )
     tgrid = harness.metric_grid(opts["grid"])
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
-    mean, var = gaussian_predict(post, coef_designs)
+    mean, var = gaussian_function_moments(post, coef_designs)
     z = ndtri(0.5 + opts["level"] / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(opts["output"])
-    with out.open("w") as fh:
-        fh.write("x,mean,sd,band_low,band_high,mc_se\n")
-        for i, x in enumerate(tgrid):
-            fields = (x, mean[i], sd[i], mean[i] - z * sd[i], mean[i] + z * sd[i], 0.0)
-            fh.write(",".join(harness.fmt(v) for v in fields) + "\n")
+    harness.write_table(
+        out,
+        ("x", "mean", "sd", "band_low", "band_high", "mc_se"),
+        zip(tgrid, mean, sd, mean - z * sd, mean + z * sd, np.zeros_like(mean)),
+    )
     harness.write_j_table(out.with_name(out.stem + "_j.csv"), post.j_values, post.j_weights)
     print(f"wrote {out}")
     if opts["predict"]:
@@ -211,27 +208,20 @@ def _cmd_funreg(opts) -> int:
         pdata = FunctionalDataset(grid=pgrid, curves=pcurves, responses=np.zeros(pcurves.shape[0]))
         pdesigns = {j: design_matrix(pdata, bases[j]) for j in bases}
         pmean, pvar = gaussian_predict(post, pdesigns)
-        pred_path = Path(opts["predictions"])
-        with pred_path.open("w") as fh:
-            fh.write("id,mean,sd\n")
-            for i, (mu, v) in enumerate(zip(pmean, pvar)):
-                fh.write(f"{i},{harness.fmt(mu)},{harness.fmt(np.sqrt(max(v, 0.0)))}\n")
-        print(f"wrote {pred_path}")
+        harness.write_table(
+            opts["predictions"], ("id", "mean", "sd"),
+            zip(range(pmean.size), pmean, np.sqrt(np.maximum(pvar, 0.0))),
+        )
+        print(f"wrote {opts['predictions']}")
     return 0
 
 
 def _read_two_columns(path):
     """z,x per line."""
-    lines = harness.data_lines(path)
-    if not lines:
+    rows = harness.read_rows(path, width=2)
+    if not rows:
         raise ValueError(f"{path}: no z,x rows")
-    rows = []
-    for lineno, line in lines:
-        row = harness.line_numbers(path, lineno, line)
-        if len(row) != 2:
-            raise ValueError(f"{path}:{lineno}: expected two columns z,x, got {line!r}")
-        rows.append(row)
-    arr = np.asarray(rows)
+    arr = np.asarray([row for _, row in rows])
     return arr[:, 0], arr[:, 1]
 
 

@@ -11,19 +11,8 @@ CoefficientPrior.dirichlet(a), so priors.CoefficientPrior alone checks the
 hyperparameters. Every posterior-moment entry point of the package
 (exact_moment, mc_moment, harness.fit_density, regression.binary_moment and
 regression.poisson_moment) hands such a builder to
-_engine.posterior_moments, whose ``mode`` is one of:
-
-* "exact": sum every assignment by the engine's banded forward-backward
-  recursion over the counts of the open basis functions
-  (_engine.exact_mixture). Its cost grows with n, J and the count state, not
-  with the q^n assignments. The term cap still selects the mode: a dimension
-  with more assignments than the constant DEFAULT_TERM_CAP (10M) raises
-  EnumerationCapError.
-* "mc": sample ``n_terms`` assignments per dimension uniformly from the
-  active sets. Given a draw's counts the grid moments are closed forms, so
-  the sampled moments are weighted averages of per-draw posterior moments,
-  with delta-method standard errors in ``mc_se``.
-* "auto": exact when every dimension is within the term cap, "mc" otherwise.
+_engine.posterior_moments, whose docstring states the rules of its ``mode``
+("exact", "mc" or "auto") and of the term cap.
 """
 
 from __future__ import annotations
@@ -128,9 +117,8 @@ def exact_moment(
     """Exact posterior moments: every assignment, summed by the engine's
     forward-backward recursion rather than listed one by one.
 
-    m=1 computes the mean only; m=2 also the pointwise second moment. Raises
-    EnumerationCapError when any dimension has more than DEFAULT_TERM_CAP
-    assignments.
+    m=1 computes the mean only; m=2 also the pointwise second moment. This is
+    mode "exact" of _engine.posterior_moments, so the term cap applies.
     """
     build = density_builder(data, bases, grid, a)
     return _engine.posterior_moments(build, bases, model_prior, grid, m=m, mode="exact")

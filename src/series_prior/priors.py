@@ -4,9 +4,10 @@ Model-size priors are always truncated to an inclusive range [j_min, j_max]
 and renormalized there; probabilities are kept in log space. Each family
 carries its tail exponents (t1, t2): geometric and negative binomial have
 t1 = t2 = 0, Poisson has t1 = t2 = 1. Coefficient priors cover the conjugate
-families used by the posterior engines (Dirichlet for densities, independent
-Beta for binary responses, independent Gamma for counts) plus the g-prior /
-inverse-gamma pair for Gaussian series regression.
+families used by the posterior engines: Dirichlet for densities,
+independent Beta for binary responses, independent Gamma for counts. The
+Gaussian regression's g-prior and inverse-gamma hyperparameters are plain
+arguments of regression.gaussian_fit.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from scipy.special import gammaln, logsumexp
 
 _MODEL_FAMILIES = ("geometric", "poisson", "negative-binomial")
-_COEF_FAMILIES = ("dirichlet", "beta", "gamma", "g-prior")
+_COEF_FAMILIES = ("dirichlet", "beta", "gamma")
 
 #: (t1, t2) tail exponents of each supported model-size family.
 TAIL_EXPONENTS = {
@@ -126,7 +127,6 @@ class CoefficientPrior:
     family: str
     a: float | np.ndarray = 1.0
     b: float | np.ndarray = 1.0
-    g: float | None = None
 
     def __post_init__(self):
         if self.family not in _COEF_FAMILIES:
@@ -135,8 +135,6 @@ class CoefficientPrior:
             val = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
             if np.any(val <= 0.0):
                 raise ValueError(f"hyperparameter {name} must be strictly positive")
-        if self.g is not None and self.g <= 0.0:
-            raise ValueError(f"g must be strictly positive, got {self.g}")
 
     @staticmethod
     def dirichlet(a=1.0) -> "CoefficientPrior":
@@ -150,14 +148,6 @@ class CoefficientPrior:
     def gamma(a=1.0, b=1.0) -> "CoefficientPrior":
         return CoefficientPrior("gamma", a=a, b=b)
 
-    @staticmethod
-    def g_prior(g: float | None = None, a=1.0, b=1.0) -> "CoefficientPrior":
-        """Zellner g-prior with an inverse-gamma IG(a, b) prior on the noise variance.
-
-        g=None means the unit-information default g = n, resolved at fit time.
-        """
-        return CoefficientPrior("g-prior", a=a, b=b, g=g)
-
     def params_for(self, J: int) -> tuple[np.ndarray, np.ndarray]:
         return _positive_vector(self.a, J, "a"), _positive_vector(self.b, J, "b")
 
@@ -166,18 +156,14 @@ def sample_coefficients(prior: CoefficientPrior, J: int, seed) -> np.ndarray:
     """One seeded draw of the coefficient vector at dimension J.
 
     Dirichlet draws lie on the simplex, beta draws in (0,1)^J, gamma draws in
-    (0,inf)^J (rate parametrization: Gamma(a, b) has mean a/b). The g-prior
-    family is rejected here: its draws require a design matrix.
+    (0,inf)^J (rate parametrization: Gamma(a, b) has mean a/b).
     """
     if J < 1:
         raise ValueError(f"dimension must be >= 1, got {J}")
     rng = np.random.default_rng(seed)
-    a, b = prior.params_for(J) if prior.family != "g-prior" else (None, None)
+    a, b = prior.params_for(J)
     if prior.family == "dirichlet":
         return rng.dirichlet(a)
     if prior.family == "beta":
         return rng.beta(a, b)
-    if prior.family == "gamma":
-        return rng.gamma(shape=a, scale=1.0 / b)
-    raise ValueError("g-prior coefficients are sampled by the regression module, not here")
-
+    return rng.gamma(shape=a, scale=1.0 / b)

@@ -16,15 +16,10 @@ plain (unnormalized) basis:
 binary_builder and poisson_builder give each dimension's slots and
 coefficient family; binary_moment and poisson_moment hand them to the shared
 driver _engine.posterior_moments, which returns the same PosteriorSummary as
-the density module. ``mode`` is "exact" (every assignment, summed by the
-engine's banded forward-backward recursion over the success/failure or
-count state of the open basis functions, at a cost that does not grow with
-the q^n assignments; a dimension with more assignments than the constant
-DEFAULT_TERM_CAP of 10M still raises EnumerationCapError), "mc" (``n_terms``
-sampled assignments per dimension, each contributing its exact posterior
-moments given its counts, so a sampled success probability stays in [0, 1])
-or "auto" (exact within the term cap, sampled otherwise), as in the density
-module.
+the density module; its docstring states the rules of ``mode``. The exact
+recursion runs over the success/failure or count state of the open basis
+functions, and each sampled assignment contributes its exact posterior
+moments given its counts, so a sampled success probability stays in [0, 1].
 """
 
 from __future__ import annotations
@@ -195,9 +190,8 @@ def gaussian_fit(
     missing = set(model_prior.support) - set(designs)
     if missing:
         raise ValueError(f"no design supplied for dimensions {sorted(missing)}")
-    log_prior = model_prior.log_pmf(j_values)
     logml, means, covs, scales, feasible = [], {}, {}, {}, []
-    for j, lp in zip(j_values, log_prior):
+    for j in j_values:
         W = np.asarray(designs[j], dtype=float)
         if W.shape[0] != n:
             raise ValueError(f"design for J={j} has {W.shape[0]} rows, expected {n}")
@@ -242,33 +236,42 @@ def gaussian_fit(
     )
 
 
+def gaussian_function_moments(
+    post: GaussianPosterior, designs: Mapping[int, np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Model-averaged posterior mean and variance of theta' row for each row.
+
+    Within dimension J the variance is E[sigma^2 | J] * row' Sigma_J row; the
+    spread of the per-dimension means around the average is added to it.
+    """
+    return _mixed_moments(post, designs, 0.0)
+
+
 def gaussian_predict(
     post: GaussianPosterior, new_designs: Mapping[int, np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Model-averaged predictive means and variances for new rows.
+    """Model-averaged predictive means and variances of a new response per row.
 
-    The variance combines the within-dimension predictive variance (posterior
-    mean of sigma^2 times 1 + row' Sigma row) and the spread of per-dimension
-    means around the average.
+    The variance is that of gaussian_function_moments plus the noise: within
+    dimension J it is E[sigma^2 | J] * (1 + row' Sigma_J row).
     """
-    mean = None
-    acc_mean = acc_m2 = None
+    return _mixed_moments(post, new_designs, 1.0)
+
+
+def _mixed_moments(post: GaussianPosterior, designs, noise: float):
+    """Mix over J the mean and variance of theta' row plus noise times sigma^2."""
+    if post.sigma2_shape <= 1.0:
+        raise ValueError("posterior sigma^2 mean undefined (shape <= 1); need more data")
+    acc_mean = acc_m2 = 0.0
     for j, wt in zip(post.j_values, post.j_weights):
-        W = np.asarray(new_designs[int(j)], dtype=float)
+        W = np.asarray(designs[int(j)], dtype=float)
         if W.shape[1] != post.coef_mean[int(j)].size:
-            raise ValueError(f"new design for J={j} has wrong column count")
+            raise ValueError(f"design for J={j} has the wrong column count")
         mu = W @ post.coef_mean[int(j)]
-        if post.sigma2_shape <= 1.0:
-            raise ValueError("posterior sigma^2 mean undefined (shape <= 1); need more data")
         s2 = post.sigma2_scale[int(j)] / (post.sigma2_shape - 1.0)
         qform = np.einsum("ij,jk,ik->i", W, post.coef_cov_base[int(j)], W)
-        var_j = s2 * (1.0 + qform)
-        if acc_mean is None:
-            acc_mean = wt * mu
-            acc_m2 = wt * (var_j + mu**2)
-        else:
-            acc_mean += wt * mu
-            acc_m2 += wt * (var_j + mu**2)
+        acc_mean = acc_mean + wt * mu
+        acc_m2 = acc_m2 + wt * (s2 * (noise + qform) + mu**2)
     return acc_mean, acc_m2 - acc_mean**2
 
 

@@ -6,9 +6,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from series_prior.basis import eval_basis
 from series_prior.cli import cli
-from series_prior.density import credible_band
+from series_prior.density import bases_for_prior, credible_band
 from series_prior.harness import ExperimentConfig, run_experiment
+from series_prior.priors import ModelSizePrior
+from series_prior.regression import FunctionalDataset, design_matrix, gaussian_fit
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -214,6 +217,50 @@ class TestRegressionCommands:
         assert rows.shape == (5, 3)
         truth = np.trapezoid(zte * beta, grid, axis=1)
         assert np.sqrt(np.mean((rows[:, 1] - truth) ** 2)) < 1.0
+
+    def test_funreg_band_is_the_spread_of_beta(self, capsys, tmp_path):
+        # The sd column is the posterior sd of beta(t) = theta' B(t), without the noise
+        # variance: compare it with the spread of beta(t) over posterior draws of
+        # (J, sigma^2, theta).
+        rng = np.random.default_rng(4)
+        grid = np.linspace(0, 1, 25)
+        curves = np.cumsum(0.3 * rng.standard_normal((60, grid.size)), axis=1)
+        responses = np.trapezoid(curves * (1.0 + np.sin(2 * np.pi * grid)), grid, axis=1)
+        responses += 0.5 * rng.standard_normal(60)
+        path = tmp_path / "curves.txt"
+        path.write_text(
+            " ".join(map(repr, grid.tolist())) + "\n"
+            + "".join(" ".join(map(repr, row.tolist())) + "\n" for row in curves)
+        )
+        resp = tmp_path / "resp.txt"
+        resp.write_text("".join(f"{v!r}\n" for v in responses.tolist()))
+        out = tmp_path / "beta.csv"
+        code, _, _ = run(
+            capsys, "funreg", "--curves", str(path), "--responses", str(resp), "--q", "3",
+            "--jmin", "5", "--jmax", "9", "--grid", "20", "--output", str(out),
+        )
+        assert code == 0
+        written = np.loadtxt(out, delimiter=",", skiprows=1)
+
+        model_prior = ModelSizePrior.geometric(0.9, 5, 9)
+        bases = bases_for_prior(3, model_prior)
+        data = FunctionalDataset(grid=grid, curves=curves, responses=responses)
+        post = gaussian_fit({j: design_matrix(data, b) for j, b in bases.items()}, responses, model_prior)
+        draws = []
+        counts = rng.multinomial(40_000, post.j_weights)
+        for j, count in zip(post.j_values.tolist(), counts):
+            sigma2 = post.sigma2_scale[j] / rng.gamma(post.sigma2_shape, size=count)
+            chol = np.linalg.cholesky(post.coef_cov_base[j])
+            z = rng.standard_normal((count, j)) @ chol.T
+            theta = post.coef_mean[j] + np.sqrt(sigma2)[:, None] * z
+            draws.append(theta @ eval_basis(bases[j], written[:, 0]).T)
+        beta_draws = np.concatenate(draws)
+        dev2 = (beta_draws - beta_draws.mean(axis=0)) ** 2
+        sd = np.sqrt(dev2.mean(axis=0))
+        root_m = np.sqrt(beta_draws.shape[0])
+        sd_se = dev2.std(axis=0) / root_m / (2.0 * sd)  # delta method
+        assert np.all(np.abs(written[:, 1] - beta_draws.mean(axis=0)) < 5.0 * sd / root_m)
+        assert np.all(np.abs(written[:, 2] - sd) < 5.0 * sd_se)
 
 
 class TestReaderErrors:

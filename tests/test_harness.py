@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -287,6 +288,53 @@ class TestFiles:
         f.write_text("q: 3\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config(f)
+
+
+_FLOATS = st.one_of(
+    st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308, 1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_write_table_then_read_rows(data):
+    """read_rows returns write_table's floats bit for bit, at the right line
+    numbers, through any separators, comments and blank lines; a bad token or
+    a row of another width raises ValueError naming path:line."""
+    width = data.draw(st.integers(1, 4))
+    rows = data.draw(st.lists(st.lists(_FLOATS, min_size=width, max_size=width), max_size=6))
+    sep = data.draw(st.sampled_from([",", " ", ", ", "   "]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.csv"
+        harness.write_table(path, [f"c{i}" for i in range(width)], rows)
+        header, *lines = path.read_text().splitlines()
+        assert header == ",".join(f"c{i}" for i in range(width))
+        text = ["# " + header]  # the header as a comment, so every line left is numbers
+        linenos = []
+        for line in lines:
+            text += data.draw(st.lists(st.sampled_from(["", "  ", "# note", " # 1,2"]), max_size=2))
+            text.append(line.replace(",", sep) + data.draw(st.sampled_from(["", " # trailing", "#"])))
+            linenos.append(len(text))
+        path.write_text("\n".join(text) + "\n")
+        got = harness.read_rows(path, width)
+        assert [lineno for lineno, _ in got] == linenos
+        assert [[v.hex() for v in row] for _, row in got] == [[v.hex() for v in row] for row in rows]
+        assert harness.read_rows(path) == got
+
+        if not rows:
+            return
+        k = data.draw(st.integers(0, len(rows) - 1))
+        tokens = text[linenos[k] - 1].split("#", 1)[0].replace(",", " ").split()
+        if data.draw(st.booleans()):
+            bad = data.draw(st.sampled_from(["x", "1..0", "0x1p3", "1e", "--1"]))
+            tokens[data.draw(st.integers(0, width - 1))] = bad
+        else:
+            tokens = tokens[:-1] if width > 1 and data.draw(st.booleans()) else tokens + ["0.5"]
+        text[linenos[k] - 1] = sep.join(tokens)
+        path.write_text("\n".join(text) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:{linenos[k]}:")):
+            harness.read_rows(path, width)
 
 
 def test_package_import_leaves_out_scipy_stats():

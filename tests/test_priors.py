@@ -93,10 +93,6 @@ class TestCoefficientPrior:
         b = sample_coefficients(CoefficientPrior.dirichlet(2.0), 6, 123)
         np.testing.assert_array_equal(a, b)
 
-    def test_g_prior_not_directly_sampleable(self):
-        with pytest.raises(ValueError):
-            sample_coefficients(CoefficientPrior.g_prior(10.0), 4, 0)
-
     def test_vector_hyperparameters(self):
         prior = CoefficientPrior.beta(np.array([1.0, 2.0, 3.0]), 1.0)
         a, b = prior.params_for(3)
@@ -109,8 +105,6 @@ class TestCoefficientPrior:
             CoefficientPrior.dirichlet(0.0)
         with pytest.raises(ValueError):
             CoefficientPrior.gamma(1.0, -2.0)
-        with pytest.raises(ValueError):
-            CoefficientPrior.g_prior(-1.0)
 
 
 class TestDirichletNormalizer:

@@ -16,6 +16,7 @@ from series_prior.regression import (
     binary_moment,
     design_matrix,
     gaussian_fit,
+    gaussian_function_moments,
     gaussian_predict,
     poisson_moment,
 )
@@ -176,6 +177,14 @@ class TestGaussian:
         mean, var = gaussian_predict(post, designs)
         np.testing.assert_allclose(mean, designs[5] @ post.coef_mean[5], rtol=1e-12)
         assert np.all(var > 0.0)
+        # theta' row has variance E[sigma^2] row' Sigma row; a new response adds E[sigma^2]
+        f_mean, f_var = gaussian_function_moments(post, designs)
+        np.testing.assert_array_equal(f_mean, mean)
+        s2 = post.sigma2_scale[5] / (post.sigma2_shape - 1.0)
+        qform = np.einsum("ij,jk,ik->i", designs[5], post.coef_cov_base[5], designs[5])
+        atol = 1e-12 * np.max(mean**2)
+        np.testing.assert_allclose(f_var, s2 * qform, rtol=1e-9, atol=atol)
+        np.testing.assert_allclose(var, s2 * (1.0 + qform), rtol=1e-9, atol=atol)
 
     def test_predict_null_truth_scale(self):
         rng = np.random.default_rng(44)

@@ -1,0 +1,97 @@
+"""Dead names in the package source, found with the standard library's ast.
+
+An import that is never referenced (re-exports in __init__.py and names in
+__all__ excepted) and a function-local name that is assigned but never read
+(``_``-prefixed names excepted) fail the test.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "series_prior"
+MODULES = sorted(PACKAGE.glob("*.py"))
+
+
+def _loaded(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _exported(tree) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def unused_imports(tree, is_init: bool) -> list[str]:
+    if is_init:
+        return []
+    used = _loaded(tree) | _exported(tree)
+    dead = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    dead.append(f"line {node.lineno}: import {name}")
+    return dead
+
+
+def _own_nodes(func):
+    """The nodes of func's body, not descending into nested functions and classes."""
+    stack = list(func.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(tree) -> list[str]:
+    dead = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        shared = {
+            name
+            for node in _own_nodes(func)
+            if isinstance(node, (ast.Global, ast.Nonlocal))
+            for name in node.names
+        }
+        read = _loaded(func)  # nested functions reading a closure variable count
+        for node in _own_nodes(func):
+            if (
+                isinstance(node, ast.Name)
+                and isinstance(node.ctx, ast.Store)
+                and not node.id.startswith("_")
+                and node.id not in read | shared
+            ):
+                dead.append(f"line {node.lineno}: {func.name} assigns {node.id}, never read")
+    return dead
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_dead_names(path):
+    tree = ast.parse(path.read_text(), filename=str(path))
+    dead = unused_imports(tree, path.name == "__init__.py") + unread_locals(tree)
+    assert not dead, f"{path.name}: " + "; ".join(dead)
+
+
+def test_check_finds_dead_names():
+    tree = ast.parse(
+        "import os\nimport sys as system\nfrom math import pi, tau\n"
+        "def f(x):\n    y = x\n    _z = 1\n    for a, b in x:\n        print(b)\n"
+        "    def g():\n        return w\n    w = 2\n    return g, pi\n"
+    )
+    assert unused_imports(tree, False) == [
+        "line 1: import os", "line 2: import system", "line 3: import tau",
+    ]
+    assert sorted(unread_locals(tree)) == [
+        "line 5: f assigns y, never read", "line 7: f assigns a, never read",
+    ]
