@@ -18,6 +18,8 @@ indices, so the sum is a chain: one forward-backward recursion whose state
 is the joint count of the open basis functions (the Polya-urn count form).
 Its cost grows with the number of slots, J and the size of that count state,
 not with the q^n assignments; slots with a single active index cost nothing.
+It keeps one count state per basis closing, the backward message and at
+most band tilted messages (band + 1: the widest active set of a grid column).
 The Monte-Carlo mode (mc_mixture) samples assignments uniformly from the
 active-set product. Given a sampled assignment's counts, the moments of the
 series value f(x) = theta' b(x) are closed forms of the coefficient moments
@@ -278,9 +280,11 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
 
     Returns (start, stop, log_z), log_z being the log sum of the run's terms.
     If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
-    E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The d > 0
-    entries come from one tilted forward run per basis, carried over the
-    next band closings.
+    E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The
+    forward pass keeps one rolling state and the state before each closing;
+    one backward sweep carries the backward message and at most band tilted
+    messages, one per later closing within the band, weighted by its
+    E[theta], and meets them with each kept state to take the moments.
     """
     G = family.n_groups
     first, widths = run.first.tolist(), run.width.tolist()
@@ -296,62 +300,52 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
             pos += 1
         ops.append(k)
 
-    states = [np.zeros((1,) * (width * G))]
-    closing = {}  # op position -> (counts on the leading axes, log factor broadcast to the state)
+    x = np.zeros((1,) * (width * G))
+    closing = {}  # op position -> (state before it, counts on its leading axes, log factor broadcast to it)
     for i, op in enumerate(ops):
-        x = states[-1]
         if isinstance(op, tuple):
-            states.append(_assign(x, *op))
+            x = _assign(x, *op)
             continue
         counts = tuple(
             np.arange(x.shape[g]).reshape((-1,) + (1,) * (G - 1 - g)) + fixed[g, op] for g in range(G)
         )
         factor = np.broadcast_to(family.log_close(op, counts), x.shape[:G])
-        closing[i] = (counts, factor.reshape(x.shape[:G] + (1,) * (x.ndim - G)))
-        states.append(_close(x, closing[i][1], G))
-    log_z = float(states[-1].item())
+        closing[i] = (x, counts, factor.reshape(x.shape[:G] + (1,) * (x.ndim - G)))
+        x = _close(x, closing[i][2], G)
+    log_z = float(x.item())
     if mean is None:
         return start, stop, log_z
 
-    betas = [np.zeros_like(states[-1])]
-    for i in range(len(ops) - 1, -1, -1):
-        op, b = ops[i], betas[-1]
-        if isinstance(op, tuple):
-            betas.append(_assign_back(b, *op))
-        else:
-            betas.append(closing[i][1] + b.reshape((1,) * G + b.shape[:-G]))
-    betas = betas[::-1]
-
-    def after(i):  # backward message after closing op i, on op i's leading-axis layout
-        b = betas[i + 1]
-        return b.reshape((1,) * G + b.shape[:-G])
-
-    log_mass, tilt = {}, {}
-    for i, (counts, factor) in closing.items():
-        joint = states[i] + factor + after(i)
-        log_mass[i] = float(_lse(joint).item())
-        w = np.exp(joint - log_mass[i]).sum(axis=tuple(range(G, joint.ndim)))
-        e1, e2 = family.moments(ops[i], counts, n)
-        mean[ops[i]] = np.sum(w * e1)
-        if pair is not None:
-            pair[0, ops[i]] = np.sum(w * e2)
-            with np.errstate(divide="ignore"):
-                tilt[i] = np.log(np.broadcast_to(e1, w.shape)).reshape(factor.shape)
-    if pair is None or band == 0:
-        return start, stop, log_z
     cross = family.cross(n)
-    for i in closing:
-        k = ops[i]
-        t = _close(states[i], closing[i][1] + tilt[i], G)
-        for j in range(i + 1, len(ops)):
-            if isinstance(ops[j], tuple):
-                t = _assign(t, *ops[j])
-                continue
-            log_pair = float(_lse(t + closing[j][1] + tilt[j] + after(j)).item())
-            pair[ops[j] - k, k] = np.exp(log_pair - log_mass[j]) * cross
-            if ops[j] - k == band:
-                break
-            t = _close(t, closing[j][1], G)
+    b, live = np.zeros_like(x), []  # live: (basis, log mass, tilted message) of later closings
+    for i in range(len(ops) - 1, first.count(start) - 1, -1):
+        op = ops[i]
+        if isinstance(op, tuple):
+            b = _assign_back(b, *op)
+            live = [(k, m, _assign_back(t, *op)) for k, m, t in live]
+            continue
+        state, counts, factor = closing[i]
+        after = b.reshape((1,) * G + b.shape[:-G])
+        joint = state + factor + after
+        log_mass = float(_lse(joint).item())
+        w = np.exp(joint - log_mass).sum(axis=tuple(range(G, joint.ndim)))
+        e1, e2 = family.moments(op, counts, n)
+        mean[op] = np.sum(w * e1)
+        b = factor + after
+        if pair is not None:
+            pair[0, op] = np.sum(w * e2)
+        if pair is None or band == 0:
+            continue
+        with np.errstate(divide="ignore"):
+            tilt = np.log(np.broadcast_to(e1, w.shape)).reshape(factor.shape)
+        tilted = state + factor + tilt
+        kept = []
+        for k, m, t in live:
+            t = t.reshape((1,) * G + t.shape[:-G])
+            pair[k - op, op] = np.exp(float(_lse(tilted + t).item()) - m) * cross
+            if k - op < band:
+                kept.append((k, m, factor + t))
+        live = kept + [(op, log_mass, tilt + b)]
     return start, stop, log_z
 
 

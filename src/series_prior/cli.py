@@ -124,6 +124,8 @@ def _cmd_simulate(opts) -> int:
 def _cmd_approx_check(opts) -> int:
     q = opts["q"]
     dims = [int(v) for v in opts["j"].split(",")]
+    if len(set(dims)) < 2 or min(dims) < q:
+        raise ValueError(f"--j needs two or more distinct dimensions, none below q={q}, got {opts['j']!r}")
     target = lambda t: np.sin(2.0 * np.pi * t)
     errors = []
     for J in dims:

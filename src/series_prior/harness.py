@@ -159,6 +159,8 @@ class ExperimentConfig:
             raise ValueError("grid size must be at least 2")
         if self.replications < 1:
             raise ValueError("need at least one replication")
+        if self.n < 1 or not 0.0 < self.level < 1.0:
+            raise ValueError(f"need n >= 1 and a level in (0, 1), got n={self.n} and level={self.level}")
         _engine.check_mode(self.mode, self.n_terms)
 
 
@@ -385,20 +387,21 @@ def load_tecator(path):
     """Load the Tecator meat spectra (http://lib.stat.cmu.edu/datasets/tecator).
 
     Each record holds 100 absorbance channels, 22 principal components, then
-    moisture, fat, protein. Returns (train_curves, train_fat, test_curves,
-    test_fat) with the conventional 172/43 split and channels mapped onto a
-    uniform grid in [0, 1]. Numeric tokens are parsed from wherever they sit
-    in the file, so the surrounding description text may be left in place.
+    moisture, fat, protein. Returns ((grid, train_curves, train_fat),
+    (grid, test_curves, test_fat)) with the conventional 172/43 split and the
+    channels mapped onto a uniform grid in [0, 1]. Description text may
+    surround the records: a text line before the first full record restarts
+    the data, and one after it ends them.
     """
     values = []
     with Path(path).open() as fh:
         for line in fh:
-            for token in line.split():
-                try:
-                    values.append(float(token))
-                except ValueError:
-                    values = []  # descriptive header: restart collection
+            try:
+                values.extend([float(token) for token in line.split()])
+            except ValueError:  # description text
+                if len(values) >= 125:
                     break
+                values = []
     arr = np.asarray(values)
     if arr.size % 125 != 0 or arr.size == 0:
         raise ValueError(

@@ -123,12 +123,29 @@ class TestSimulate:
             bands[level] = rows[:, 3:5]
         assert not np.array_equal(bands["0.5"], bands["0.99"])
 
+    @pytest.mark.parametrize("flag, value", [("--level", "1.5"), ("--level", "0"), ("--n", "0"), ("--n", "-3")])
+    def test_bad_level_or_n_refused_before_any_output(self, capsys, tmp_path, flag, value):
+        code, _, err = run(capsys, "simulate", "--reps", "1", flag, value, "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and ("level" in err if flag == "--level" else "n=" in err)
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 class TestApproxCheck:
     def test_slope_printed(self, capsys):
         code, out, _ = run(capsys, "approx-check", "--q", "2", "--j", "8,16,32")
         assert code == 0
         assert "slope=-2." in out
+
+    def test_one_dimension_is_refused(self, capsys):
+        code, out, err = run(capsys, "approx-check", "--j", "8")
+        assert code == 1
+        assert "--j" in err and "slope" not in out
+
+    def test_dimension_below_order_is_refused(self, capsys):
+        code, _, err = run(capsys, "approx-check", "--j", "2,8", "--q", "3")
+        assert code == 1
+        assert "--j" in err and "q=3" in err
 
 
 class TestRegressionCommands:

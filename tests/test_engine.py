@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -252,6 +253,27 @@ def test_exact_mixture_ignores_row_order(seed):
     got = _engine.exact_mixture(slots.take(rng.permutation(len(slots))), family, basis.dimension, eval_cols, True)
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
+
+
+def test_exact_recursion_keeps_no_per_step_messages():
+    # q=3, n=100, J=8: one run of 8 bases whose largest count state has 57k
+    # cells (0.44 MiB). A recursion that keeps one forward state and one
+    # backward message per step traces a peak of about 19 MiB; keeping one
+    # state per basis closing, the backward message and the band's tilted
+    # messages traces about 5 MiB. 10 MiB lies between the two, with room
+    # either way.
+    basis = make_basis(3, 6)
+    J = basis.dimension
+    slots = _engine.slots_for(eval_normalized(basis, np.random.default_rng(0).random(100)))
+    family = _engine.DirichletFamily(np.ones(J))
+    eval_cols = eval_normalized(basis, GRID).T
+    tracemalloc.start()
+    try:
+        _engine.exact_mixture(slots, family, J, eval_cols, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 2**20
 
 
 def _assert_rel(got, want, scale=0.0):

@@ -27,6 +27,7 @@ from series_prior.harness import (
     fit_density,
     get_density,
     grid_metrics,
+    load_tecator,
     metric_grid,
     mixture_51,
     read_config,
@@ -288,6 +289,26 @@ class TestFiles:
         f.write_text("q: 3\n")
         with pytest.raises(ValueError, match="key=value"):
             read_config(f)
+
+    def test_load_tecator_skips_header_and_stops_at_trailer(self, tmp_path):
+        records = np.random.default_rng(5).random((215, 125)).round(5)
+
+        def write(rows):  # five numbers a line, between description text
+            lines = (" ".join(map(str, row[i : i + 5])) for row in rows for i in range(0, 125, 5))
+            f.write_text("Tecator data: 215 records\nof 125 numbers each.\n" + "\n".join(lines) + "\nEnd of file\n")
+
+        f = tmp_path / "tecator"
+        write(records)
+        (grid, train_curves, train_fat), (test_grid, test_curves, test_fat) = load_tecator(f)
+        np.testing.assert_array_equal(grid, np.linspace(0.0, 1.0, 100))
+        np.testing.assert_array_equal(test_grid, grid)
+        np.testing.assert_array_equal(train_curves, records[:172, :100])
+        np.testing.assert_array_equal(test_curves, records[172:, :100])
+        np.testing.assert_array_equal(train_fat, records[:172, 123])
+        np.testing.assert_array_equal(test_fat, records[172:, 123])
+        write(records[:214])
+        with pytest.raises(ValueError, match="at least 215 records, got 214"):
+            load_tecator(f)
 
 
 _FLOATS = st.one_of(
