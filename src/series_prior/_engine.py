@@ -53,7 +53,6 @@ from math import prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
-from scipy.special import betaln, gammaln, logsumexp
 
 #: Largest per-dimension assignment count that the exact mode accepts.
 DEFAULT_TERM_CAP = 10_000_000
@@ -139,6 +138,34 @@ def slots_for(values: np.ndarray, groups=None, repeats=None) -> SlotTable:
     return table if repeats is None else table.take(np.repeat(np.arange(len(values)), repeats))
 
 
+def lgamma(x):
+    """log Gamma(x) for each element of x (math.lgamma), as a float array of x's shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+
+
+def _lgamma_counts(a, counts):
+    """lgamma(a + counts) for whole-number counts, a broadcasting against counts.
+
+    A count array of more than 64 rows whose values span fewer integers than
+    it has rows, such as the sampler's (N, J) counts, reads column j's
+    lgamma(a_j + c) from a table over that span. The table holds the floats
+    the per-element path computes, so both paths give the same bits.
+    """
+    if counts.ndim == 2 and counts.shape[0] > 64 and np.ndim(a) <= 1:
+        lo, hi = counts.min(), counts.max()
+        if hi - lo < counts.shape[0]:
+            table = lgamma(np.broadcast_to(a, counts.shape[1:])[:, None] + np.arange(lo, hi + 1.0))
+            return table[np.arange(counts.shape[1]), (counts - lo).astype(np.intp)]
+    return lgamma(a + counts)
+
+
+def logsumexp(x, axis=None):
+    """log(sum(exp(x))) over axis (every element by default), with that axis reduced away."""
+    out = _lse(np.asarray(x, dtype=float), axis)
+    return float(out.item()) if axis is None else np.squeeze(out, axis=axis)
+
+
 class DirichletFamily:
     """Dirichlet(a) coefficient integrals; counts live in one group.
 
@@ -151,13 +178,13 @@ class DirichletFamily:
     def __init__(self, a: np.ndarray):
         self.a = np.asarray(a, dtype=float)
         self.a0 = float(self.a.sum())
-        self.log_norm = float(gammaln(self.a0) - gammaln(self.a).sum())
+        self.log_norm = math.lgamma(self.a0) - float(lgamma(self.a).sum())
 
     def log_global(self, n):
-        return self.log_norm - gammaln(self.a0 + n)
+        return self.log_norm - math.lgamma(self.a0 + n)
 
     def log_close(self, k, counts):
-        return gammaln(self.a[k] + counts[0])
+        return _lgamma_counts(self.a[k], counts[0])
 
     def moments(self, k, counts, n):
         s = self.a0 + n
@@ -177,13 +204,19 @@ class BetaFamily:
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
-        self.log_norm = -betaln(self.a, self.b)
+        self.ab = self.a + self.b
+        self.log_norm = lgamma(self.ab) - lgamma(self.a) - lgamma(self.b)
 
     def log_global(self, n):
         return 0.0
 
     def log_close(self, k, counts):
-        return betaln(self.a[k] + counts[0], self.b[k] + counts[1]) + self.log_norm[k]
+        log_beta = (
+            _lgamma_counts(self.a[k], counts[0])
+            + _lgamma_counts(self.b[k], counts[1])
+            - _lgamma_counts(self.ab[k], counts[0] + counts[1])
+        )
+        return log_beta + self.log_norm[k]
 
     def moments(self, k, counts, n):
         A = self.a[k] + counts[0]
@@ -207,14 +240,14 @@ class GammaFamily:
         self.a = np.asarray(a, dtype=float)
         self.b = np.asarray(b, dtype=float)
         self.rate = self.b + np.asarray(c, dtype=float)
-        self.log_norm = self.a * np.log(self.b) - gammaln(self.a)
+        self.log_norm = self.a * np.log(self.b) - lgamma(self.a)
 
     def log_global(self, n):
         return 0.0
 
     def log_close(self, k, counts):
         A = self.a[k] + counts[0]
-        return self.log_norm[k] + gammaln(A) - A * np.log(self.rate[k])
+        return self.log_norm[k] + _lgamma_counts(self.a[k], counts[0]) - A * np.log(self.rate[k])
 
     def moments(self, k, counts, n):
         A = self.a[k] + counts[0]
@@ -488,9 +521,12 @@ def mc_mixture(
     u_i (e_i @ eval_cols)^2 is ||R2 @ eval_cols||^2, R2 the factor of the
     rows sqrt(u_i) e_i. The work is O(N J^2), not O(N J G).
 
-    The draw order is the reproducibility contract: one
-    rng.integers(0, width[i], N) per row i of the slot table, in row order,
-    from rng, the generator of (seed, J); nothing else is drawn. A draw is
+    The draw order is the reproducibility contract: the stream of one
+    rng.integers(0, width[i], N) call per row i of the slot table, in row
+    order, from rng, the generator of (seed, J); nothing else is drawn. A
+    block of m consecutive rows of equal width k takes its part in one
+    rng.integers(0, k, (m, N)) call, which gives the same picks and leaves
+    the generator in the same state (test_engine checks this). A draw is
     an offset into the row's active window, so the counts are taken per
     window: the rows that share a group, a first index and a width (one
     np.unique over those columns) add their picks of each offset together.
@@ -501,14 +537,18 @@ def mc_mixture(
         raise ValueError(f"need at least 2 sampled terms, got {N}")
     n = len(slots)
     widths = slots.width.tolist()
-    # Adding each row's log values right after its draw, in row order, is
-    # faster than one gather over all rows, which moves N * n floats.
+    # One call per block of consecutive rows of equal width draws the stream
+    # of one call per row. A block holds at most 2^16 picks, so its arrays stay
+    # small, and its log values are added row by row, in row order.
     logb = np.zeros(N)
     picks = np.empty((n, N), dtype=np.min_scalar_type(max(widths, default=0)))
-    for i, k in enumerate(widths):
-        d = rng.integers(0, k, N)
-        logb += slots.log_values[i][d]
-        picks[i] = d
+    runs = np.flatnonzero(np.diff(slots.width, prepend=0)).tolist()
+    blocks = sorted({*runs, *range(0, n, max(1, 2**16 // N))}) + [n]
+    for lo, hi in itertools.pairwise(blocks):
+        d = rng.integers(0, widths[lo], (hi - lo, N))
+        picks[lo:hi] = d
+        for values, row in zip(slots.log_values[lo:hi], d):
+            logb += values[row]
     # The rows that share a group, a first index and a width form one active window.
     keys = np.stack([slots.group, slots.first, slots.width], axis=1)
     windows, which = np.unique(keys, axis=0, return_inverse=True)

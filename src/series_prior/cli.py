@@ -18,9 +18,9 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import basis as basis_mod
 from . import harness
@@ -123,7 +123,12 @@ def _cmd_simulate(opts) -> int:
 
 def _cmd_approx_check(opts) -> int:
     q = opts["q"]
-    dims = [int(v) for v in opts["j"].split(",")]
+    dims = []
+    for token in opts["j"].split(","):
+        try:
+            dims.append(int(token))
+        except ValueError:
+            raise ValueError(f"--j: {token!r} is not an integer dimension, in {opts['j']!r}") from None
     if len(set(dims)) < 2 or min(dims) < q:
         raise ValueError(f"--j needs two or more distinct dimensions, none below q={q}, got {opts['j']!r}")
     target = lambda t: np.sin(2.0 * np.pi * t)
@@ -195,7 +200,7 @@ def _cmd_funreg(opts) -> int:
     tgrid = harness.metric_grid(opts["grid"])
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_function_moments(post, coef_designs)
-    z = ndtri(0.5 + opts["level"] / 2.0)
+    z = NormalDist().inv_cdf(0.5 + opts["level"] / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(opts["output"])
     harness.write_table(

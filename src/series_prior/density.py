@@ -18,10 +18,10 @@ _engine.posterior_moments, whose docstring states the rules of its ``mode``
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from statistics import NormalDist
 from typing import Mapping
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _engine
 from ._engine import EnumerationCapError, PosteriorSummary
@@ -158,7 +158,7 @@ def credible_band(summary: PosteriorSummary, level: float = 0.95) -> PosteriorSu
         raise ValueError(f"level must be in (0, 1), got {level}")
     if summary.second_moment is None:
         raise ValueError("second_moment not populated; rerun with m=2")
-    z = ndtri(0.5 + level / 2.0)
+    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     sd = np.sqrt(np.maximum(summary.second_moment - summary.mean**2, 0.0))
     low = np.maximum(summary.mean - z * sd, 0.0)
     high = summary.mean + z * sd

@@ -22,7 +22,6 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import betaincinv
 
 from . import _engine
 from .basis import Basis, eval_normalized
@@ -98,7 +97,7 @@ def sample_density(density: TrueDensity, n: int, seed) -> DensityDataset:
     """
     rng = np.random.default_rng(seed)
     if density.name == "beta-half":
-        return DensityDataset(betaincinv(0.5, 0.5, rng.random(n)))
+        return DensityDataset(np.sin(np.pi * rng.random(n) / 2.0) ** 2)
     grid = np.linspace(0.0, 1.0, 10_001)
     sup = float(density.pdf(grid).max()) * (1.0 + 1e-3)
     out = np.empty(n)
@@ -161,6 +160,10 @@ class ExperimentConfig:
             raise ValueError("need at least one replication")
         if self.n < 1 or not 0.0 < self.level < 1.0:
             raise ValueError(f"need n >= 1 and a level in (0, 1), got n={self.n} and level={self.level}")
+        if self.q < 1:
+            raise ValueError(f"order q must be a positive integer, got q={self.q}")
+        if self.j_min < self.q:
+            raise ValueError(f"j_min={self.j_min} is below the spline order q={self.q}; need j_min >= q")
         _engine.check_mode(self.mode, self.n_terms)
 
 

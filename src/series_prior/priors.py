@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
+
+from ._engine import lgamma, logsumexp
 
 _MODEL_FAMILIES = ("geometric", "poisson", "negative-binomial")
 _COEF_FAMILIES = ("dirichlet", "beta", "gamma")
@@ -35,13 +36,13 @@ def _base_log_pmf(family: str, params: tuple, j: np.ndarray) -> np.ndarray:
         return np.log(p) + (j - 1.0) * np.log1p(-p)
     if family == "poisson":
         (lam,) = params
-        return j * np.log(lam) - lam - gammaln(j + 1.0)
+        return j * np.log(lam) - lam - lgamma(j + 1.0)
     if family == "negative-binomial":
         r, p = params
         return (
-            gammaln(j + r)
-            - gammaln(r)
-            - gammaln(j + 1.0)
+            lgamma(j + r)
+            - lgamma(r)
+            - lgamma(j + 1.0)
             + r * np.log(p)
             + j * np.log1p(-p)
         )
@@ -66,7 +67,7 @@ class ModelSizePrior:
                 f"truncation must satisfy 1 <= j_min <= j_max, got [{self.j_min}, {self.j_max}]"
             )
         support = np.arange(self.j_min, self.j_max + 1)
-        norm = float(logsumexp(_base_log_pmf(self.family, self.params, support)))
+        norm = logsumexp(_base_log_pmf(self.family, self.params, support))
         object.__setattr__(self, "_log_norm", norm)
 
     @staticmethod

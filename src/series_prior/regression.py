@@ -29,10 +29,9 @@ from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from . import _engine
-from ._engine import PosteriorSummary
+from ._engine import PosteriorSummary, lgamma, logsumexp
 from .basis import Basis, eval_basis
 from .priors import CoefficientPrior, ModelSizePrior
 
@@ -208,8 +207,8 @@ def gaussian_fit(
             -0.5 * n * np.log(2.0 * np.pi)
             - 0.5 * ncol * np.log1p(g)
             + a * np.log(b)
-            - gammaln(a)
-            + gammaln(a + 0.5 * n)
+            - lgamma(a)
+            + lgamma(a + 0.5 * n)
             - (a + 0.5 * n) * np.log(b + 0.5 * quad)
         )
         feasible.append(int(j))

@@ -130,6 +130,15 @@ class TestSimulate:
         assert err.startswith("error: ") and ("level" in err if flag == "--level" else "n=" in err)
         assert not (tmp_path / "metrics.csv").exists()
 
+    @pytest.mark.parametrize(
+        "argv", [["--q", "0"], ["--density", "beta-half", "--q", "5", "--jmin", "2", "--jmax", "4"]]
+    )
+    def test_bad_order_refused_before_any_output(self, capsys, tmp_path, argv):
+        code, _, err = run(capsys, "simulate", "--reps", "1", *argv, "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "q=" in err
+        assert not (tmp_path / "metrics.csv").exists()
+
 
 class TestApproxCheck:
     def test_slope_printed(self, capsys):
@@ -141,6 +150,11 @@ class TestApproxCheck:
         code, out, err = run(capsys, "approx-check", "--j", "8")
         assert code == 1
         assert "--j" in err and "slope" not in out
+
+    def test_bad_dimension_named(self, capsys):
+        code, out, err = run(capsys, "approx-check", "--j", "x,3")
+        assert code == 1
+        assert "--j" in err and "'x'" in err and "slope" not in out
 
     def test_dimension_below_order_is_refused(self, capsys):
         code, _, err = run(capsys, "approx-check", "--j", "2,8", "--q", "3")

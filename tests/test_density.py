@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from scipy.special import logsumexp
+from scipy.special import logsumexp, ndtri
 
 from oracles import (
     _stick_breaking_rule,
@@ -251,6 +253,18 @@ class TestCredibleBand:
         banded = credible_band(s, 0.95)
         np.testing.assert_allclose(banded.band_high, s.mean + 1.959963984540054 * sd, rtol=1e-12)
         assert banded.band_low[0] >= 0.0
+
+    def test_band_quantile_matches_scipy_ndtri(self):
+        # The band's z(level) comes from statistics.NormalDist; scipy's ndtri is the cross-check.
+        mp = ModelSizePrior.geometric(0.5, 2, 2)
+        s = exact_moment(
+            DensityDataset(np.array([0.25])), np.array([0.2]), {2: make_basis(1, 2)}, mp, m=2
+        )
+        s = dataclasses.replace(s, mean=np.zeros(1), second_moment=np.ones(1))  # band_high is z itself
+        levels = np.concatenate([np.linspace(0.001, 0.999, 999), [0.9, 0.95, 0.99, 0.999, 1.0 - 1e-9]])
+        z = np.array([credible_band(s, level).band_high[0] for level in levels])
+        want = ndtri(0.5 + levels / 2.0)
+        assert np.all(np.abs(z - want) <= 1e-14 * want)
 
     def test_level_validated(self):
         mp = ModelSizePrior.geometric(0.5, 2, 2)

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 from oracles import _assignment_terms, _counts_for, _log_values_for, enumerate_mixture, union_breakpoint_rule
 
 from series_prior import _engine
@@ -336,6 +337,52 @@ def test_mc_mixture_equals_reference(case, second, n_draws, seed):
     slots, family, J, eval_cols = case
     got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
     _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, second)
+
+
+@settings(max_examples=50, deadline=None)
+@given(chain_cases(max_points=40), st.integers(0, 2**32 - 1))
+def test_mc_mixture_draws_the_stream_of_one_call_per_row(case, seed):
+    slots, family, J, eval_cols = case
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    _engine.mc_mixture(slots, family, J, eval_cols, 7, rng)
+    for k in slots.width.tolist():
+        ref.integers(0, k, 7)
+    assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5, 300, 2**32 + 5])
+@pytest.mark.parametrize("n_draws", [1, 2, 7, 999, 3000])
+def test_one_call_per_block_draws_the_stream_of_one_call_per_row(k, n_draws):
+    # mc_mixture draws each block of equal-width rows with one call; its draw
+    # contract is the stream of one call per row, which holds only while numpy
+    # fills an (m, N) request row after row from the same stream.
+    per_row, batched = np.random.default_rng(11), np.random.default_rng(11)
+    want = np.array([per_row.integers(0, k, n_draws) for _ in range(4)])
+    np.testing.assert_array_equal(batched.integers(0, k, (4, n_draws)), want)
+    assert batched.bit_generator.state == per_row.bit_generator.state
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.5, 7.0])
+def test_lgamma_matches_scipy_gammaln(a):
+    x = a + np.arange(2001.0)
+    want = gammaln(x)
+    got = _engine.lgamma(x)
+    assert got.shape == x.shape
+    assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(np.abs(want), 1.0))
+
+
+def test_log_close_count_table_equals_per_element():
+    # A family's log_close reads a large count array from a table, and a
+    # small one element by element; both give the same bits.
+    rng = np.random.default_rng(2)
+    a = np.array([0.5, 1.0, 2.5, 7.0, 0.3])
+    counts = tuple(rng.integers(0, 40, (500, a.size)).astype(float) + g for g in (0, 3))
+    np.testing.assert_array_equal(_engine._lgamma_counts(a, counts[0]), _engine.lgamma(a + counts[0]))
+    for family in (_engine.DirichletFamily(a), _engine.BetaFamily(a, a[::-1]), _engine.GammaFamily(a, a, a)):
+        own = counts[: family.n_groups]
+        whole = family.log_close(slice(None), own)
+        rows = [family.log_close(slice(None), tuple(c[i] for c in own)) for i in range(500)]
+        np.testing.assert_array_equal(whole, np.array(rows))
 
 
 def test_mc_mixture_with_dominant_draw():

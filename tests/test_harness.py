@@ -213,6 +213,12 @@ class TestRunExperiment:
             run_experiment(dataclasses.replace(good, **bad))
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("bad", [{"q": 0}, {"q": -1}, {"q": 5, "j_min": 2, "j_max": 4}, {"q": 3, "j_min": 2}])
+    def test_bad_order_rejected_when_made(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="order q|below the spline order"):
+            ExperimentConfig(n=10, replications=1, output_dir=str(tmp_path / "out"), **bad)
+        assert not (tmp_path / "out").exists()
+
     def test_raising_replication_stops_the_pool(self, monkeypatch):
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
         ran = []
@@ -365,3 +371,12 @@ def test_package_import_leaves_out_scipy_stats():
     code = "import sys, series_prior, series_prior.cli; print('scipy.stats' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_package_import_leaves_out_scipy():
+    # The library imports only numpy and the standard library; scipy is a cross-check of the tests.
+    src = str(Path(series_prior.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, series_prior, series_prior.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
