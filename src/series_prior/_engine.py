@@ -75,12 +75,14 @@ class EnumerationCapError(RuntimeError):
         self.j = j
 
 
-def check_mode(mode: str, n_terms: int) -> None:
-    """Refuse an unknown mode, or fewer than 2 sampled terms in any mode."""
+def check_mode(mode: str, n_terms: int, seed) -> None:
+    """Refuse an unknown mode, fewer than 2 sampled terms or a negative seed, in any mode."""
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
     if int(n_terms) < 2:
         raise ValueError(f"need at least 2 sampled terms, got {n_terms}")
+    if int(seed) < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -524,48 +526,40 @@ def mc_mixture(
     The draw order is the reproducibility contract: the stream of one
     rng.integers(0, width[i], N) call per row i of the slot table, in row
     order, from rng, the generator of (seed, J); nothing else is drawn. A
-    block of m consecutive rows of equal width k takes its part in one
-    rng.integers(0, k, (m, N)) call, which gives the same picks and leaves
-    the generator in the same state (test_engine checks this). A draw is
-    an offset into the row's active window, so the counts are taken per
-    window: the rows that share a group, a first index and a width (one
-    np.unique over those columns) add their picks of each offset together.
-    log_scale, the log of the active-set product, is the sum of log(width).
+    block of m consecutive rows that share a window (a group, a first index
+    and a width k) takes its part in one rng.integers(0, k, (m, N)) call,
+    which gives the same picks and leaves the generator in the same state
+    (test_engine checks this). A pick is an offset into the row's window,
+    so the counts are taken per block, right after its call: the block's
+    picks of each offset are added to that basis's column of the group's
+    counts, and no pick is kept past its block. Counts are whole numbers, so
+    their sums do not depend on how the rows are cut into blocks. log_scale,
+    the log of the active-set product, is the sum of log(width).
     """
     N = int(n_draws)
     if N < 2:
         raise ValueError(f"need at least 2 sampled terms, got {N}")
     n = len(slots)
-    widths = slots.width.tolist()
-    # One call per block of consecutive rows of equal width draws the stream
-    # of one call per row. A block holds at most 2^16 picks, so its arrays stay
-    # small, and its log values are added row by row, in row order.
+    # A block is a run of rows that share a window, of at most 2^16 picks, so
+    # its arrays stay small; its log values are added row by row, in row order.
     logb = np.zeros(N)
-    picks = np.empty((n, N), dtype=np.min_scalar_type(max(widths, default=0)))
-    runs = np.flatnonzero(np.diff(slots.width, prepend=0)).tolist()
-    blocks = sorted({*runs, *range(0, n, max(1, 2**16 // N))}) + [n]
+    counts = [np.zeros((N, J)) for _ in range(family.n_groups)]
+    window = np.stack([slots.group, slots.first, slots.width])
+    starts = np.flatnonzero(np.any(np.diff(window, prepend=-1), axis=0)).tolist()
+    per_block = max(1, 2**16 // N)  # rows
+    blocks = [b for lo, hi in itertools.pairwise(starts + [n]) for b in range(lo, hi, per_block)] + [n]
     for lo, hi in itertools.pairwise(blocks):
-        d = rng.integers(0, widths[lo], (hi - lo, N))
-        picks[lo:hi] = d
+        g, first, k = window[:, lo].tolist()
+        d = rng.integers(0, k, (hi - lo, N))
         for values, row in zip(slots.log_values[lo:hi], d):
             logb += values[row]
-    # The rows that share a group, a first index and a width form one active window.
-    keys = np.stack([slots.group, slots.first, slots.width], axis=1)
-    windows, which = np.unique(keys, axis=0, return_inverse=True)
-    which = which.ravel()
-    members = np.split(np.argsort(which, kind="stable"), np.cumsum(np.bincount(which))[:-1])
-    counts = [np.zeros((N, J)) for _ in range(family.n_groups)]
-    for (g, first, k), rows in zip(windows.tolist(), members):
-        if k == 1:
-            counts[g][:, first] += len(rows)
-            continue
-        window = picks[rows]
-        small = np.min_scalar_type(len(rows))  # no offset is picked more often than the window has rows
-        rest = np.full(N, len(rows), dtype=small)  # the last offset takes the picks no other one took
+        d = d.astype(np.min_scalar_type(k))  # byte-sized compares
+        small = np.min_scalar_type(hi - lo)  # no offset is picked more often than the block has rows
+        rest = hi - lo  # the last offset takes the picks no other one took
         for o in range(k - 1):
-            picked = (window == o).sum(axis=0, dtype=small)
+            picked = (d == o).sum(axis=0, dtype=small)
             counts[g][:, first + o] += picked
-            rest -= picked
+            rest = rest - picked
         counts[g][:, first + k - 1] += rest
     lt = family.log_close(slice(None), counts).sum(axis=-1) + family.log_global(n) + logb
     shift = float(np.max(lt))
@@ -681,20 +675,19 @@ def posterior_moments(
     build(j) returns (slots, family, eval_cols) for dimension j, where
     slots is the dimension's SlotTable and eval_cols holds the basis values
     at the grid points (J x G). m=1 computes the mean only; m=2 also the
-    pointwise second moment. mode "exact" sums every assignment by
-    exact_mixture's forward-backward recursion, whose cost does not grow
-    with the assignment count, and raises EnumerationCapError at the first
-    dimension that has more than DEFAULT_TERM_CAP assignments; "mc" samples
-    n_terms assignments per dimension; "auto" is exact when every dimension
-    is within the cap, sampled otherwise. An unknown mode or n_terms below 2
-    is refused before any work, in every mode. Dimensions are built, used
-    and dropped one at a time, each once unless "auto" meets a dimension
-    over the cap: the dimensions summed exactly before it are then built
-    again and sampled.
+    pointwise second moment. An unknown mode, n_terms below 2 or a negative
+    seed is refused before any work, in every mode. Then every dimension is
+    built once, before the engine is chosen, and the engine is chosen from
+    all of them: mode "exact" sums every assignment by exact_mixture's
+    forward-backward recursion, whose cost does not grow with the assignment
+    count, and raises EnumerationCapError naming the first dimension that
+    has more than DEFAULT_TERM_CAP assignments; "mc" samples n_terms
+    assignments per dimension; "auto" is exact when every dimension is
+    within the cap, sampled otherwise.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")
-    check_mode(mode, n_terms)
+    check_mode(mode, n_terms, seed)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     j_values = np.asarray(sorted(bases), dtype=int)
     if j_values.size == 0:
@@ -705,30 +698,21 @@ def posterior_moments(
     log_prior = model_prior.log_pmf(j_values)
     with_second = m == 2
 
-    def sampled(j, slots, family, eval_cols):
-        rng = np.random.default_rng(np.random.SeedSequence([int(seed), int(j)]))
-        return mc_mixture(slots, family, bases[j].dimension, eval_cols, n_terms, rng, with_second)
-
-    engine = "mc" if mode == "mc" else "exact"
-    per_j = []
-    for i, j in enumerate(j_values):
-        slots, family, eval_cols = build(j)
-        if engine == "exact":
-            total = assignment_count(slots)
-            if total > DEFAULT_TERM_CAP:
-                if mode == "exact":
-                    raise EnumerationCapError(total, DEFAULT_TERM_CAP, int(j))
-                # auto: sample every dimension, rebuilding the ones already summed.
-                engine = "mc"
-                per_j = [sampled(done, *build(done)) for done in j_values[:i]]
-        if engine == "exact":
-            per_j.append(exact_mixture(slots, family, bases[j].dimension, eval_cols, with_second))
-        else:
-            per_j.append(sampled(j, slots, family, eval_cols))
+    built = {int(j): build(j) for j in j_values}
+    totals = {} if mode == "mc" else {j: assignment_count(b[0]) for j, b in built.items()}
+    over = [j for j, total in totals.items() if total > DEFAULT_TERM_CAP]
+    if over and mode == "exact":
+        raise EnumerationCapError(totals[over[0]], DEFAULT_TERM_CAP, over[0])
+    engine = "mc" if mode == "mc" or over else "exact"
     if engine == "exact":
+        per_j = [exact_mixture(s, f, bases[j].dimension, cols, with_second) for j, (s, f, cols) in built.items()]
         mean, second, j_w_log = combine_exact(per_j, log_prior)
         se = np.zeros_like(mean)
     else:
+        per_j = []
+        for j, (s, f, cols) in built.items():
+            rng = np.random.default_rng(np.random.SeedSequence([int(seed), j]))
+            per_j.append(mc_mixture(s, f, bases[j].dimension, cols, n_terms, rng, with_second))
         mean, se, second, j_w_log = combine_mc(per_j, log_prior)
     return PosteriorSummary(
         grid=grid,

@@ -121,14 +121,20 @@ def _cmd_simulate(opts) -> int:
     return 0
 
 
+def _split(flag: str, text: str, convert, what: str) -> list:
+    """The comma-separated values of an option; a bad one is named with its option."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(convert(token))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"{flag}: {token!r} is not {what}, in {text!r}") from None
+    return values
+
+
 def _cmd_approx_check(opts) -> int:
     q = opts["q"]
-    dims = []
-    for token in opts["j"].split(","):
-        try:
-            dims.append(int(token))
-        except ValueError:
-            raise ValueError(f"--j: {token!r} is not an integer dimension, in {opts['j']!r}") from None
+    dims = _split("--j", opts["j"], int, "an integer dimension")
     if len(set(dims)) < 2 or min(dims) < q:
         raise ValueError(f"--j needs two or more distinct dimensions, none below q={q}, got {opts['j']!r}")
     target = lambda t: np.sin(2.0 * np.pi * t)
@@ -144,7 +150,8 @@ def _cmd_approx_check(opts) -> int:
 
 
 def _cmd_rates(opts) -> int:
-    alpha = tuple(Fraction(part) for part in opts["alpha"].split(","))
+    alpha = tuple(_split("--alpha", opts["alpha"], Fraction, "a fraction"))
+    n_grid = _split("--n-grid", opts["n-grid"], float, "a number")
     problem = RateProblem(
         basis_family=opts["family"],
         alpha=alpha if len(alpha) > 1 else alpha[0],
@@ -157,7 +164,6 @@ def _cmd_rates(opts) -> int:
     result: RateResult = rate_exponents(problem)
     print(f"gamma={result.poly_exp} delta={result.log_exp}")
     if opts["sieve-csv"]:
-        n_grid = [float(v) for v in opts["n-grid"].split(",")]
         consts = SieveConstants(c1=opts["c1"], c3=opts["c3"], C0=opts["C0"], b=opts["b"])
         certified = solve_sieve(problem, consts, n_grid)
         harness.write_table(
@@ -183,6 +189,7 @@ def _read_curves(path):
 
 def _cmd_funreg(opts) -> int:
     model_prior = _model_prior(opts)
+    tgrid = harness.metric_grid(opts["grid"])
     grid, curves = _read_curves(opts["curves"])
     if opts["responses"]:
         responses = harness.read_observations(opts["responses"])
@@ -197,7 +204,6 @@ def _cmd_funreg(opts) -> int:
     post = gaussian_fit(
         designs, data.responses, model_prior, g=opts["theta.g"], a=opts["theta.a"], b=opts["theta.b"]
     )
-    tgrid = harness.metric_grid(opts["grid"])
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_function_moments(post, coef_designs)
     z = NormalDist().inv_cdf(0.5 + opts["level"] / 2.0)

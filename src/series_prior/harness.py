@@ -131,7 +131,9 @@ def grid_metrics(estimate, truth: TrueDensity, grid) -> tuple[float, float]:
 
 
 def metric_grid(size: int = 100) -> np.ndarray:
-    """Midpoint grid; keeps endpoint-singular truths finite."""
+    """Midpoint grid of size points, at least 1; keeps endpoint-singular truths finite."""
+    if size < 1:
+        raise ValueError(f"grid size must be at least 1, got {size}")
     return (np.arange(size) + 0.5) / size
 
 
@@ -164,7 +166,7 @@ class ExperimentConfig:
             raise ValueError(f"order q must be a positive integer, got q={self.q}")
         if self.j_min < self.q:
             raise ValueError(f"j_min={self.j_min} is below the spline order q={self.q}; need j_min >= q")
-        _engine.check_mode(self.mode, self.n_terms)
+        _engine.check_mode(self.mode, self.n_terms, self.seed)
 
 
 @dataclass

@@ -295,10 +295,13 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
 
     Each observation contributes one slot; successes and failures update the
     two Beta count groups through the expansion of theta'B and (1-theta)'B.
+    Rows are sorted by response, then covariate: group-major, so that the
+    rows of one window (group, first index, width) are adjacent, and the
+    sampler draws and counts a window's rows together, not row by row.
     """
     if data.kind != "binary":
         raise ValueError("binary_moment needs a binary dataset")
-    order = np.lexsort((data.responses, data.covariates))
+    order = np.lexsort((data.covariates, data.responses))
     z = data.covariates[order]
     groups = np.where(data.responses[order] == 1.0, 0, 1)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))

@@ -50,6 +50,18 @@ class TestRates:
         assert code == 1
         assert "error" in err
 
+    def test_bad_alpha_named(self, capsys):
+        code, out, err = run(capsys, "rates", "--alpha", "1,x")
+        assert code == 1
+        assert "--alpha" in err and "'x'" in err and "gamma" not in out
+
+    def test_bad_n_grid_named(self, capsys, tmp_path):
+        path = tmp_path / "sieve.csv"
+        code, out, err = run(capsys, "rates", "--sieve-csv", str(path), "--n-grid", "1e4,x")
+        assert code == 1
+        assert "--n-grid" in err and "'x'" in err and "gamma" not in out
+        assert not path.exists()
+
 
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
@@ -97,6 +109,17 @@ class TestDensityFit:
         assert code == 0
         assert len(out.read_text().strip().splitlines()) == 13  # flag overrides config
 
+    def test_negative_seed_named(self, capsys, tmp_path):
+        inp = tmp_path / "obs.txt"
+        inp.write_text("".join(f"{v}\n" for v in np.random.default_rng(2).random(8)))
+        out = tmp_path / "fit.csv"
+        code, _, err = run(
+            capsys, "density-fit", "--input", str(inp), "--seed", "-3", "--mode", "mc", "--output", str(out),
+        )
+        assert code == 1
+        assert err.startswith("error: ") and "seed" in err
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_metrics_written(self, capsys, tmp_path):
@@ -137,6 +160,12 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--reps", "1", *argv, "--outdir", str(tmp_path))
         assert code == 1
         assert err.startswith("error: ") and "q=" in err
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_negative_seed_refused_before_any_output(self, capsys, tmp_path):
+        code, _, err = run(capsys, "simulate", "--seed", "-1", "--reps", "2", "--n", "10", "--outdir", str(tmp_path))
+        assert code == 1
+        assert err.startswith("error: ") and "seed" in err
         assert not (tmp_path / "metrics.csv").exists()
 
 
@@ -292,6 +321,25 @@ class TestRegressionCommands:
         sd_se = dev2.std(axis=0) / root_m / (2.0 * sd)  # delta method
         assert np.all(np.abs(written[:, 1] - beta_draws.mean(axis=0)) < 5.0 * sd / root_m)
         assert np.all(np.abs(written[:, 2] - sd) < 5.0 * sd_se)
+
+
+@pytest.mark.parametrize("size", ["0", "-2"])
+@pytest.mark.parametrize("command", ["density-fit", "binreg", "poisreg", "funreg"])
+def test_empty_grid_refused_before_any_output(capsys, tmp_path, command, size):
+    rng = np.random.default_rng(3)
+    inp = tmp_path / "in.txt"
+    if command == "density-fit":
+        inp.write_text("".join(f"{v}\n" for v in rng.random(8)))
+    elif command == "funreg":  # 12 grid times; each curve row ends with its response
+        rows = [np.linspace(0.0, 1.0, 12), *rng.standard_normal((10, 13))]
+        inp.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows))
+    else:
+        inp.write_text("".join(f"{a},{b}\n" for a, b in zip(rng.random(8), rng.integers(0, 2, 8))))
+    flag = "--curves" if command == "funreg" else "--input"
+    code, _, err = run(capsys, command, flag, str(inp), "--grid", size, "--output", str(tmp_path / "out.csv"))
+    assert code == 1
+    assert err.startswith("error: ") and f"grid size must be at least 1, got {size}" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
 
 
 class TestReaderErrors:

@@ -83,8 +83,10 @@ class TestAutoMode:
         assert posterior_moments(counted, bases, mp, GRID, mode="auto").mode == "exact"
         assert calls == sorted(bases)
 
-    def test_auto_rebuilds_only_the_dimensions_before_the_cap(self, monkeypatch):
-        # J=5 needs one term (every point is a J=5 knot), J=6 is the first over a cap of 4.
+    @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
+    def test_every_mode_builds_each_dimension_once(self, mode, monkeypatch):
+        # J=5 needs one term (every point is a J=5 knot), J=6 is the first over a cap of 4;
+        # exact mode runs within the cap, auto past it.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
         build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
@@ -94,11 +96,13 @@ class TestAutoMode:
             calls.append(int(j))
             return build(j)
 
-        monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
-        auto = posterior_moments(counted, bases, mp, GRID, mode="auto", n_terms=50, seed=3)
-        assert auto.mode == "mc"
-        assert calls == [5, 6, 5, 7, 8]
-        _assert_same(auto, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
+        if mode == "auto":
+            monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
+        fit = posterior_moments(counted, bases, mp, GRID, mode=mode, n_terms=50, seed=3)
+        assert calls == [5, 6, 7, 8]
+        assert fit.mode == ("exact" if mode == "exact" else "mc")
+        if mode == "auto":
+            _assert_same(fit, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
 
 
 class TestExactCap:
@@ -518,8 +522,9 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
     assert np.all(second >= mean**2 * (1.0 - 1e-12))
 
 
+@pytest.mark.parametrize("mode", ["exact", "mc"])
 @pytest.mark.parametrize("kind", ["binary", "poisson"])
-def test_exact_regression_ignores_observation_order(kind):
+def test_regression_ignores_observation_order(kind, mode):
     mp = ModelSizePrior.geometric(0.5, 4, 7)
     bases = bases_for_prior(3, mp)
     rng = np.random.default_rng(4)
@@ -528,8 +533,8 @@ def test_exact_regression_ignores_observation_order(kind):
     fit = binary_moment if kind == "binary" else poisson_moment
     perm = rng.permutation(9)
     runs = [
-        fit(RegressionDataset(z[order], x[order], kind), bases, (1.0, 1.0), mp, GRID, mode="exact")
+        fit(RegressionDataset(z[order], x[order], kind), bases, (1.0, 1.0), mp, GRID, mode=mode, n_terms=200, seed=6)
         for order in (np.arange(9), perm)
     ]
-    assert runs[0].mode == "exact"
+    assert runs[0].mode == mode
     _assert_same(*runs)

@@ -1,8 +1,10 @@
 """Dead names in the package source, found with the standard library's ast.
 
 An import that is never referenced (re-exports in __init__.py and names in
-__all__ excepted) and a function-local name that is assigned but never read
-(``_``-prefixed names excepted) fail the test.
+__all__ excepted), a function-local name that is assigned but never read
+(``_``-prefixed names excepted) and a module-level ``_``-prefixed function or
+class that no module of the package reads, by name or as an attribute, fail
+the test.
 """
 
 import ast
@@ -76,6 +78,30 @@ def unread_locals(tree) -> list[str]:
     return dead
 
 
+def _reads(node) -> set[str]:
+    attrs = {n.attr for n in ast.walk(node) if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return _loaded(node) | attrs
+
+
+def unread_private_defs(trees: dict) -> list[str]:
+    """Module-level _-prefixed functions and classes that no other statement reads, by name or as an attribute."""
+    statements = [(name, node, _reads(node)) for name, tree in trees.items() for node in tree.body]
+    return [
+        f"{name} line {node.lineno}: {node.name} is never read"
+        for name, node, _ in statements
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(node.name in read for _, other, read in statements if other is not node)
+    ]
+
+
+def test_no_unread_private_defs():
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path)) for path in MODULES}
+    dead = unread_private_defs(trees)
+    assert not dead, "; ".join(dead)
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_dead_names(path):
     tree = ast.parse(path.read_text(), filename=str(path))
@@ -94,4 +120,21 @@ def test_check_finds_dead_names():
     ]
     assert sorted(unread_locals(tree)) == [
         "line 5: f assigns y, never read", "line 7: f assigns a, never read",
+    ]
+
+
+def test_check_finds_unread_private_defs():
+    trees = {
+        "a.py": ast.parse(
+            "def _used():\n    pass\ndef _dead():\n    pass\nclass _Gone:\n    pass\n"
+            "def _by_attr():\n    pass\ndef __getattr__(name):\n    pass\ndef public():\n    return _used()\n"
+        ),
+        "b.py": ast.parse(
+            "from . import a\nfrom .a import _dead\ndef _self_only():\n    return _self_only\n"
+            "x = a._by_attr\n"
+        ),
+    }
+    assert unread_private_defs(trees) == [
+        "a.py line 3: _dead is never read", "a.py line 5: _Gone is never read",
+        "b.py line 3: _self_only is never read",
     ]
