@@ -143,7 +143,7 @@ def slots_for(values: np.ndarray, groups=None, repeats=None) -> SlotTable:
 def lgamma(x):
     """log Gamma(x) for each element of x (math.lgamma), as a float array of x's shape."""
     x = np.asarray(x, dtype=float)
-    return np.array([math.lgamma(v) for v in x.ravel().tolist()]).reshape(x.shape)
+    return np.array(list(map(math.lgamma, x.ravel().tolist()))).reshape(x.shape)
 
 
 def _lgamma_counts(a, counts):

@@ -121,15 +121,18 @@ def _cmd_simulate(opts) -> int:
     return 0
 
 
+def _value(flag: str, token: str, convert, what: str, within: str | None = None):
+    """One value of an option; a bad one is named with its option (and the list it came from)."""
+    try:
+        return convert(token)
+    except (ValueError, ZeroDivisionError):
+        where = "" if within is None else f", in {within!r}"
+        raise ValueError(f"{flag}: {token!r} is not {what}{where}") from None
+
+
 def _split(flag: str, text: str, convert, what: str) -> list:
     """The comma-separated values of an option; a bad one is named with its option."""
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(convert(token))
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{flag}: {token!r} is not {what}, in {text!r}") from None
-    return values
+    return [_value(flag, token, convert, what, text) for token in text.split(",")]
 
 
 def _cmd_approx_check(opts) -> int:
@@ -152,13 +155,18 @@ def _cmd_approx_check(opts) -> int:
 def _cmd_rates(opts) -> int:
     alpha = tuple(_split("--alpha", opts["alpha"], Fraction, "a fraction"))
     n_grid = _split("--n-grid", opts["n-grid"], float, "a number")
+
+    def fraction(flag):
+        return _value(flag, opts[flag[2:]], Fraction, "a fraction")
+
+    t2, t3 = fraction("--t2"), fraction("--t3")
     problem = RateProblem(
         basis_family=opts["family"],
         alpha=alpha if len(alpha) > 1 else alpha[0],
         s=len(alpha) if opts["s"] is None else opts["s"],
-        t1=Fraction(opts["t2"] if opts["t1"] is None else opts["t1"]),
-        t2=Fraction(opts["t2"]),
-        t3=Fraction(opts["t3"]),
+        t1=t2 if opts["t1"] is None else fraction("--t1"),
+        t2=t2,
+        t3=t3,
         r=float("inf") if opts["r"] == "inf" else 2,
     )
     result: RateResult = rate_exponents(problem)

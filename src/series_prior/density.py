@@ -5,8 +5,9 @@ B-splines, a Dirichlet prior on theta given the dimension J, and a truncated
 prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
-density_builder gives each dimension's slots and Dirichlet family; its
-``a`` is a CoefficientPrior or the raw Dirichlet parameter, which becomes
+density_builder makes each dimension's Dirichlet family and grid columns
+once, and each dataset's builder adds that dataset's slots. Its ``a`` is a
+CoefficientPrior or the raw Dirichlet parameter, which becomes
 CoefficientPrior.dirichlet(a), so priors.CoefficientPrior alone checks the
 hyperparameters. Every posterior-moment entry point of the package
 (exact_moment, mc_moment, harness.fit_density, regression.binary_moment and
@@ -85,25 +86,34 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
     return {j: make_basis(q, j - q + 1) for j in model_prior.support}
 
 
-def density_builder(data: DensityDataset, bases: Mapping[int, Basis], grid, a=1.0):
-    """The per-dimension (slots, family, eval_cols) builder of _engine.posterior_moments.
+def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
+    """The per-dimension builders of _engine.posterior_moments: for_data(data) -> build.
 
     a is a Dirichlet CoefficientPrior or its parameter, a positive scalar or
-    a length-J vector. Observations are taken in sorted order, so outputs do
-    not depend on their order.
+    a length-J vector. Each dimension's Dirichlet family and grid columns
+    depend only on (bases, grid, a), so they are made here, once, and every
+    dataset's build(j) shares them; build(j) adds the dataset's slot table.
+    Observations are taken in sorted order, so outputs do not depend on
+    their order.
     """
     prior = a if isinstance(a, CoefficientPrior) else CoefficientPrior.dirichlet(a)
     if prior.family != "dirichlet":
         raise ValueError(f"density posterior needs a dirichlet prior, got {prior.family!r}")
-    obs = np.sort(data.observations)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    shared = {
+        j: (_engine.DirichletFamily(prior.params_for(basis.dimension)[0]), eval_normalized(basis, grid).T)
+        for j, basis in bases.items()
+    }
 
-    def build(j):
-        basis = bases[j]
-        family = _engine.DirichletFamily(prior.params_for(basis.dimension)[0])
-        return _engine.slots_for(eval_normalized(basis, obs)), family, eval_normalized(basis, grid).T
+    def for_data(data: DensityDataset):
+        obs = np.sort(data.observations)
 
-    return build
+        def build(j):
+            return (_engine.slots_for(eval_normalized(bases[j], obs)), *shared[j])
+
+        return build
+
+    return for_data
 
 
 def exact_moment(
@@ -120,7 +130,7 @@ def exact_moment(
     m=1 computes the mean only; m=2 also the pointwise second moment. This is
     mode "exact" of _engine.posterior_moments, so the term cap applies.
     """
-    build = density_builder(data, bases, grid, a)
+    build = density_builder(bases, grid, a)(data)
     return _engine.posterior_moments(build, bases, model_prior, grid, m=m, mode="exact")
 
 
@@ -143,7 +153,7 @@ def mc_moment(
     standard error of the mean. Reproducible for a given seed regardless of
     scheduling: each dimension uses a generator derived from (seed, j).
     """
-    build = density_builder(data, bases, grid, a)
+    build = density_builder(bases, grid, a)(data)
     return _engine.posterior_moments(
         build, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed
     )

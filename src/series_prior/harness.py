@@ -6,20 +6,28 @@ absolute and mean squared error on a fixed grid against the truth, and
 aggregates over seeded replications. Every numeric table the package reads
 goes through read_rows, and every CSV it writes goes through format_row:
 write_table writes whole files, run_experiment streams metrics.csv line by
-line. Replications can run in parallel (SERIES_PRIOR_THREADS caps
-the worker count, 0 = auto); every replication derives its own seed from
-(base seed, replication index), so results are identical for any worker
-count.
+line.
+
+run_experiment makes the bases, each dimension's grid columns and its
+Dirichlet family once, and every replication shares them; a replication
+builds only its own dataset's slot table. Replications run in the calling
+thread, unless each one samples at least 10,000 terms per dimension:
+lighter ones are many small numpy calls, which two threads run more slowly
+than one. Then a pool of worker_count threads runs them
+(SERIES_PRIOR_THREADS caps it, 0 = auto). Every replication derives its own
+seed from (base seed, replication index), so results are identical for any
+worker count.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -42,6 +50,11 @@ class TrueDensity:
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self._pdf_unnorm(x) / self.normalizer
+
+    @functools.cached_property
+    def envelope(self) -> float:
+        """The rejection envelope: the largest pdf value of 10,001 even points, plus 0.1%."""
+        return float(self.pdf(np.linspace(0.0, 1.0, 10_001)).max()) * (1.0 + 1e-3)
 
 
 def _beta_half_pdf(x: np.ndarray) -> np.ndarray:
@@ -93,13 +106,13 @@ def sample_density(density: TrueDensity, n: int, seed) -> DensityDataset:
     """Seeded draws: inverse CDF for beta-half, uniform-envelope rejection otherwise.
 
     The rejection envelope is the numerically located supremum with a small
-    safety margin; an acceptance rate below 1% aborts (misconfigured envelope).
+    safety margin, found once per density; an acceptance rate below 1%
+    aborts (misconfigured envelope).
     """
     rng = np.random.default_rng(seed)
     if density.name == "beta-half":
         return DensityDataset(np.sin(np.pi * rng.random(n) / 2.0) ** 2)
-    grid = np.linspace(0.0, 1.0, 10_001)
-    sup = float(density.pdf(grid).max()) * (1.0 + 1e-3)
+    sup = density.envelope
     out = np.empty(n)
     filled = 0
     proposed = accepted = 0
@@ -202,6 +215,21 @@ class ExperimentResult:
         return float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
 
 
+#: Sampled terms per dimension from which the pool beats the calling thread
+#: (2-core VM, q=3, n=500: 2 workers lost at N=3000 and won from N=10,000).
+_POOL_MIN_TERMS = 10_000
+
+
+def _pool_pays(config: ExperimentConfig) -> bool:
+    """Whether run_experiment's replications run faster in a pool than in the calling thread.
+
+    True when each replication samples at least _POOL_MIN_TERMS terms per
+    dimension: mode "mc", or "auto" with q^n past the term cap.
+    """
+    samples = config.mode == "mc" or (config.mode == "auto" and config.q**config.n > _engine.DEFAULT_TERM_CAP)
+    return samples and config.n_terms >= _POOL_MIN_TERMS
+
+
 def worker_count(tasks: int) -> int:
     raw = os.environ.get("SERIES_PRIOR_THREADS", "0")
     try:
@@ -229,26 +257,30 @@ def fit_density(
     """Fit one dataset: exact when the term budget allows, sampled otherwise."""
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
-    summary = _engine.posterior_moments(
-        density_builder(data, bases, grid, a), bases, model_prior, grid,
-        m=2, mode=mode, n_terms=n_terms, seed=seed,
-    )
-    return credible_band(summary, level)
+    return _fitter(bases, model_prior, grid, a, n_terms, mode, level)(data, seed)
 
 
-def _one_replication(config: ExperimentConfig, density: TrueDensity, model_prior, rep: int):
+def _fitter(bases: Mapping[int, Basis], model_prior, grid, a, n_terms, mode, level):
+    """fit(data, seed): one dataset's posterior summary with its credible band.
+
+    The dimensions' families and grid columns are made here, once, and every
+    fit shares them.
+    """
+    for_data = density_builder(bases, grid, a)
+
+    def fit(data: DensityDataset, seed) -> PosteriorSummary:
+        summary = _engine.posterior_moments(
+            for_data(data), bases, model_prior, grid, m=2, mode=mode, n_terms=n_terms, seed=seed,
+        )
+        return credible_band(summary, level)
+
+    return fit
+
+
+def _one_replication(config: ExperimentConfig, density: TrueDensity, fit, rep: int):
     t0 = time.perf_counter()
     data = sample_density(density, config.n, np.random.SeedSequence([config.seed, rep]))
-    summary = fit_density(
-        data,
-        config.q,
-        model_prior,
-        grid=metric_grid(config.grid_size),
-        n_terms=config.n_terms,
-        seed=int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0]),
-        mode=config.mode,
-        level=config.level,
-    )
+    summary = fit(data, int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0]))
     l1, l2 = grid_metrics(summary.mean, density, summary.grid)
     return MetricsRow(rep, l1, l2, time.perf_counter() - t0), summary
 
@@ -261,6 +293,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     density = get_density(config.density)
     model_prior = ModelSizePrior.geometric(config.geometric_p, config.j_min, config.j_max)
+    fit = _fitter(
+        bases_for_prior(config.q, model_prior), model_prior, metric_grid(config.grid_size),
+        a=1.0, n_terms=config.n_terms, mode=config.mode, level=config.level,
+    )
+    workers = worker_count(config.replications)  # a bad SERIES_PRIOR_THREADS raises, pool or not
     out_dir = Path(config.output_dir) if config.output_dir else None
     metrics_file = None
     if out_dir is not None:
@@ -269,12 +306,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         metrics_file.write(format_row(f.name for f in fields(MetricsRow)))
     rows: list[MetricsRow] = []
     summaries: list[PosteriorSummary] = []
-    workers = worker_count(config.replications)
 
     def job(rep):
-        return _one_replication(config, density, model_prior, rep)
+        return _one_replication(config, density, fit, rep)
 
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and _pool_pays(config) else None
     try:
         if pool is None:
             produced: Iterable = (job(rep) for rep in range(config.replications))

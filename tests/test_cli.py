@@ -55,6 +55,13 @@ class TestRates:
         assert code == 1
         assert "--alpha" in err and "'x'" in err and "gamma" not in out
 
+    @pytest.mark.parametrize("flag, token", [("--t2", "1/0"), ("--t3", "x"), ("--t1", "1/2/3")])
+    def test_bad_exponent_named(self, capsys, flag, token):
+        code, out, err = run(capsys, "rates", flag, token)
+        assert code == 1
+        assert err.splitlines() == [f"error: {flag}: {token!r} is not a fraction"]
+        assert "gamma" not in out
+
     def test_bad_n_grid_named(self, capsys, tmp_path):
         path = tmp_path / "sieve.csv"
         code, out, err = run(capsys, "rates", "--sieve-csv", str(path), "--n-grid", "1e4,x")

@@ -45,7 +45,7 @@ class TestLogTerm:
     @staticmethod
     def _log_marginal(obs, basis, a=1.0):
         J = basis.dimension
-        slots, family, _ = density_builder(DensityDataset(np.asarray(obs)), {J: basis}, np.empty(0), a)(J)
+        slots, family, _ = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))(J)
         return _engine.exact_mixture(slots, family, J, None)[0]
 
     def test_empty_data_term_is_one(self):
@@ -93,7 +93,7 @@ class TestExactMoment:
         bases = bases_for_prior(2, mp)
         grid = np.array([0.15, 0.5, 0.85])
 
-        build = density_builder(data, bases, grid)
+        build = density_builder(bases, grid)(data)
         log_den, log_num = [], []
         for j in mp.support:
             slots, family, eval_cols = build(j)

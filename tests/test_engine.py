@@ -33,7 +33,7 @@ def _density_case():
     mp = ModelSizePrior.geometric(0.5, 4, 7)
     bases = bases_for_prior(2, mp)
     data = DensityDataset(np.random.default_rng(2).random(5))
-    return density_builder(data, bases, GRID), bases, mp
+    return density_builder(bases, GRID)(data), bases, mp
 
 
 def _binary_case():
@@ -89,7 +89,7 @@ class TestAutoMode:
         # exact mode runs within the cap, auto past it.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
+        build = density_builder(bases, GRID)(DensityDataset(np.array([0.25, 0.5, 0.75])))
         calls = []
 
         def counted(j):
@@ -111,7 +111,7 @@ class TestExactCap:
         # J=5 needs a single term and the first dimension over a cap of 4 is J=6.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        build = density_builder(DensityDataset(np.array([0.25, 0.5, 0.75])), bases, GRID)
+        build = density_builder(bases, GRID)(DensityDataset(np.array([0.25, 0.5, 0.75])))
         counts = {j: assignment_count(build(j)[0]) for j in sorted(bases)}
         assert counts[5] == 1 and counts[6] > 4
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
@@ -396,7 +396,7 @@ def test_mc_mixture_with_dominant_draw():
     mp = ModelSizePrior.geometric(0.9, 5, 25)
     bases = bases_for_prior(3, mp)
     data = sample_density(mixture_51(), 500, 7)
-    slots, family, eval_cols = density_builder(data, bases, metric_grid())(25)
+    slots, family, eval_cols = density_builder(bases, metric_grid())(data)(25)
     J, N, seed = bases[25].dimension, 3000, 1
     got = _engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True)
     sum_u, sum_u2 = N * got.mean_u_den, (N - 1) * got.var_u_den + N * got.mean_u_den**2
@@ -454,7 +454,7 @@ def test_density_mean_integrates_to_one(mode, q, x, p):
     mp = ModelSizePrior.geometric(p, q, q + 5)
     bases = bases_for_prior(q, mp)
     pts, wts = union_breakpoint_rule(bases, total_points=400)
-    build = density_builder(DensityDataset(np.array(x)), bases, pts)
+    build = density_builder(bases, pts)(DensityDataset(np.array(x)))
     mean = posterior_moments(build, bases, mp, pts, m=1, mode=mode, n_terms=100).mean
     assert abs(wts @ mean - 1.0) <= 1e-10
 
@@ -506,7 +506,7 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
     rng = np.random.default_rng(6)
     z = rng.random(60)
     if kind == "density":
-        build = density_builder(DensityDataset(z), bases, GRID)
+        build = density_builder(bases, GRID)(DensityDataset(z))
     elif kind == "binary":
         data = RegressionDataset(z, (rng.random(60) < z).astype(float), kind)
         build = binary_builder(data, bases, (1.0, 1.0), GRID)

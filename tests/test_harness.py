@@ -19,7 +19,8 @@ from scipy.stats import kstest
 
 import series_prior
 from series_prior import harness
-from series_prior.basis import make_basis
+from series_prior import density as density_mod
+from series_prior.basis import eval_normalized, make_basis
 from series_prior.harness import (
     ExperimentConfig,
     TrueDensity,
@@ -100,6 +101,20 @@ class TestSampling:
         b = sample_density(mixture_51(), 500, 11).observations
         assert np.array_equal(a, b)
 
+    def test_envelope_located_once_per_density(self):
+        sizes = []
+
+        def pdf(x):
+            sizes.append(np.size(x))
+            return mixture_51().pdf(x)
+
+        d = TrueDensity("custom", 1.0, pdf)
+        first = sample_density(d, 300, 4).observations
+        assert sizes.count(10_001) == 1
+        assert d.envelope == float(mixture_51().pdf(np.linspace(0.0, 1.0, 10_001)).max()) * (1.0 + 1e-3)
+        np.testing.assert_array_equal(sample_density(d, 300, 4).observations, first)
+        assert sizes.count(10_001) == 1
+
     def test_support_restricted(self):
         draws = sample_density(mixture_51(), 2000, 1).observations
         assert draws.min() >= 0.0 and draws.max() <= 1.0
@@ -167,6 +182,7 @@ class TestRunExperiment:
         assert len(lines) == 4  # header + one row per replication
 
     def test_worker_count_invariance(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)  # so 3 threads do run
         cfg = dict(density="mixture-51", n=10, q=1, replications=4, seed=9)
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "1")
         seq = run_experiment(ExperimentConfig(**cfg))
@@ -193,6 +209,7 @@ class TestRunExperiment:
         for threads in ("1", "2", "3"):
             with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
                 mp.setenv("SERIES_PRIOR_THREADS", threads)
+                mp.setattr(harness, "_pool_pays", lambda config: True)  # the pool runs from 2 threads on
                 res = run_experiment(dataclasses.replace(cfg, output_dir=out))
                 runs.append((res, [(Path(out) / name).read_bytes() for name in files]))
         (ref, ref_bytes), others = runs[0], runs[1:]
@@ -221,9 +238,10 @@ class TestRunExperiment:
 
     def test_raising_replication_stops_the_pool(self, monkeypatch):
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
+        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)
         ran = []
 
-        def failing(config, density, model_prior, rep):
+        def failing(config, density, fit, rep):
             ran.append(rep)
             if rep > 0:
                 time.sleep(0.5)
@@ -240,6 +258,74 @@ class TestRunExperiment:
         assert caught.tb is not None
         assert not any(t.is_alive() for t in started)
         assert len(ran) < 12
+
+    @pytest.mark.parametrize(
+        "case, pool",
+        [
+            (dict(q=1, n=20, replications=25), False),  # the simulate CLI default
+            (dict(q=1, n=300, replications=10), False),  # the simulate benchmark workload
+            (dict(q=2, n=200), False),  # auto samples, N=3000
+            (dict(q=3, n=500, mode="mc", n_terms=30_000), True),
+            (dict(q=3, n=500, n_terms=30_000), True),  # auto samples past the term cap
+            (dict(q=3, n=500, mode="mc", n_terms=9_999), False),
+            (dict(q=2, n=20, mode="exact", n_terms=30_000), False),  # exact samples nothing
+            (dict(q=2, n=23, n_terms=30_000), False),  # 2^23 is within the term cap: auto is exact
+            (dict(q=2, n=24, n_terms=30_000), True),
+        ],
+    )
+    def test_pool_only_for_heavy_sampled_replications(self, case, pool):
+        assert harness._pool_pays(ExperimentConfig(**case)) is pool
+
+    def test_light_replications_start_no_thread(self, monkeypatch):
+        monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("run_experiment made a pool")
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        before = threading.active_count()
+        res = run_experiment(ExperimentConfig(n=300, q=1, replications=4, seed=3))
+        assert len(res.rows) == 4
+        assert threading.active_count() == before
+
+    def test_grid_columns_made_once_per_experiment(self, monkeypatch):
+        # The grid (7 points) and the samples (n=11) differ in size, so each
+        # eval_normalized call of the density builder is one or the other.
+        cfg = ExperimentConfig(n=11, q=2, replications=3, grid_size=7, j_min=4, j_max=6, seed=8)
+        grid = metric_grid(cfg.grid_size)
+        calls = []
+
+        def counted(basis, x):
+            kind = "grid" if np.array_equal(x, grid) else "data"
+            calls.append((basis.dimension, kind))
+            return eval_normalized(basis, x)
+
+        monkeypatch.setattr(density_mod, "eval_normalized", counted)
+        run_experiment(cfg)
+        assert sorted(calls) == sorted(
+            [(j, "grid") for j in (4, 5, 6)] + [(j, "data") for j in (4, 5, 6)] * cfg.replications
+        )
+
+    def test_shared_parts_hold_in_a_crowded_pool(self, monkeypatch):
+        # Every worker reads the same families and grid columns; 4 threads on
+        # a short switch interval must still give the calling thread's bits.
+        cfg = ExperimentConfig(
+            n=30, q=2, replications=8, seed=5, mode="mc", n_terms=200, j_min=4, j_max=8, grid_size=20,
+        )
+        monkeypatch.setenv("SERIES_PRIOR_THREADS", "1")
+        ref = run_experiment(cfg)
+        monkeypatch.setenv("SERIES_PRIOR_THREADS", "4")
+        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_experiment(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.l1, r.l2) for r in got.rows] == [(r.l1, r.l2) for r in ref.rows]
+        for g, w in zip(got.summaries, ref.summaries, strict=True):
+            np.testing.assert_array_equal(g.mean, w.mean)
+            np.testing.assert_array_equal(g.second_moment, w.second_moment)
 
     def test_reported_se_is_std_over_sqrt_reps(self):
         res = run_experiment(ExperimentConfig(density="beta-half", n=10, q=1, replications=5, seed=2))
