@@ -18,8 +18,10 @@ indices, so the sum is a chain: one forward-backward recursion whose state
 is the joint count of the open basis functions (the Polya-urn count form).
 Its cost grows with the number of slots, J and the size of that count state,
 not with the q^n assignments; slots with a single active index cost nothing.
-It keeps one count state per basis closing, the backward message and at
-most band tilted messages (band + 1: the widest active set of a grid column).
+It keeps one count state per basis closing, with that basis's closing factor
+already added (the forward pass sums the basis out of it, the backward sweep
+takes the moments from it), the backward message and at most band tilted
+messages (band + 1: the widest active set of a grid column).
 The Monte-Carlo mode (mc_mixture) samples assignments uniformly from the
 active-set product. Given a sampled assignment's counts, the moments of the
 series value f(x) = theta' b(x) are closed forms of the coefficient moments
@@ -164,7 +166,8 @@ def _lgamma_counts(a, counts):
 
 def logsumexp(x, axis=None):
     """log(sum(exp(x))) over axis (every element by default), with that axis reduced away."""
-    out = _lse(np.asarray(x, dtype=float), axis)
+    with np.errstate(divide="ignore"):
+        out = _lse(np.asarray(x, dtype=float), axis)
     return float(out.item()) if axis is None else np.squeeze(out, axis=axis)
 
 
@@ -260,46 +263,58 @@ class GammaFamily:
 
 
 def _lse(x, axis=None):
-    """log(sum(exp(x))) over axis, keeping the reduced axes; -inf where a slice is all -inf."""
+    """log(sum(exp(x))) over axis, keeping the reduced axes; -inf where a slice is all -inf.
+
+    The caller ignores divide-by-zero (np.errstate), which the log of an all
+    -inf slice's zero sum raises.
+    """
     m = x.max(axis=axis, keepdims=True)
-    m[~np.isfinite(m)] = 0.0
-    with np.errstate(divide="ignore"):
-        return np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
+    finite = np.isfinite(m)
+    if not finite.all():
+        m[~finite] = 0.0
+    return np.log(np.exp(x - m).sum(axis=axis, keepdims=True)) + m
 
 
 def _assign(state, axes, log_values):
-    """Add one slot to the count state: it may raise any one of its candidate axes by one."""
+    """Add one slot to the count state: it may raise any one of its candidate axes by one.
+
+    The first candidate writes its block of the -inf output directly, which
+    gives what logaddexp into -inf gives; the others are logaddexp'ed in.
+    """
     shape = list(state.shape)
+    idx = [slice(None)] * state.ndim
     for ax in axes:
         shape[ax] += 1
+        idx[ax] = slice(0, state.shape[ax])
     out = np.full(shape, -np.inf)
-    for ax, lv in zip(axes, log_values):
-        idx = [slice(None)] * state.ndim
-        for other in axes:
-            idx[other] = slice(0, state.shape[other])
-        idx[ax] = slice(1, None)
-        view = out[tuple(idx)]
-        np.logaddexp(view, state + lv, out=view)
+    for i, (ax, lv) in enumerate(zip(axes, log_values)):
+        at = idx.copy()
+        at[ax] = slice(1, None)
+        view = out[tuple(at)]
+        if i == 0:
+            np.add(state, lv, out=view)
+        else:
+            np.logaddexp(view, state + lv, out=view)
     return out
 
 
 def _assign_back(beta, axes, log_values):
     """Adjoint of _assign: the backward message before the slot from the one after it."""
+    idx = [slice(None)] * beta.ndim
+    for ax in axes:
+        idx[ax] = slice(0, beta.shape[ax] - 1)
     out = None
     for ax, lv in zip(axes, log_values):
-        idx = [slice(None)] * beta.ndim
-        for other in axes:
-            idx[other] = slice(0, beta.shape[other] - 1)
-        idx[ax] = slice(1, None)
-        term = beta[tuple(idx)] + lv
-        out = term if out is None else np.logaddexp(out, term)
+        at = idx.copy()
+        at[ax] = slice(1, None)
+        term = beta[tuple(at)] + lv
+        out = term if out is None else np.logaddexp(out, term, out=out)
     return out
 
 
-def _close(state, log_factor, G):
-    """Apply the closing factor of the oldest open basis, sum its counts out, open a new basis."""
-    out = _lse(state + log_factor, tuple(range(G)))
-    return out.reshape(state.shape[G:] + (1,) * G)
+def _close(joint, G):
+    """Sum the oldest open basis's counts out of state + its closing factor, and open a new basis."""
+    return _lse(joint, tuple(range(G))).reshape(joint.shape[G:] + (1,) * G)
 
 
 def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
@@ -316,37 +331,44 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     Returns (start, stop, log_z), log_z being the log sum of the run's terms.
     If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
     E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The
-    forward pass keeps one rolling state and the state before each closing;
-    one backward sweep carries the backward message and at most band tilted
-    messages, one per later closing within the band, weighted by its
-    E[theta], and meets them with each kept state to take the moments.
+    forward pass keeps one rolling state and, at each closing, the state
+    plus its closing factor, which it sums the basis out of; one backward
+    sweep carries the backward message and at most band tilted messages,
+    one per later closing within the band, weighted by its E[theta], and
+    meets them with each kept sum to take the moments. The caller ignores
+    divide-by-zero (np.errstate), as _lse needs.
     """
     G = family.n_groups
-    first, widths = run.first.tolist(), run.width.tolist()
+    first, widths, groups = run.first.tolist(), run.width.tolist(), run.group.tolist()
+    log_values = run.log_values.tolist()
     start = first[0]
-    stop = int((run.first + run.width).max())
-    width = max(widths)
+    stop = max(f + w for f, w in zip(first, widths))
     ops = []  # (axes, log values) to add a row, or the basis index to close
     pos = 0
     for k in range(start, stop):
         while pos < len(first) and first[pos] == k:
             w = widths[pos]
-            ops.append((np.arange(w) * G + run.group[pos], run.log_values[pos, :w]))
+            ops.append((tuple(range(groups[pos], w * G, G)), log_values[pos][:w]))
             pos += 1
         ops.append(k)
 
-    x = np.zeros((1,) * (width * G))
-    closing = {}  # op position -> (state before it, counts on its leading axes, log factor broadcast to it)
+    x = np.zeros((1,) * (max(widths) * G))
+    closing = {}  # op position -> (state + log factor, counts on its leading axes, log factor)
     for i, op in enumerate(ops):
         if isinstance(op, tuple):
             x = _assign(x, *op)
             continue
+        lead = x.shape[:G]
         counts = tuple(
-            np.arange(x.shape[g]).reshape((-1,) + (1,) * (G - 1 - g)) + fixed[g, op] for g in range(G)
+            np.arange(fixed[g, op], fixed[g, op] + lead[g]).reshape((-1,) + (1,) * (G - 1 - g)) for g in range(G)
         )
-        factor = np.broadcast_to(family.log_close(op, counts), x.shape[:G])
-        closing[i] = (x, counts, factor.reshape(x.shape[:G] + (1,) * (x.ndim - G)))
-        x = _close(x, closing[i][2], G)
+        factor = family.log_close(op, counts)
+        if factor.shape != lead:
+            factor = np.broadcast_to(factor, lead)
+        factor = factor.reshape(lead + (1,) * (x.ndim - G))
+        x = x + factor
+        closing[i] = (x, counts, factor)
+        x = _close(x, G)
     log_z = float(x.item())
     if mean is None:
         return start, stop, log_z
@@ -359,21 +381,22 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
             b = _assign_back(b, *op)
             live = [(k, m, _assign_back(t, *op)) for k, m, t in live]
             continue
-        state, counts, factor = closing[i]
+        closed, counts, factor = closing[i]
         after = b.reshape((1,) * G + b.shape[:-G])
-        joint = state + factor + after
+        joint = closed + after
         log_mass = float(_lse(joint).item())
         w = np.exp(joint - log_mass).sum(axis=tuple(range(G, joint.ndim)))
         e1, e2 = family.moments(op, counts, n)
-        mean[op] = np.sum(w * e1)
+        mean[op] = (w * e1).sum()
         b = factor + after
         if pair is not None:
-            pair[0, op] = np.sum(w * e2)
+            pair[0, op] = (w * e2).sum()
         if pair is None or band == 0:
             continue
-        with np.errstate(divide="ignore"):
-            tilt = np.log(np.broadcast_to(e1, w.shape)).reshape(factor.shape)
-        tilted = state + factor + tilt
+        if np.shape(e1) != w.shape:
+            e1 = np.broadcast_to(e1, w.shape)
+        tilt = np.log(e1).reshape(factor.shape)
+        tilted = closed + tilt
         kept = []
         for k, m, t in live:
             t = t.reshape((1,) * G + t.shape[:-G])
@@ -421,7 +444,7 @@ def exact_mixture(
     order = np.lexsort((*chained.log_values.T[::-1], chained.group, last, chained.first))
     chained, last = chained.take(order), last[order]
     # A run starts at each row whose first index passes every earlier row's last.
-    starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.r_[-1, last])[:-1])
+    starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
     edges = [*starts.tolist(), len(chained)]
 
     moments = eval_cols is not None and eval_cols.shape[1] > 0
@@ -437,16 +460,18 @@ def exact_mixture(
     pair[0] = sq
     free = np.ones(J, dtype=bool)
     parts = [family.log_global(n), math.fsum(slots.log_values[single, 0].tolist())]
-    for a, b in itertools.pairwise(edges):
-        start, stop, log_z = _run_moments(
-            chained.take(slice(a, b)), family, fixed, n, band, mean if moments else None, pair if second else None
-        )
-        free[start:stop] = False
-        parts.append(log_z)
-    log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
-    if eval_cols is None:
-        return log_den, None, None
-    with np.errstate(divide="ignore"):
+    # log(0) of an empty sum or a zero grid moment is -inf, and terms far below
+    # the largest underflow to 0; neither is an error, whatever the caller's errstate.
+    with np.errstate(divide="ignore", under="ignore"):
+        for a, b in itertools.pairwise(edges):
+            start, stop, log_z = _run_moments(
+                chained.take(slice(a, b)), family, fixed, n, band, mean if moments else None, pair if second else None
+            )
+            free[start:stop] = False
+            parts.append(log_z)
+        log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
+        if eval_cols is None:
+            return log_den, None, None
         log_num1 = log_den + np.log(mean @ eval_cols)
         if not second:
             return log_den, log_num1, None

@@ -118,6 +118,21 @@ class LongitudinalDataset:
         object.__setattr__(self, "responses", x)
 
 
+def _interp_rows(x, xp, fp):
+    """np.interp(x, xp, row) for every row of fp at once, bit for bit, as a C-ordered array.
+
+    x lies inside [xp[0], xp[-1]], xp is strictly increasing and fp finite.
+    Each value takes np.interp's own arithmetic: fp[j] where x equals xp[j]
+    (the last point too), else slope * (x - xp[j]) + fp[j] with
+    slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) and xp[j] < x < xp[j+1].
+    """
+    j = np.searchsorted(xp, x, side="right") - 1
+    k = np.minimum(j, xp.size - 2)
+    left = fp.take(k, axis=1)  # take, not fp[:, k], which numpy lays out in F order
+    slope = (fp.take(k + 1, axis=1) - left) / (xp[k + 1] - xp[k])
+    return np.where(xp[j] == x, fp.take(j, axis=1), slope * (x - xp[k]) + left)
+
+
 def design_matrix(data, basis: Basis) -> np.ndarray:
     """n x J design: basis values at scalar covariates, trapezoid integrals
     of curve times basis for functional data, or Z(T) B(T) for longitudinal.
@@ -133,7 +148,7 @@ def design_matrix(data, basis: Basis) -> np.ndarray:
         inner = basis.breakpoints()
         inner = inner[(inner > g[0]) & (inner < g[-1])]
         gg = np.unique(np.concatenate([g, inner, np.nextafter(inner, -np.inf)]))
-        curves = np.vstack([np.interp(gg, g, row) for row in data.curves])
+        curves = _interp_rows(gg, g, data.curves)
         B = eval_basis(basis, gg)
         dw = np.zeros_like(gg)
         dg = np.diff(gg)

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -242,6 +243,27 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
     rnd.shuffle(perm)
     for g, w in zip(_engine.exact_mixture(slots.take(perm), family, J, eval_cols, second), got):
         np.testing.assert_array_equal(g, w)
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain_cases(), st.booleans())
+def test_exact_mixture_keeps_the_callers_errstate(case, second):
+    # The recursion ignores divide-by-zero and underflow in one errstate of
+    # its own; it must neither need a laxer caller nor change the caller's.
+    slots, family, J, eval_cols = case
+    want = _engine.exact_mixture(slots, family, J, eval_cols, second)
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        got = _engine.exact_mixture(slots, family, J, eval_cols, second)
+        assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+def test_logsumexp_of_no_mass_is_minus_inf_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _engine.logsumexp(np.full(3, -np.inf)) == -np.inf
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

@@ -13,6 +13,7 @@ from series_prior.regression import (
     FunctionalDataset,
     LongitudinalDataset,
     RegressionDataset,
+    _interp_rows,
     binary_moment,
     design_matrix,
     gaussian_fit,
@@ -106,6 +107,26 @@ class TestDesignMatrix:
         ref = w_at(40_001)
         ratio = np.abs(w_at(101) - ref).max() / np.abs(w_at(201) - ref).max()
         assert 3.0 <= ratio <= 5.0
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            np.linspace(0.0, 1.0, 21),  # every knot of make_basis(3, 5) on a grid point
+            np.linspace(0.0, 1.0, 17),  # every inner knot between grid points
+            np.sort(np.random.default_rng(4).uniform(0.05, 0.95, 30)),  # uneven, inside (0, 1)
+        ],
+    )
+    def test_row_interpolation_is_np_interp(self, grid):
+        # design_matrix's refined points: the grid (its last point too), the
+        # inner knots and the floats just below them.
+        inner = make_basis(3, 5).breakpoints()
+        inner = inner[(inner > grid[0]) & (inner < grid[-1])]
+        x = np.unique(np.concatenate([grid, inner, np.nextafter(inner, -np.inf)]))
+        curves = 3.0 + np.cumsum(np.random.default_rng(5).normal(size=(7, grid.size)), axis=1)
+        got = _interp_rows(x, grid, curves)
+        assert got.flags.c_contiguous
+        want = np.vstack([np.interp(x, grid, row) for row in curves])
+        assert got.tobytes() == want.tobytes()
 
     def test_longitudinal_rows(self):
         data = LongitudinalDataset([0.3, 0.8], [2.0, -1.0], [0.0, 0.0])
