@@ -18,10 +18,15 @@ indices, so the sum is a chain: one forward-backward recursion whose state
 is the joint count of the open basis functions (the Polya-urn count form).
 Its cost grows with the number of slots, J and the size of that count state,
 not with the q^n assignments; slots with a single active index cost nothing.
-It keeps one count state per basis closing, with that basis's closing factor
-already added (the forward pass sums the basis out of it, the backward sweep
-takes the moments from it), the backward message and at most band tilted
-messages (band + 1: the widest active set of a grid column).
+It walks the bases and keeps one count state per basis, with that basis's
+closing factor already added (the forward pass sums the basis out of it, the
+backward pass takes the moments from it), the backward message and at most
+band tilted messages (band + 1: the widest active set of a grid column).
+Per dimension it returns (log_den, f1, f2): the log marginal likelihood of J
+and the grid moments given J, E[f | data, J] and E[f^2 | data, J]. The
+estimator is their mixture over J (combine_exact): the posterior weights
+p(J | data), proportional to prior(J) exp(log_den_J) and normalized by one
+logsumexp, average the moments, sum_J p(J | data) E[f^m | data, J].
 The Monte-Carlo mode (mc_mixture) samples assignments uniformly from the
 active-set product. Given a sampled assignment's counts, the moments of the
 series value f(x) = theta' b(x) are closed forms of the coefficient moments
@@ -312,11 +317,6 @@ def _assign_back(beta, axes, log_values):
     return out
 
 
-def _close(joint, G):
-    """Sum the oldest open basis's counts out of state + its closing factor, and open a new basis."""
-    return _lse(joint, tuple(range(G))).reshape(joint.shape[G:] + (1,) * G)
-
-
 def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     """Forward-backward sums over one run of bases that multi-index slots couple.
 
@@ -324,73 +324,66 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     bases start..stop-1, and no other row reaches those bases except through
     the folded counts in fixed. The state is the joint count, per group, of
     the open bases: axis o*G + g counts the group-g rows assigned to basis
-    (oldest open) + o. Rows enter when the oldest open basis reaches their
-    window's first index; a basis closes, with its log factor at its final
-    count, once every row that may pick it has entered.
+    (oldest open) + o. The recursion walks the bases: at basis k the rows
+    whose window starts at k enter, then k closes, with its log factor at its
+    final count, and its counts are summed out of the state.
 
     Returns (start, stop, log_z), log_z being the log sum of the run's terms.
     If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
     E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The
-    forward pass keeps one rolling state and, at each closing, the state
-    plus its closing factor, which it sums the basis out of; one backward
-    sweep carries the backward message and at most band tilted messages,
-    one per later closing within the band, weighted by its E[theta], and
-    meets them with each kept sum to take the moments. The caller ignores
-    divide-by-zero (np.errstate), as _lse needs.
+    forward pass keeps one rolling state and, per basis, the state plus its
+    closing factor. The backward pass walks the bases in reverse with the
+    backward message and at most band tilted messages, one per later basis
+    within the band, weighted by its E[theta], and meets them with each kept
+    state to take the moments. The caller ignores divide-by-zero
+    (np.errstate), as _lse needs.
     """
     G = family.n_groups
     first, widths, groups = run.first.tolist(), run.width.tolist(), run.group.tolist()
-    log_values = run.log_values.tolist()
     start = first[0]
     stop = max(f + w for f, w in zip(first, widths))
-    ops = []  # (axes, log values) to add a row, or the basis index to close
-    pos = 0
-    for k in range(start, stop):
-        while pos < len(first) and first[pos] == k:
-            w = widths[pos]
-            ops.append((tuple(range(groups[pos], w * G, G)), log_values[pos][:w]))
-            pos += 1
-        ops.append(k)
+    # Per basis, the (axes, log values) of the rows that enter there, and an
+    # empty list past the last basis, where the backward pass starts.
+    entering = [[] for _ in range(start, stop + 1)]
+    for f, w, g, lv in zip(first, widths, groups, run.log_values.tolist()):
+        entering[f - start].append((tuple(range(g, w * G, G)), lv[:w]))
 
     x = np.zeros((1,) * (max(widths) * G))
-    closing = {}  # op position -> (state + log factor, counts on its leading axes, log factor)
-    for i, op in enumerate(ops):
-        if isinstance(op, tuple):
-            x = _assign(x, *op)
-            continue
+    closing = []  # per basis: (state + log factor, counts on its leading axes, log factor)
+    for k in range(start, stop):
+        for axes, lv in entering[k - start]:
+            x = _assign(x, axes, lv)
         lead = x.shape[:G]
         counts = tuple(
-            np.arange(fixed[g, op], fixed[g, op] + lead[g]).reshape((-1,) + (1,) * (G - 1 - g)) for g in range(G)
+            np.arange(fixed[g, k], fixed[g, k] + lead[g]).reshape((-1,) + (1,) * (G - 1 - g)) for g in range(G)
         )
-        factor = family.log_close(op, counts)
+        factor = family.log_close(k, counts)
         if factor.shape != lead:
             factor = np.broadcast_to(factor, lead)
         factor = factor.reshape(lead + (1,) * (x.ndim - G))
         x = x + factor
-        closing[i] = (x, counts, factor)
-        x = _close(x, G)
+        closing.append((x, counts, factor))
+        x = _lse(x, tuple(range(G))).reshape(x.shape[G:] + (1,) * G)
     log_z = float(x.item())
     if mean is None:
         return start, stop, log_z
 
     cross = family.cross(n)
-    b, live = np.zeros_like(x), []  # live: (basis, log mass, tilted message) of later closings
-    for i in range(len(ops) - 1, first.count(start) - 1, -1):
-        op = ops[i]
-        if isinstance(op, tuple):
-            b = _assign_back(b, *op)
-            live = [(k, m, _assign_back(t, *op)) for k, m, t in live]
-            continue
-        closed, counts, factor = closing[i]
+    b, live = np.zeros_like(x), []  # live: (basis, log mass, tilted message) of later bases
+    for k in range(stop - 1, start - 1, -1):
+        for axes, lv in reversed(entering[k + 1 - start]):
+            b = _assign_back(b, axes, lv)
+            live = [(later, m, _assign_back(t, axes, lv)) for later, m, t in live]
+        closed, counts, factor = closing[k - start]
         after = b.reshape((1,) * G + b.shape[:-G])
         joint = closed + after
         log_mass = float(_lse(joint).item())
         w = np.exp(joint - log_mass).sum(axis=tuple(range(G, joint.ndim)))
-        e1, e2 = family.moments(op, counts, n)
-        mean[op] = (w * e1).sum()
+        e1, e2 = family.moments(k, counts, n)
+        mean[k] = (w * e1).sum()
         b = factor + after
         if pair is not None:
-            pair[0, op] = (w * e2).sum()
+            pair[0, k] = (w * e2).sum()
         if pair is None or band == 0:
             continue
         if np.shape(e1) != w.shape:
@@ -398,12 +391,12 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
         tilt = np.log(e1).reshape(factor.shape)
         tilted = closed + tilt
         kept = []
-        for k, m, t in live:
+        for later, m, t in live:
             t = t.reshape((1,) * G + t.shape[:-G])
-            pair[k - op, op] = np.exp(float(_lse(tilted + t).item()) - m) * cross
-            if k - op < band:
-                kept.append((k, m, factor + t))
-        live = kept + [(op, log_mass, tilt + b)]
+            pair[later - k, k] = np.exp(float(_lse(tilted + t).item()) - m) * cross
+            if later - k < band:
+                kept.append((later, m, factor + t))
+        live = kept + [(k, log_mass, tilt + b)]
     return start, stop, log_z
 
 
@@ -416,9 +409,11 @@ def exact_mixture(
 ):
     """Exact sums over every assignment, by a banded forward-backward recursion.
 
-    Returns (log_den, log_num1, log_num2): the log marginal sum, and the log
-    numerator sums for the first and second posterior moments of theta'b at
-    each evaluation column (None if not requested).
+    Returns (log_den, f1, f2): log_den is the log of the sum of every
+    assignment's weight, the marginal likelihood of dimension J; f1 and f2
+    are the posterior moments given J, E[theta'b | data, J] and
+    E[(theta'b)^2 | data, J], at each evaluation column (None if eval_cols is
+    None; f2 also None unless second). combine_exact mixes them over J.
 
     The log weight of an assignment separates per basis index into a closing
     factor of that basis's counts, and every row's active window is a run of
@@ -460,8 +455,8 @@ def exact_mixture(
     pair[0] = sq
     free = np.ones(J, dtype=bool)
     parts = [family.log_global(n), math.fsum(slots.log_values[single, 0].tolist())]
-    # log(0) of an empty sum or a zero grid moment is -inf, and terms far below
-    # the largest underflow to 0; neither is an error, whatever the caller's errstate.
+    # log(0) of an empty sum is -inf, and terms far below the largest underflow
+    # to 0, as may grid products; neither is an error, whatever the caller's errstate.
     with np.errstate(divide="ignore", under="ignore"):
         for a, b in itertools.pairwise(edges):
             start, stop, log_z = _run_moments(
@@ -472,9 +467,9 @@ def exact_mixture(
         log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
         if eval_cols is None:
             return log_den, None, None
-        log_num1 = log_den + np.log(mean @ eval_cols)
+        f1 = mean @ eval_cols
         if not second:
-            return log_den, log_num1, None
+            return log_den, f1, None
         f2 = pair[0] @ eval_cols**2
         cross = family.cross(n)
         for d in range(1, band + 1):
@@ -482,8 +477,7 @@ def exact_mixture(
             apart = np.isnan(row)
             row[apart] = (mean[: J - d] * mean[d:] * cross)[apart]
             f2 += 2.0 * row @ (eval_cols[: J - d] * eval_cols[d:])
-        log_num2 = log_den + np.log(f2)
-    return log_den, log_num1, log_num2
+    return log_den, f1, f2
 
 
 @dataclass
@@ -621,22 +615,21 @@ def mc_mixture(
 
 
 def combine_exact(per_j, log_prior):
-    """Mix per-dimension exact sums by the model prior.
+    """Mix the per-dimension exact moments over J by its posterior.
 
-    per_j: list of (log_den, log_num1, log_num2); log_prior: matching array.
+    per_j: one exact_mixture result (log_den, f1, f2) per dimension, f1 and
+    f2 being E[f | data, J] and E[f^2 | data, J] at the grid points (None if
+    absent); log_prior: the matching log prior of J. The posterior of J is
+    p(J | data) = prior(J) exp(log_den_J) / sum_J' prior(J') exp(log_den_J'),
+    and each moment is the weighted average sum_J p(J | data) E[f^m | data, J].
     Returns (mean, second, j_weights_log) where second is None if absent.
     """
-    log_prior = np.asarray(log_prior, dtype=float)
-    log_den_j = np.array([p[0] for p in per_j]) + log_prior
-    log_den = logsumexp(log_den_j)
-    mean = second = None
-    if per_j[0][1] is not None:
-        log_num1 = logsumexp(np.stack([p[1] for p in per_j]) + log_prior[:, None], axis=0)
-        mean = np.exp(log_num1 - log_den)
-    if per_j[0][2] is not None:
-        log_num2 = logsumexp(np.stack([p[2] for p in per_j]) + log_prior[:, None], axis=0)
-        second = np.exp(log_num2 - log_den)
-    return mean, second, log_den_j - log_den
+    log_den_j = np.array([p[0] for p in per_j]) + np.asarray(log_prior, dtype=float)
+    j_weights_log = log_den_j - logsumexp(log_den_j)
+    w = np.exp(j_weights_log)
+    mean = None if per_j[0][1] is None else w @ np.stack([p[1] for p in per_j])
+    second = None if per_j[0][2] is None else w @ np.stack([p[2] for p in per_j])
+    return mean, second, j_weights_log
 
 
 def combine_mc(pieces: Sequence[McPiece], log_prior):

@@ -169,8 +169,7 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        if self.grid_size < 2:
-            raise ValueError("grid size must be at least 2")
+        metric_grid(self.grid_size)  # refuses a size below 1, as every command does
         if self.replications < 1:
             raise ValueError("need at least one replication")
         if self.n < 1 or not 0.0 < self.level < 1.0:

@@ -78,14 +78,14 @@ class ModelSizePrior:
 
     @staticmethod
     def poisson(lam: float, j_min: int = 5, j_max: int = 25) -> "ModelSizePrior":
-        if lam <= 0.0:
-            raise ValueError(f"poisson mean must be positive, got {lam}")
+        if not 0.0 < lam < np.inf:
+            raise ValueError(f"poisson mean lambda must be positive and finite, got {lam}")
         return ModelSizePrior("poisson", (float(lam),), int(j_min), int(j_max))
 
     @staticmethod
     def negative_binomial(r: float, p: float, j_min: int = 5, j_max: int = 25) -> "ModelSizePrior":
-        if r <= 0.0 or not 0.0 < p < 1.0:
-            raise ValueError(f"invalid negative-binomial parameters r={r}, p={p}")
+        if not 0.0 < r < np.inf or not 0.0 < p < 1.0:
+            raise ValueError(f"negative-binomial r must be positive and finite and p in (0,1), got r={r}, p={p}")
         return ModelSizePrior("negative-binomial", (float(r), float(p)), int(j_min), int(j_max))
 
     @property
@@ -112,8 +112,8 @@ def _positive_vector(value, J: int, name: str) -> np.ndarray:
         arr = np.full(J, arr[0])
     if arr.shape != (J,):
         raise ValueError(f"{name} must be scalar or length-{J}, got shape {arr.shape}")
-    if np.any(arr <= 0.0):
-        raise ValueError(f"{name} must be strictly positive")
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise ValueError(f"{name} must be positive and finite")
     return arr
 
 
@@ -122,7 +122,7 @@ class CoefficientPrior:
     """Prior on the coefficient vector given the dimension J.
 
     Hyperparameters are stored as given (scalar or vector) and broadcast to
-    the requested dimension on use; all must be strictly positive.
+    the requested dimension on use; all must be positive and finite.
     """
 
     family: str
@@ -134,8 +134,8 @@ class CoefficientPrior:
             raise ValueError(f"unknown coefficient family {self.family!r}")
         for name in ("a", "b"):
             val = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if np.any(val <= 0.0):
-                raise ValueError(f"hyperparameter {name} must be strictly positive")
+            if not np.all((val > 0.0) & (val < np.inf)):
+                raise ValueError(f"hyperparameter {name} must be positive and finite")
 
     @staticmethod
     def dirichlet(a=1.0) -> "CoefficientPrior":

@@ -176,8 +176,10 @@ class SieveConstants:
     b: float = 1.0
 
     def __post_init__(self):
-        if min(self.c1, self.c3, self.C0, self.b) <= 0:
-            raise ValueError("sieve constants must be positive")
+        for name in ("c1", "c3", "C0", "b"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"sieve constant {name} must be positive and finite, got {value}")
 
 
 def solve_sieve(

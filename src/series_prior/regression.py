@@ -197,8 +197,9 @@ def gaussian_fit(
     n = x.size
     if g is None:
         g = float(n)
-    if g <= 0 or a <= 0 or b <= 0:
-        raise ValueError("g, a, b must be positive")
+    for name, value in (("g", g), ("a", a), ("b", b)):
+        if not 0.0 < value < np.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value}")
     shrink = g / (1.0 + g)
     j_values = np.asarray(sorted(designs), dtype=int)
     missing = set(model_prior.support) - set(designs)

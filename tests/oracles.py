@@ -18,6 +18,7 @@ from numpy.polynomial.legendre import leggauss
 from scipy import integrate
 from scipy.special import betaln, gammaln, logsumexp, roots_laguerre
 
+from series_prior import _engine
 from series_prior._engine import BetaFamily, DirichletFamily, assignment_count
 from series_prior.basis import eval_basis, eval_normalized, make_basis
 
@@ -67,7 +68,11 @@ def _assignment_terms(family, counts, eval_cols):
 def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, chunk: int = 8192):
     """Log sums over every one of the q^n assignments: the reference for _engine.exact_mixture.
 
-    Same arguments and (log_den, log_num1, log_num2) return value.
+    Same arguments. Returns (log_den, log_num1, log_num2): the log sum of the
+    assignment weights and the log sums of the weights times each
+    assignment's first and second grid moments. exact_mixture returns
+    (log_den, f1, f2) with the moments given J, so log_num_m is
+    log_den + log(f_m).
     """
     cols = np.zeros((J, 0)) if eval_cols is None else eval_cols
     ks = slots.width.astype(np.int64)
@@ -90,6 +95,28 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     if eval_cols is None:
         return log_den, None, None
     return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
+
+
+def mix_log_numerators(per_j, log_prior):
+    """The mixture over J in the log domain: the reference for _engine.combine_exact.
+
+    per_j holds (log_den, log_num1, log_num2) per dimension, log_num_m being
+    log_den + log E[f^m | data, J] (None if absent). Each moment is
+    exp(logsumexp_J(log prior + log_num_m) - logsumexp_J(log prior + log_den)).
+    Returns (mean, second, j_weights_log) as combine_exact does, through the
+    library's logsumexp, so that the J weights follow the same formula.
+    """
+    log_prior = np.asarray(log_prior, dtype=float)
+    log_den_j = np.array([p[0] for p in per_j]) + log_prior
+    log_den = _engine.logsumexp(log_den_j)
+    mean = second = None
+    if per_j[0][1] is not None:
+        log_num1 = _engine.logsumexp(np.stack([p[1] for p in per_j]) + log_prior[:, None], axis=0)
+        mean = np.exp(log_num1 - log_den)
+    if per_j[0][2] is not None:
+        log_num2 = _engine.logsumexp(np.stack([p[2] for p in per_j]) + log_prior[:, None], axis=0)
+        second = np.exp(log_num2 - log_den)
+    return mean, second, log_den_j - log_den
 
 
 @lru_cache(maxsize=32)

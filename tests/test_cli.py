@@ -585,3 +585,42 @@ def test_module_runs_the_cli(tmp_path):
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage: series-prior")
+
+
+@pytest.mark.parametrize(
+    "argv, config, name",
+    [
+        (["density-fit", "--input", "{obs}", "--q", "1", "--a", "nan"], {}, "hyperparameter a"),
+        (["density-fit", "--input", "{obs}", "--a", "inf"], {}, "hyperparameter a"),
+        (["density-fit", "--input", "{obs}"], {"J.prior": "poisson", "J.lambda": "nan"}, "lambda"),
+        (["density-fit", "--input", "{obs}"], {"J.prior": "negative-binomial", "J.r": "nan"}, "r=nan"),
+        (["binreg", "--input", "{binary}", "--a", "nan"], {}, "hyperparameter a"),
+        (["poisreg", "--input", "{poisson}", "--b", "nan"], {}, "hyperparameter b"),
+        (["funreg", "--curves", "{curves}", "--g", "nan"], {}, "g must"),
+        (["rates", "--sieve-csv", "{d}/sieve.csv", "--c1", "nan"], {}, "c1"),
+    ],
+)
+def test_non_finite_hyperparameter_exits_before_any_output(capsys, tmp_path, inputs, argv, config, name):
+    d = tmp_path / "out"
+    d.mkdir()
+    cmd = [a.format(d=d, **inputs) for a in argv]
+    if "--sieve-csv" not in argv:
+        cmd += ["--output", str(d / "fit.csv")]
+    if config:
+        cmd += ["--config", _write_config(tmp_path / "run.cfg", config)]
+    code, _, err = run(capsys, *cmd)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert name in err and "finite" in err
+    assert list(d.iterdir()) == []
+
+
+def test_simulate_grid_follows_the_one_grid_size_rule(capsys, tmp_path):
+    argv = ["simulate", "--n", "10", "--reps", "1", "--outdir"]
+    code, _, err = run(capsys, *argv, str(tmp_path / "one"), "--grid", "1")
+    assert code == 0, err
+    assert np.loadtxt(tmp_path / "one" / "summary_rep0.csv", delimiter=",", skiprows=1).shape == (6,)
+    code, _, err = run(capsys, *argv, str(tmp_path / "none"), "--grid", "0")
+    assert code == 1
+    assert err.splitlines() == ["error: grid size must be at least 1, got 0"]
+    assert not (tmp_path / "none" / "metrics.csv").exists()

@@ -10,7 +10,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
-from oracles import _assignment_terms, _counts_for, _log_values_for, enumerate_mixture, union_breakpoint_rule
+from oracles import (
+    _assignment_terms,
+    _counts_for,
+    _log_values_for,
+    enumerate_mixture,
+    mix_log_numerators,
+    union_breakpoint_rule,
+)
 
 from series_prior import _engine
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
@@ -237,7 +244,10 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
     assume(assignment_count(slots) <= 5000)
     got = _engine.exact_mixture(slots, family, J, eval_cols, second)
     want = enumerate_mixture(slots, family, J, eval_cols, second)
-    for g, w in zip(got, want):
+    log_den = got[0]
+    with np.errstate(divide="ignore"):
+        logs = [log_den] + [None if f is None else log_den + np.log(f) for f in got[1:]]
+    for g, w in zip(logs, want):
         _assert_log_close(g, w)
     perm = list(range(len(slots)))
     rnd.shuffle(perm)
@@ -258,6 +268,49 @@ def test_exact_mixture_keeps_the_callers_errstate(case, second):
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@st.composite
+def per_j_moments(draw):
+    """exact_mixture results of several dimensions and their log prior.
+
+    The log marginals lie up to 1,000 nats below the largest, one dimension
+    may have no prior mass, and grid moments may be exactly 0.
+    """
+    n_j, n_grid = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    top = draw(st.floats(-20.0, 20.0))
+    log_den = [top - draw(st.floats(0.0, 1000.0)) for _ in range(n_j)]
+    log_prior = [draw(st.floats(-5.0, 0.0)) for _ in range(n_j)]
+    if n_j > 1 and draw(st.booleans()):
+        log_prior[draw(st.integers(0, n_j - 1))] = -np.inf
+    moment = st.one_of(st.just(0.0), st.floats(1e-3, 1e3))
+    f1 = np.array(draw(st.lists(moment, min_size=n_j * n_grid, max_size=n_j * n_grid))).reshape(n_j, n_grid)
+    f2 = f1**2 + np.array(draw(st.lists(moment, min_size=n_j * n_grid, max_size=n_j * n_grid))).reshape(n_j, n_grid)
+    return [(d, a, b) for d, a, b in zip(log_den, f1, f2)], np.array(log_prior)
+
+
+@settings(max_examples=300, deadline=None)
+@given(per_j_moments(), st.booleans())
+def test_combine_exact_equals_log_domain_mixing(case, second):
+    per_j, log_prior = case
+    if not second:
+        per_j = [(d, f1, None) for d, f1, _ in per_j]
+    with np.errstate(divide="ignore"):
+        logged = [(d, *(None if f is None else d + np.log(f) for f in fs)) for d, *fs in per_j]
+    got = _engine.combine_exact(per_j, log_prior)
+    want = mix_log_numerators(logged, log_prior)
+    assert got[2].tobytes() == want[2].tobytes()
+    # Both routes exponentiate log values of up to |log_den| + 20 nats, and each
+    # rounding of a log value x moves the result by up to eps |x| / 2 relative.
+    # Where only a far lighter J has a nonzero moment that dominates: the two
+    # differed by 1.5e-13 with log values near 640. Below the normal range a
+    # float keeps too few bits for any relative bound.
+    rtol = 1e-13 + 4.0 * np.finfo(float).eps * (max(abs(d) for d, *_ in per_j) + 20.0)
+    for g, w in zip(got[:2], want[:2]):
+        if w is None:
+            assert g is None
+            continue
+        assert np.all(np.abs(g - w) <= rtol * np.abs(w) + np.finfo(float).tiny)
 
 
 def test_logsumexp_of_no_mass_is_minus_inf_without_warning():

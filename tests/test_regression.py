@@ -8,7 +8,8 @@ from oracles import (
 )
 from series_prior.basis import eval_basis, make_basis
 from series_prior.density import DensityDataset, bases_for_prior
-from series_prior.priors import ModelSizePrior
+from series_prior.priors import CoefficientPrior, ModelSizePrior
+from series_prior.rates import SieveConstants
 from series_prior.regression import (
     FunctionalDataset,
     LongitudinalDataset,
@@ -52,6 +53,32 @@ INF = float("inf")
 def test_non_finite_input_rejected(make):
     with pytest.raises(ValueError, match="finite"):
         make()
+
+
+_DESIGN = {1: np.ones((3, 1))}
+_MP1 = ModelSizePrior.geometric(0.5, 1, 1)
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF])
+@pytest.mark.parametrize(
+    "make, name",
+    [
+        (lambda v: CoefficientPrior.dirichlet(v), "hyperparameter a"),
+        (lambda v: CoefficientPrior.dirichlet([1.0, v, 2.0]), "hyperparameter a"),
+        (lambda v: CoefficientPrior.beta(1.0, v), "hyperparameter b"),
+        (lambda v: CoefficientPrior.gamma(v, 1.0), "hyperparameter a"),
+        (lambda v: ModelSizePrior.poisson(v, 1, 5), "lambda"),
+        (lambda v: ModelSizePrior.negative_binomial(v, 0.5, 1, 5), "r="),
+        (lambda v: gaussian_fit(_DESIGN, [0.1, 0.5, 0.9], _MP1, g=v), "g "),
+        (lambda v: gaussian_fit(_DESIGN, [0.1, 0.5, 0.9], _MP1, a=v), "a "),
+        (lambda v: gaussian_fit(_DESIGN, [0.1, 0.5, 0.9], _MP1, b=v), "b "),
+        (lambda v: SieveConstants(c1=v), "c1"),
+        (lambda v: SieveConstants(b=v), "constant b"),
+    ],
+)
+def test_non_finite_hyperparameter_refused(make, name, value):
+    with pytest.raises(ValueError, match=f"{name}.*finite|finite.*{name}"):
+        make(value)
 
 
 class TestDatasets:
