@@ -317,7 +317,7 @@ def _assign_back(beta, axes, log_values):
     return out
 
 
-def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
+def _run_moments(run, family, fixed, n, band, mean, pair=None):
     """Forward-backward sums over one run of bases that multi-index slots couple.
 
     run is a SlotTable of rows sorted by window whose windows chain into the
@@ -329,7 +329,7 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
     final count, and its counts are summed out of the state.
 
     Returns (start, stop, log_z), log_z being the log sum of the run's terms.
-    If given, mean[k] receives E[theta_k] for the run's bases and pair[d, k]
+    mean[k] receives E[theta_k] for the run's bases and, if given, pair[d, k]
     E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The
     forward pass keeps one rolling state and, per basis, the state plus its
     closing factor. The backward pass walks the bases in reverse with the
@@ -365,8 +365,6 @@ def _run_moments(run, family, fixed, n, band, mean=None, pair=None):
         closing.append((x, counts, factor))
         x = _lse(x, tuple(range(G))).reshape(x.shape[G:] + (1,) * G)
     log_z = float(x.item())
-    if mean is None:
-        return start, stop, log_z
 
     cross = family.cross(n)
     b, live = np.zeros_like(x), []  # live: (basis, log mass, tilted message) of later bases
@@ -404,7 +402,7 @@ def exact_mixture(
     slots: SlotTable,
     family,
     J: int,
-    eval_cols: np.ndarray | None,
+    eval_cols: np.ndarray,
     second: bool = False,
 ):
     """Exact sums over every assignment, by a banded forward-backward recursion.
@@ -412,8 +410,8 @@ def exact_mixture(
     Returns (log_den, f1, f2): log_den is the log of the sum of every
     assignment's weight, the marginal likelihood of dimension J; f1 and f2
     are the posterior moments given J, E[theta'b | data, J] and
-    E[(theta'b)^2 | data, J], at each evaluation column (None if eval_cols is
-    None; f2 also None unless second). combine_exact mixes them over J.
+    E[(theta'b)^2 | data, J], at each evaluation column (f2 None unless
+    second). combine_exact mixes them over J.
 
     The log weight of an assignment separates per basis index into a closing
     factor of that basis's counts, and every row's active window is a run of
@@ -442,9 +440,8 @@ def exact_mixture(
     starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
     edges = [*starts.tolist(), len(chained)]
 
-    moments = eval_cols is not None and eval_cols.shape[1] > 0
     band = 0
-    if moments and second:
+    if second:
         active = eval_cols != 0.0
         first = active.argmax(axis=0)
         final = J - 1 - active[::-1].argmax(axis=0)
@@ -460,13 +457,11 @@ def exact_mixture(
     with np.errstate(divide="ignore", under="ignore"):
         for a, b in itertools.pairwise(edges):
             start, stop, log_z = _run_moments(
-                chained.take(slice(a, b)), family, fixed, n, band, mean if moments else None, pair if second else None
+                chained.take(slice(a, b)), family, fixed, n, band, mean, pair if second else None
             )
             free[start:stop] = False
             parts.append(log_z)
         log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
-        if eval_cols is None:
-            return log_den, None, None
         f1 = mean @ eval_cols
         if not second:
             return log_den, f1, None
@@ -618,8 +613,8 @@ def combine_exact(per_j, log_prior):
     """Mix the per-dimension exact moments over J by its posterior.
 
     per_j: one exact_mixture result (log_den, f1, f2) per dimension, f1 and
-    f2 being E[f | data, J] and E[f^2 | data, J] at the grid points (None if
-    absent); log_prior: the matching log prior of J. The posterior of J is
+    f2 being E[f | data, J] and E[f^2 | data, J] at the grid points (f2 None
+    if absent); log_prior: the matching log prior of J. The posterior of J is
     p(J | data) = prior(J) exp(log_den_J) / sum_J' prior(J') exp(log_den_J'),
     and each moment is the weighted average sum_J p(J | data) E[f^m | data, J].
     Returns (mean, second, j_weights_log) where second is None if absent.
@@ -627,7 +622,7 @@ def combine_exact(per_j, log_prior):
     log_den_j = np.array([p[0] for p in per_j]) + np.asarray(log_prior, dtype=float)
     j_weights_log = log_den_j - logsumexp(log_den_j)
     w = np.exp(j_weights_log)
-    mean = None if per_j[0][1] is None else w @ np.stack([p[1] for p in per_j])
+    mean = w @ np.stack([p[1] for p in per_j])
     second = None if per_j[0][2] is None else w @ np.stack([p[2] for p in per_j])
     return mean, second, j_weights_log
 

@@ -18,13 +18,12 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from statistics import NormalDist
 
 import numpy as np
 
 from . import basis as basis_mod
 from . import harness
-from .density import DensityDataset, credible_band, bases_for_prior
+from .density import DensityDataset, _band_z, bases_for_prior, credible_band
 from .priors import ModelSizePrior
 from .rates import RateProblem, RateResult, SieveConstants, rate_exponents, solve_sieve
 from .regression import (
@@ -198,6 +197,7 @@ def _read_curves(path):
 def _cmd_funreg(opts) -> int:
     model_prior = _model_prior(opts)
     tgrid = harness.metric_grid(opts["grid"])
+    z = _band_z(opts["level"])  # no floor: beta(t) may be negative
     grid, curves = _read_curves(opts["curves"])
     if opts["responses"]:
         responses = harness.read_observations(opts["responses"])
@@ -214,7 +214,6 @@ def _cmd_funreg(opts) -> int:
     )
     coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
     mean, var = gaussian_function_moments(post, coef_designs)
-    z = NormalDist().inv_cdf(0.5 + opts["level"] / 2.0)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(opts["output"])
     harness.write_table(

@@ -159,16 +159,21 @@ def mc_moment(
     )
 
 
+def _band_z(level: float) -> float:
+    """The normal quantile z of a central band of probability level, which must lie in (0, 1)."""
+    if not 0.0 < level < 1.0:
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    return NormalDist().inv_cdf(0.5 + level / 2.0)
+
+
 def credible_band(summary: PosteriorSummary, level: float = 0.95) -> PosteriorSummary:
     """Pointwise mean +/- z(level) * sd bands, floored at zero.
 
     sd comes from the first two posterior moments; requires second_moment.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"level must be in (0, 1), got {level}")
+    z = _band_z(level)
     if summary.second_moment is None:
         raise ValueError("second_moment not populated; rerun with m=2")
-    z = NormalDist().inv_cdf(0.5 + level / 2.0)
     sd = np.sqrt(np.maximum(summary.second_moment - summary.mean**2, 0.0))
     low = np.maximum(summary.mean - z * sd, 0.0)
     high = summary.mean + z * sd

@@ -190,10 +190,20 @@ def gaussian_fit(
 ) -> GaussianPosterior:
     """Closed-form g-prior update for every dimension in the truncation range.
 
-    g=None uses the unit-information default g = n. Dimensions with a
-    rank-deficient design are excluded from the model average with a warning.
+    g=None uses the unit-information default g = n. Non-finite responses or
+    design entries are refused. Each design is factorized once, by a thin
+    SVD W = U diag(s) V', and everything else is read from that:
+
+    * the rank, by np.linalg.matrix_rank's rule: the count of singular
+      values above s_max * max(W.shape) * eps. A design of lower rank than
+      its column count is excluded from the model average with a warning;
+    * the posterior mean g/(1+g) V (U'x / s);
+    * the fitted norm ||W theta_hat||^2 = ||U'x||^2 in the marginal likelihood;
+    * coef_cov_base = g/(1+g) V diag(s^-2) V', never (W'W)^-1, whose
+      normal equations square the condition number of W.
     """
     x = np.atleast_1d(np.asarray(responses, dtype=float))
+    _check_finite(responses=x)
     n = x.size
     if g is None:
         g = float(n)
@@ -205,20 +215,22 @@ def gaussian_fit(
     missing = set(model_prior.support) - set(designs)
     if missing:
         raise ValueError(f"no design supplied for dimensions {sorted(missing)}")
+    eps = np.finfo(float).eps
     logml, means, covs, scales, feasible = [], {}, {}, {}, []
     for j in j_values:
         W = np.asarray(designs[j], dtype=float)
         if W.shape[0] != n:
             raise ValueError(f"design for J={j} has {W.shape[0]} rows, expected {n}")
+        _check_finite(**{f"design for J={j}": W})
         ncol = W.shape[1]
-        if np.linalg.matrix_rank(W) < ncol:
+        U, s, Vt = np.linalg.svd(W, full_matrices=False)
+        if np.count_nonzero(s > s.max(initial=0.0) * max(W.shape) * eps) < ncol:
             warnings.warn(
                 f"design for J={j} is rank deficient; dimension excluded from the average"
             )
             continue
-        theta_hat, _, _, _ = np.linalg.lstsq(W, x, rcond=None)
-        fitted = W @ theta_hat
-        quad = float(x @ x - shrink * fitted @ fitted)
+        ux = U.T @ x
+        quad = float(x @ x - shrink * ux @ ux)
         lm = (
             -0.5 * n * np.log(2.0 * np.pi)
             - 0.5 * ncol * np.log1p(g)
@@ -227,10 +239,11 @@ def gaussian_fit(
             + lgamma(a + 0.5 * n)
             - (a + 0.5 * n) * np.log(b + 0.5 * quad)
         )
+        v_over_s = Vt.T / s  # V diag(1/s)
         feasible.append(int(j))
         logml.append(float(lm))
-        means[int(j)] = shrink * theta_hat
-        covs[int(j)] = shrink * np.linalg.inv(W.T @ W)
+        means[int(j)] = shrink * (v_over_s @ ux)
+        covs[int(j)] = shrink * (v_over_s @ v_over_s.T)
         scales[int(j)] = b + 0.5 * quad
     if not feasible:
         raise ValueError("every dimension was rank deficient; nothing to average")

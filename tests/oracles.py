@@ -74,7 +74,6 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
     (log_den, f1, f2) with the moments given J, so log_num_m is
     log_den + log(f_m).
     """
-    cols = np.zeros((J, 0)) if eval_cols is None else eval_cols
     ks = slots.width.astype(np.int64)
     total = assignment_count(slots)
     strides = np.ones(len(slots), dtype=np.int64)
@@ -85,15 +84,13 @@ def enumerate_mixture(slots, family, J: int, eval_cols, second: bool = False, ch
         ids = np.arange(start, min(start + chunk, total), dtype=np.int64)
         digits = (ids[None, :] // strides[:, None]) % ks[:, None]
         counts = _counts_for(slots, digits, J, family.n_groups)
-        log_w, m1, m2 = _assignment_terms(family, counts, cols)
+        log_w, m1, m2 = _assignment_terms(family, counts, eval_cols)
         log_w = log_w + _log_values_for(slots, digits)
         den.append(logsumexp(log_w))
         with np.errstate(divide="ignore"):
             num1.append(logsumexp(log_w[:, None] + np.log(m1), axis=0))
             num2.append(logsumexp(log_w[:, None] + np.log(m2), axis=0))
     log_den = float(logsumexp(den))
-    if eval_cols is None:
-        return log_den, None, None
     return log_den, logsumexp(np.stack(num1), axis=0), logsumexp(np.stack(num2), axis=0) if second else None
 
 

@@ -330,9 +330,20 @@ class TestRegressionCommands:
         assert np.all(np.abs(written[:, 2] - sd) < 5.0 * sd_se)
 
 
-@pytest.mark.parametrize("size", ["0", "-2"])
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        pytest.param("--grid", "0", "grid size must be at least 1, got 0", id="0"),
+        pytest.param("--grid", "-2", "grid size must be at least 1, got -2", id="-2"),
+        *(
+            pytest.param("--level", v, f"level must be in (0, 1), got {float(v)}", id=f"level={v}")
+            for v in ("0", "-0.5", "nan", "1", "1.5")
+        ),
+    ],
+)
 @pytest.mark.parametrize("command", ["density-fit", "binreg", "poisreg", "funreg"])
-def test_empty_grid_refused_before_any_output(capsys, tmp_path, command, size):
+def test_empty_grid_refused_before_any_output(capsys, tmp_path, command, flag, value, message):
+    """An empty grid or a band level outside (0, 1) is one error line, and no file is written."""
     rng = np.random.default_rng(3)
     inp = tmp_path / "in.txt"
     if command == "density-fit":
@@ -342,10 +353,10 @@ def test_empty_grid_refused_before_any_output(capsys, tmp_path, command, size):
         inp.write_text("".join(" ".join(map(repr, row.tolist())) + "\n" for row in rows))
     else:
         inp.write_text("".join(f"{a},{b}\n" for a, b in zip(rng.random(8), rng.integers(0, 2, 8))))
-    flag = "--curves" if command == "funreg" else "--input"
-    code, _, err = run(capsys, command, flag, str(inp), "--grid", size, "--output", str(tmp_path / "out.csv"))
+    source = "--curves" if command == "funreg" else "--input"
+    code, _, err = run(capsys, command, source, str(inp), flag, value, "--output", str(tmp_path / "out.csv"))
     assert code == 1
-    assert err.startswith("error: ") and f"grid size must be at least 1, got {size}" in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert [p.name for p in tmp_path.iterdir()] == ["in.txt"]
 
 

@@ -45,8 +45,8 @@ class TestLogTerm:
     @staticmethod
     def _log_marginal(obs, basis, a=1.0):
         J = basis.dimension
-        slots, family, _ = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))(J)
-        return _engine.exact_mixture(slots, family, J, None)[0]
+        slots, family, cols = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))(J)
+        return _engine.exact_mixture(slots, family, J, cols)[0]
 
     def test_empty_data_term_is_one(self):
         assert abs(self._log_marginal([], make_basis(1, 2), (1.0, 1.0))) < 1e-14

@@ -43,11 +43,17 @@ INF = float("inf")
         lambda: LongitudinalDataset([0.5], [INF], [1.0]),
         lambda: LongitudinalDataset([0.5], [1.0], [NAN]),
         lambda: eval_basis(make_basis(2, 3), [NAN]),
+        lambda: gaussian_fit({1: np.ones((3, 1))}, [0.1, NAN, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
+        lambda: gaussian_fit({1: np.ones((3, 1))}, [0.1, INF, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
+        lambda: gaussian_fit({1: [[1.0], [-INF], [1.0]]}, [0.1, 0.5, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
+        lambda: gaussian_fit({1: [[1.0], [NAN], [1.0]]}, [0.1, 0.5, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
     ],
     ids=[
         "density", "density-rescaled", "regression-covariate", "regression-response",
         "binary-response", "functional-curve", "functional-response", "functional-grid",
         "longitudinal-time", "longitudinal-covariate", "longitudinal-response", "eval-basis",
+        "gaussian-fit-nan-response", "gaussian-fit-inf-response", "gaussian-fit-inf-design",
+        "gaussian-fit-nan-design",
     ],
 )
 def test_non_finite_input_rejected(make):
@@ -218,6 +224,44 @@ class TestGaussian:
             post = gaussian_fit(designs, x, mp)
         assert post.j_values.tolist() == [1]
         assert post.infeasible == (2,)
+
+    def test_collinear_curves_variance_from_one_svd(self):
+        # Smooth, strongly collinear curves, as spectra are: the designs at
+        # J=10..15 have condition numbers 4e8 to 7e12, so (W'W)^-1 keeps no
+        # digit; formed from it, the mixed variance of beta(t) is negative at
+        # 34 of the 100 grid points.
+        rng = np.random.default_rng(3)
+        t = np.linspace(0.0, 1.0, 100)
+        k = np.arange(30)
+        curves = 3.0 + (rng.standard_normal((172, 30)) * 0.15**k) @ np.cos(np.pi * np.outer(k, t))
+        integrand = curves * (1.0 + np.sin(2.0 * np.pi * t))
+        x = (integrand[:, 1:] + integrand[:, :-1]) @ np.diff(t) / 2.0
+        x += 0.05 * rng.standard_normal(172)
+        mp = ModelSizePrior.geometric(0.9, 10, 15)
+        bases = bases_for_prior(3, mp)
+        data = FunctionalDataset(t, curves, x)
+        designs = {j: design_matrix(data, b) for j, b in bases.items()}
+        grid = (np.arange(100) + 0.5) / 100
+        rows = {j: eval_basis(b, grid) for j, b in bases.items()}
+        post = gaussian_fit(designs, x, mp)
+        assert post.j_values.tolist() == list(mp.support)
+        mean, var = gaussian_function_moments(post, rows)
+        # Reference from a fresh SVD W = U diag(s) V' per dimension: the
+        # within-J variance s2 g/(1+g) ||row V diag(1/s)||^2 and the spread
+        # of the per-J means, both sums of squares.
+        shrink = post.g / (1.0 + post.g)
+        within, mus = 0.0, []
+        for j, wt in zip(post.j_values.tolist(), post.j_weights):
+            U, s, Vt = np.linalg.svd(designs[j], full_matrices=False)
+            s2 = post.sigma2_scale[j] / (post.sigma2_shape - 1.0)
+            within = within + wt * s2 * shrink * np.sum((rows[j] @ (Vt.T / s)) ** 2, axis=1)
+            mus.append(rows[j] @ (shrink * (Vt.T @ (U.T @ x / s))))
+        mus = np.asarray(mus)
+        ref_mean = post.j_weights @ mus
+        ref = within + post.j_weights @ (mus - ref_mean) ** 2
+        np.testing.assert_allclose(mean, ref_mean, rtol=1e-10)
+        assert np.all(var >= 0.0)
+        np.testing.assert_allclose(var, ref, rtol=1e-10)
 
     def test_predict_single_model_reduces(self):
         designs, x, mp = self.toy(j_min=5, j_max=5)
