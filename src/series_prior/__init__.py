@@ -3,7 +3,8 @@
 Submodules:
     basis       B-spline construction, evaluation, integrals, grid
                 approximation fitting.
-    priors      truncated priors on the series length and coefficient priors.
+    priors      truncated priors on the series length; coefficient
+                hyperparameters are plain values of the builders.
     density     MCMC-free posterior moments for density estimation.
     regression  conjugate Gaussian (g-prior), binary (Beta), and Poisson
                 (Gamma) series regression.
@@ -30,11 +31,7 @@ from .density import (
     exact_moment,
     mc_moment,
 )
-from .priors import (
-    CoefficientPrior,
-    ModelSizePrior,
-    sample_coefficients,
-)
+from .priors import ModelSizePrior
 from .rates import RateProblem, RateResult, SieveConstants, rate_exponents, solve_sieve
 from .regression import (
     FunctionalDataset,

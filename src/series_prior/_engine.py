@@ -34,7 +34,8 @@ E[theta_k] and E[theta_k theta_l], so the sampled posterior moments are
 weighted averages of exact per-draw moments.
 
 Each coefficient family (Dirichlet, Beta, Gamma) is n_groups, the number of
-count groups, plus four closed forms, and both engines use only these. For
+count groups, upper, the top of the range of f = theta'B (1 for Beta, inf
+otherwise), and four closed forms, and both engines use only these. For
 basis index k (or an index array or slice) and per-group counts c:
 log_close(k, c), the log factor of basis k in an assignment's weight;
 moments(k, c, n), E[theta_k] and E[theta_k^2] given the counts of n slots;
@@ -184,6 +185,7 @@ class DirichletFamily:
     """
 
     n_groups = 1
+    upper = np.inf
 
     def __init__(self, a: np.ndarray):
         self.a = np.asarray(a, dtype=float)
@@ -210,6 +212,7 @@ class BetaFamily:
     """Independent Beta(a_k, b_k) integrals; group 0 counts successes, group 1 failures."""
 
     n_groups = 2
+    upper = 1.0
 
     def __init__(self, a: np.ndarray, b: np.ndarray):
         self.a = np.asarray(a, dtype=float)
@@ -245,6 +248,7 @@ class GammaFamily:
     """
 
     n_groups = 1
+    upper = np.inf
 
     def __init__(self, a: np.ndarray, b: np.ndarray, c: np.ndarray):
         self.a = np.asarray(a, dtype=float)
@@ -659,7 +663,9 @@ class PosteriorSummary:
     """Grid summary of the posterior over the estimated function.
 
     mc_se is zero in exact mode. j_weights are the posterior probabilities
-    of each dimension in the truncation range (j_values aligned).
+    of each dimension in the truncation range (j_values aligned). upper is
+    the upper end of the function's range (1 for a success probability),
+    at which density.credible_band caps band_high.
     """
 
     grid: np.ndarray
@@ -671,6 +677,7 @@ class PosteriorSummary:
     j_values: np.ndarray
     j_weights: np.ndarray
     mode: str
+    upper: float = np.inf
 
 
 def posterior_moments(
@@ -737,4 +744,5 @@ def posterior_moments(
         j_values=j_values,
         j_weights=np.exp(j_w_log),
         mode=engine,
+        upper=min(f.upper for _, f, _ in built.values()),
     )

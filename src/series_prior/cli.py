@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,6 +247,7 @@ def _read_two_columns(path):
 def _cmd_glm(opts) -> int:
     kind = opts["kind"]
     model_prior = _model_prior(opts)
+    _band_z(opts["level"])  # refuse a bad level before the input is read
     z, x = _read_two_columns(opts["input"])
     data = RegressionDataset(z, x, kind=kind)
     bases = bases_for_prior(opts["q"], model_prior)
@@ -257,9 +257,7 @@ def _cmd_glm(opts) -> int:
         data, bases, (opts["theta.a"], opts["theta.b"]), model_prior, zgrid, m=2,
         mode=opts["mode"], n_terms=opts["N"], seed=opts["seed"],
     )
-    summary = credible_band(summary, opts["level"])
-    if kind == "binary":  # a success probability's band stays inside [0, 1]
-        summary = replace(summary, band_high=np.minimum(summary.band_high, 1.0))
+    summary = credible_band(summary, opts["level"])  # a binary band stays inside [0, 1]
     out = Path(opts["output"])
     _write_summary_outputs(summary, out, out.with_name(out.stem + "_j.csv"))
     return 0

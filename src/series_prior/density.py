@@ -6,14 +6,13 @@ prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
 density_builder makes each dimension's Dirichlet family and grid columns
-once, and each dataset's builder adds that dataset's slots. Its ``a`` is a
-CoefficientPrior or the raw Dirichlet parameter, which becomes
-CoefficientPrior.dirichlet(a), so priors.CoefficientPrior alone checks the
-hyperparameters. Every posterior-moment entry point of the package
-(exact_moment, mc_moment, harness.fit_density, regression.binary_moment and
-regression.poisson_moment) hands such a builder to
-_engine.posterior_moments, whose docstring states the rules of its ``mode``
-("exact", "mc" or "auto") and of the term cap.
+once, and each dataset's builder adds that dataset's slots. Its ``a`` is the
+Dirichlet parameter as a plain value, a positive finite scalar or a length-J
+vector, checked once when the builder is made. Every posterior-moment entry
+point of the package (exact_moment, mc_moment, harness.fit_density,
+regression.binary_moment and regression.poisson_moment) hands such a builder
+to _engine.posterior_moments, whose docstring states the rules of its
+``mode`` ("exact", "mc" or "auto") and of the term cap.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import numpy as np
 from . import _engine
 from ._engine import EnumerationCapError, PosteriorSummary
 from .basis import Basis, eval_normalized, make_basis
-from .priors import CoefficientPrior, ModelSizePrior
+from .priors import ModelSizePrior, _hyperparameter, _per_basis
 
 __all__ = [
     "DensityDataset",
@@ -89,19 +88,17 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
 def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
     """The per-dimension builders of _engine.posterior_moments: for_data(data) -> build.
 
-    a is a Dirichlet CoefficientPrior or its parameter, a positive scalar or
-    a length-J vector. Each dimension's Dirichlet family and grid columns
-    depend only on (bases, grid, a), so they are made here, once, and every
-    dataset's build(j) shares them; build(j) adds the dataset's slot table.
-    Observations are taken in sorted order, so outputs do not depend on
-    their order.
+    a is the Dirichlet parameter: a positive finite scalar, repeated once
+    per basis function, or a length-J vector. Each dimension's Dirichlet
+    family and grid columns depend only on (bases, grid, a), so they are
+    made here, once, and every dataset's build(j) shares them; build(j) adds
+    the dataset's slot table. Observations are taken in sorted order, so
+    outputs do not depend on their order.
     """
-    prior = a if isinstance(a, CoefficientPrior) else CoefficientPrior.dirichlet(a)
-    if prior.family != "dirichlet":
-        raise ValueError(f"density posterior needs a dirichlet prior, got {prior.family!r}")
+    a = _hyperparameter(a, "a")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
     shared = {
-        j: (_engine.DirichletFamily(prior.params_for(basis.dimension)[0]), eval_normalized(basis, grid).T)
+        j: (_engine.DirichletFamily(_per_basis(a, basis.dimension, "a")), eval_normalized(basis, grid).T)
         for j, basis in bases.items()
     }
 
@@ -167,14 +164,15 @@ def _band_z(level: float) -> float:
 
 
 def credible_band(summary: PosteriorSummary, level: float = 0.95) -> PosteriorSummary:
-    """Pointwise mean +/- z(level) * sd bands, floored at zero.
+    """Pointwise mean +/- z(level) * sd bands, floored at zero and capped at summary.upper.
 
     sd comes from the first two posterior moments; requires second_moment.
+    The cap is 1 for a success probability, so a binary band stays in [0, 1].
     """
     z = _band_z(level)
     if summary.second_moment is None:
         raise ValueError("second_moment not populated; rerun with m=2")
     sd = np.sqrt(np.maximum(summary.second_moment - summary.mean**2, 0.0))
     low = np.maximum(summary.mean - z * sd, 0.0)
-    high = summary.mean + z * sd
+    high = np.minimum(summary.mean + z * sd, summary.upper)
     return replace(summary, band_low=low, band_high=high)

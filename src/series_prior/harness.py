@@ -32,8 +32,8 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 from . import _engine
-from .basis import Basis, eval_normalized
-from .density import DensityDataset, PosteriorSummary, bases_for_prior, credible_band, density_builder
+from .basis import Basis
+from .density import DensityDataset, PosteriorSummary, _band_z, bases_for_prior, credible_band, density_builder
 from .priors import ModelSizePrior
 from .quadrature import simpson_panel_rule
 
@@ -45,7 +45,6 @@ class TrueDensity:
     name: str
     normalizer: float
     _pdf_unnorm: Callable[[np.ndarray], np.ndarray]
-    breakpoints: tuple[float, ...] = (0.0, 1.0)
 
     def pdf(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -79,19 +78,6 @@ def mixture_51() -> TrueDensity:
     pts, wts = simpson_panel_rule([0.0, 1.0], 10_000)
     z = float(wts @ _mixture_51_unnorm(pts))
     return TrueDensity("mixture-51", z, _mixture_51_unnorm)
-
-
-def spline_density(basis: Basis, theta) -> TrueDensity:
-    """A density that is exactly a normalized-basis mixture (for exactness tests)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (basis.dimension,) or np.any(theta < 0) or abs(theta.sum() - 1.0) > 1e-12:
-        raise ValueError("theta must be a probability vector of the basis dimension")
-    return TrueDensity(
-        "custom-spline",
-        1.0,
-        lambda x: eval_normalized(basis, np.asarray(x, dtype=float)) @ theta,
-        breakpoints=tuple(basis.breakpoints()),
-    )
 
 
 def get_density(name: str) -> TrueDensity:
@@ -172,8 +158,9 @@ class ExperimentConfig:
         metric_grid(self.grid_size)  # refuses a size below 1, as every command does
         if self.replications < 1:
             raise ValueError("need at least one replication")
-        if self.n < 1 or not 0.0 < self.level < 1.0:
-            raise ValueError(f"need n >= 1 and a level in (0, 1), got n={self.n} and level={self.level}")
+        if self.n < 1:
+            raise ValueError(f"need n >= 1, got n={self.n}")
+        _band_z(self.level)  # refuses a level outside (0, 1), as credible_band does
         if self.q < 1:
             raise ValueError(f"order q must be a positive integer, got q={self.q}")
         if self.j_min < self.q:
@@ -262,9 +249,10 @@ def fit_density(
 def _fitter(bases: Mapping[int, Basis], model_prior, grid, a, n_terms, mode, level):
     """fit(data, seed): one dataset's posterior summary with its credible band.
 
-    The dimensions' families and grid columns are made here, once, and every
-    fit shares them.
+    The band level is checked, and the dimensions' families and grid columns
+    are made, here, once, before any fit; every fit shares them.
     """
+    _band_z(level)
     for_data = density_builder(bases, grid, a)
 
     def fit(data: DensityDataset, seed) -> PosteriorSummary:

@@ -1,13 +1,15 @@
-"""Priors on the series length J and on the coefficient vector given J.
+"""Priors on the series length J, and the checks of the coefficient hyperparameters.
 
 Model-size priors are always truncated to an inclusive range [j_min, j_max]
-and renormalized there; probabilities are kept in log space. Each family
-carries its tail exponents (t1, t2): geometric and negative binomial have
-t1 = t2 = 0, Poisson has t1 = t2 = 1. Coefficient priors cover the conjugate
-families used by the posterior engines: Dirichlet for densities,
-independent Beta for binary responses, independent Gamma for counts. The
-Gaussian regression's g-prior and inverse-gamma hyperparameters are plain
-arguments of regression.gaussian_fit.
+and renormalized there; probabilities are kept in log space. Their tail
+exponents (t1, t2), inputs of the rates module, are t1 = t2 = 0 for the
+geometric and negative binomial families and t1 = t2 = 1 for the Poisson.
+
+The coefficient priors given J are _engine's conjugate families: Dirichlet
+for densities, independent Beta for binary responses, independent Gamma for
+counts. Their hyperparameters are plain values of the builders, as the
+g-prior's are of regression.gaussian_fit: a positive finite scalar, repeated
+once per basis function, or a length-J vector.
 """
 
 from __future__ import annotations
@@ -19,14 +21,6 @@ import numpy as np
 from ._engine import lgamma, logsumexp
 
 _MODEL_FAMILIES = ("geometric", "poisson", "negative-binomial")
-_COEF_FAMILIES = ("dirichlet", "beta", "gamma")
-
-#: (t1, t2) tail exponents of each supported model-size family.
-TAIL_EXPONENTS = {
-    "geometric": (0, 0),
-    "poisson": (1, 1),
-    "negative-binomial": (0, 0),
-}
 
 
 def _base_log_pmf(family: str, params: tuple, j: np.ndarray) -> np.ndarray:
@@ -89,10 +83,6 @@ class ModelSizePrior:
         return ModelSizePrior("negative-binomial", (float(r), float(p)), int(j_min), int(j_max))
 
     @property
-    def tail_exponents(self) -> tuple[int, int]:
-        return TAIL_EXPONENTS[self.family]
-
-    @property
     def support(self) -> np.ndarray:
         return np.arange(self.j_min, self.j_max + 1)
 
@@ -106,65 +96,18 @@ class ModelSizePrior:
         return float(out[0]) if np.isscalar(j) else out
 
 
-def _positive_vector(value, J: int, name: str) -> np.ndarray:
+def _hyperparameter(value, name: str) -> np.ndarray:
+    """A coefficient hyperparameter as a float array; every entry must be positive and finite."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
+    if not np.all((arr > 0.0) & (arr < np.inf)):
+        raise ValueError(f"hyperparameter {name} must be positive and finite")
+    return arr
+
+
+def _per_basis(arr: np.ndarray, J: int, name: str) -> np.ndarray:
+    """A checked hyperparameter at dimension J: a scalar repeated J times, else a length-J vector."""
     if arr.size == 1:
         arr = np.full(J, arr[0])
     if arr.shape != (J,):
         raise ValueError(f"{name} must be scalar or length-{J}, got shape {arr.shape}")
-    if not np.all((arr > 0.0) & (arr < np.inf)):
-        raise ValueError(f"{name} must be positive and finite")
     return arr
-
-
-@dataclass(frozen=True)
-class CoefficientPrior:
-    """Prior on the coefficient vector given the dimension J.
-
-    Hyperparameters are stored as given (scalar or vector) and broadcast to
-    the requested dimension on use; all must be positive and finite.
-    """
-
-    family: str
-    a: float | np.ndarray = 1.0
-    b: float | np.ndarray = 1.0
-
-    def __post_init__(self):
-        if self.family not in _COEF_FAMILIES:
-            raise ValueError(f"unknown coefficient family {self.family!r}")
-        for name in ("a", "b"):
-            val = np.atleast_1d(np.asarray(getattr(self, name), dtype=float))
-            if not np.all((val > 0.0) & (val < np.inf)):
-                raise ValueError(f"hyperparameter {name} must be positive and finite")
-
-    @staticmethod
-    def dirichlet(a=1.0) -> "CoefficientPrior":
-        return CoefficientPrior("dirichlet", a=a)
-
-    @staticmethod
-    def beta(a=1.0, b=1.0) -> "CoefficientPrior":
-        return CoefficientPrior("beta", a=a, b=b)
-
-    @staticmethod
-    def gamma(a=1.0, b=1.0) -> "CoefficientPrior":
-        return CoefficientPrior("gamma", a=a, b=b)
-
-    def params_for(self, J: int) -> tuple[np.ndarray, np.ndarray]:
-        return _positive_vector(self.a, J, "a"), _positive_vector(self.b, J, "b")
-
-
-def sample_coefficients(prior: CoefficientPrior, J: int, seed) -> np.ndarray:
-    """One seeded draw of the coefficient vector at dimension J.
-
-    Dirichlet draws lie on the simplex, beta draws in (0,1)^J, gamma draws in
-    (0,inf)^J (rate parametrization: Gamma(a, b) has mean a/b).
-    """
-    if J < 1:
-        raise ValueError(f"dimension must be >= 1, got {J}")
-    rng = np.random.default_rng(seed)
-    a, b = prior.params_for(J)
-    if prior.family == "dirichlet":
-        return rng.dirichlet(a)
-    if prior.family == "beta":
-        return rng.beta(a, b)
-    return rng.gamma(shape=a, scale=1.0 / b)

@@ -14,7 +14,10 @@ plain (unnormalized) basis:
   X_i expansion slots.
 
 binary_builder and poisson_builder give each dimension's slots and
-coefficient family; binary_moment and poisson_moment hand them to the shared
+coefficient family. Their hyperparameters are plain values (a, b), each a
+positive finite scalar, repeated once per basis function, or a length-J
+vector; a bad value is refused when the builder is made. binary_moment and
+poisson_moment hand the builders to the shared
 driver _engine.posterior_moments, which returns the same PosteriorSummary as
 the density module; its docstring states the rules of ``mode``. The exact
 recursion runs over the success/failure or count state of the open basis
@@ -33,7 +36,7 @@ import numpy as np
 from . import _engine
 from ._engine import PosteriorSummary, lgamma, logsumexp
 from .basis import Basis, eval_basis
-from .priors import CoefficientPrior, ModelSizePrior
+from .priors import ModelSizePrior, _hyperparameter, _per_basis
 
 
 @dataclass(frozen=True)
@@ -303,14 +306,11 @@ def _mixed_moments(post: GaussianPosterior, designs, noise: float):
     return acc_mean, acc_m2 - acc_mean**2
 
 
-def _coef_prior(prior, family: str) -> CoefficientPrior:
-    """prior as a CoefficientPrior of family; raw hyperparameters come as (a, b)."""
-    if not isinstance(prior, CoefficientPrior):
-        a, b = prior
-        prior = CoefficientPrior(family, a=a, b=b)
-    if prior.family != family:
-        raise ValueError(f"need a {family} coefficient prior, got {prior.family!r}")
-    return prior
+def _params_for(params):
+    """J -> (a, b) of independent Beta or Gamma priors at dimension J; params is checked here, once."""
+    a, b = params
+    a, b = _hyperparameter(a, "a"), _hyperparameter(b, "b")
+    return lambda J: (_per_basis(a, J, "a"), _per_basis(b, J, "b"))
 
 
 def _check_finite(**arrays) -> None:
@@ -322,8 +322,10 @@ def _check_finite(**arrays) -> None:
 def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_params, z_grid):
     """The per-dimension (slots, family, eval_cols) builder of the binary model.
 
-    Each observation contributes one slot; successes and failures update the
-    two Beta count groups through the expansion of theta'B and (1-theta)'B.
+    beta_params is (a, b) of the independent Beta priors, each a positive
+    finite scalar or a length-J vector. Each observation contributes one
+    slot; successes and failures update the two Beta count groups through
+    the expansion of theta'B and (1-theta)'B.
     Rows are sorted by response, then covariate: group-major, so that the
     rows of one window (group, first index, width) are adjacent, and the
     sampler draws and counts a window's rows together, not row by row.
@@ -334,13 +336,12 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
     z = data.covariates[order]
     groups = np.where(data.responses[order] == 1.0, 0, 1)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    prior = _coef_prior(beta_params, "beta")
+    params_for = _params_for(beta_params)
 
     def build(j):
         basis = bases[j]
-        a, b = prior.params_for(basis.dimension)
         slots = _engine.slots_for(eval_basis(basis, z), groups=groups)
-        return slots, _engine.BetaFamily(a, b), eval_basis(basis, z_grid).T
+        return slots, _engine.BetaFamily(*params_for(basis.dimension)), eval_basis(basis, z_grid).T
 
     return build
 
@@ -348,9 +349,11 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
 def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_params, z_grid):
     """The per-dimension (slots, family, eval_cols) builder of the Poisson model.
 
-    The exponential likelihood factor contributes the per-coordinate tilt
-    c_k = sum_i B_k(Z_i); each observation then adds X_i expansion slots for
-    the monomial part (ordered tuples carry the multinomial multiplicities).
+    gamma_params is (a, b) of the independent Gamma(a, b) priors (rate b),
+    each a positive finite scalar or a length-J vector. The exponential
+    likelihood factor contributes the per-coordinate tilt c_k = sum_i B_k(Z_i);
+    each observation then adds X_i expansion slots for the monomial part
+    (ordered tuples carry the multinomial multiplicities).
     """
     if data.kind != "poisson":
         raise ValueError("poisson_moment needs a poisson dataset")
@@ -358,13 +361,12 @@ def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_p
     z = data.covariates[order]
     x = data.responses[order].astype(int)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
-    prior = _coef_prior(gamma_params, "gamma")
+    params_for = _params_for(gamma_params)
 
     def build(j):
         basis = bases[j]
-        a, b = prior.params_for(basis.dimension)
         vals = eval_basis(basis, z)
-        family = _engine.GammaFamily(a, b, vals.sum(axis=0))
+        family = _engine.GammaFamily(*params_for(basis.dimension), vals.sum(axis=0))
         return _engine.slots_for(vals, repeats=x), family, eval_basis(basis, z_grid).T
 
     return build

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from series_prior import _engine
 from series_prior.basis import eval_basis
 from series_prior.cli import cli
 from series_prior.density import bases_for_prior, credible_band
@@ -230,6 +231,20 @@ class TestRegressionCommands:
         mean, sd, high = rows[:, 1], rows[:, 2], rows[:, 4]
         assert np.any(mean + 1.96 * sd > 1.0)
         assert np.all(high <= 1.0) and np.all(high >= mean)
+
+    @pytest.mark.parametrize(
+        "argv", [["density-fit", "--input", "{obs}"], ["binreg", "--input", "{binary}"], ["poisreg", "--input", "{poisson}"]]
+    )
+    def test_bad_level_refused_before_any_fit(self, capsys, tmp_path, inputs, monkeypatch, argv):
+        def no_fit(*args, **kwargs):
+            pytest.fail("a fit ran before the level was checked")
+
+        monkeypatch.setattr(_engine, "posterior_moments", no_fit)
+        out = tmp_path / "fit.csv"
+        code, _, err = run(capsys, *[a.format(**inputs) for a in argv], "--level", "0", "--output", str(out))
+        assert code == 1
+        assert err.startswith("error: ") and "level" in err
+        assert not out.exists()
 
     def test_poisreg(self, capsys, tmp_path):
         rng = np.random.default_rng(6)

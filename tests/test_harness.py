@@ -35,7 +35,6 @@ from series_prior.harness import (
     read_observations,
     run_experiment,
     sample_density,
-    spline_density,
     worker_count,
     write_summary,
 )
@@ -67,13 +66,6 @@ class TestTrueDensities:
         np.testing.assert_array_equal(got[~inner], want[~inner])  # inf at 0 and 1
         assert np.all(np.abs(got[inner] - want[inner]) <= 2e-15 * want[inner])
         np.testing.assert_array_equal(outside, [0.0, 0.0])
-
-    def test_spline_density_exact(self):
-        b = make_basis(2, 4)
-        theta = np.full(b.dimension, 1.0 / b.dimension)
-        d = spline_density(b, theta)
-        pts, wts = simpson_panel_rule(d.breakpoints, 5000)
-        assert abs(wts @ d.pdf(pts) - 1.0) < 1e-10
 
     def test_unknown_name(self):
         with pytest.raises(ValueError):

@@ -3,8 +3,9 @@ import pytest
 
 from series_prior._engine import DirichletFamily
 from series_prior.basis import make_basis
-from series_prior.density import DensityDataset, exact_moment
-from series_prior.priors import CoefficientPrior, ModelSizePrior, sample_coefficients
+from series_prior.density import DensityDataset, density_builder, exact_moment
+from series_prior.priors import ModelSizePrior
+from series_prior.regression import RegressionDataset, binary_builder, poisson_builder
 
 
 class TestModelSizePrior:
@@ -47,11 +48,6 @@ class TestModelSizePrior:
         assert np.all(-c1 * j <= log_pmf)
         assert np.all(log_pmf <= -c2 * j)
 
-    def test_tail_exponents(self):
-        assert ModelSizePrior.geometric(0.5, 1, 5).tail_exponents == (0, 0)
-        assert ModelSizePrior.poisson(3.0, 1, 5).tail_exponents == (1, 1)
-        assert ModelSizePrior.negative_binomial(2.0, 0.5, 1, 5).tail_exponents == (0, 0)
-
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             ModelSizePrior.geometric(1.5, 5, 25)
@@ -63,48 +59,23 @@ class TestModelSizePrior:
             ModelSizePrior.poisson(-1.0, 1, 5)
 
 
-class TestCoefficientPrior:
-    def test_dirichlet_uniform_moments(self):
-        draws = np.stack(
-            [sample_coefficients(CoefficientPrior.dirichlet(1.0), 3, seed) for seed in range(2000)]
-        )
-        assert np.abs(draws.sum(axis=1) - 1.0).max() < 1e-12
-        assert draws.min() >= 0.0
-        big = np.random.default_rng(0).dirichlet(np.ones(3), size=100_000)
-        se = big.std(axis=0, ddof=1) / np.sqrt(big.shape[0])
-        assert np.all(np.abs(big.mean(axis=0) - 1.0 / 3.0) < 3.0 * se)
-
-    def test_beta_uniform_marginal(self):
-        rng_draws = np.stack(
-            [sample_coefficients(CoefficientPrior.beta(1.0, 1.0), 4, s) for s in range(500)]
-        )
-        assert rng_draws.min() > 0.0 and rng_draws.max() < 1.0
-        assert abs(rng_draws.mean() - 0.5) < 3.0 * rng_draws.std(ddof=1) / np.sqrt(rng_draws.size)
-
-    def test_gamma_rate_parametrization(self):
-        draws = np.concatenate(
-            [sample_coefficients(CoefficientPrior.gamma(2.0, 4.0), 50, s) for s in range(200)]
-        )
-        se = draws.std(ddof=1) / np.sqrt(draws.size)
-        assert abs(draws.mean() - 0.5) < 3.0 * se
-
-    def test_seed_reproducibility(self):
-        a = sample_coefficients(CoefficientPrior.dirichlet(2.0), 6, 123)
-        b = sample_coefficients(CoefficientPrior.dirichlet(2.0), 6, 123)
-        np.testing.assert_array_equal(a, b)
-
+class TestCoefficientHyperparameters:
     def test_vector_hyperparameters(self):
-        prior = CoefficientPrior.beta(np.array([1.0, 2.0, 3.0]), 1.0)
-        a, b = prior.params_for(3)
-        np.testing.assert_array_equal(a, [1, 2, 3])
-        with pytest.raises(ValueError):
-            prior.params_for(4)
+        data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
+        bases = {3: make_basis(1, 3), 4: make_basis(1, 4)}
+        build = binary_builder(data, bases, (np.array([1.0, 2.0, 3.0]), 1.0), [0.5])
+        family = build(3)[1]
+        np.testing.assert_array_equal(family.a, [1, 2, 3])
+        np.testing.assert_array_equal(family.b, [1, 1, 1])
+        with pytest.raises(ValueError, match="a must be scalar or length-4"):
+            build(4)
 
     def test_invalid_hyperparameters(self):
-        with pytest.raises(ValueError):
-            CoefficientPrior.dirichlet(0.0)
-        with pytest.raises(ValueError):
-            CoefficientPrior.gamma(1.0, -2.0)
+        with pytest.raises(ValueError, match="hyperparameter a must be positive"):
+            density_builder({2: make_basis(1, 2)}, [0.5], 0.0)
+        data = RegressionDataset([0.5], [1.0], kind="poisson")
+        with pytest.raises(ValueError, match="hyperparameter b must be positive"):
+            poisson_builder(data, {2: make_basis(1, 2)}, (1.0, -2.0), [0.5])
 
 
 class TestDirichletNormalizer:

@@ -7,25 +7,32 @@ from oracles import (
     poisson_quadrature_mean,
 )
 from series_prior.basis import eval_basis, make_basis
-from series_prior.density import DensityDataset, bases_for_prior
-from series_prior.priors import CoefficientPrior, ModelSizePrior
+from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder
+from series_prior.priors import ModelSizePrior
 from series_prior.rates import SieveConstants
 from series_prior.regression import (
     FunctionalDataset,
     LongitudinalDataset,
     RegressionDataset,
     _interp_rows,
+    binary_builder,
     binary_moment,
     design_matrix,
     gaussian_fit,
     gaussian_function_moments,
     gaussian_predict,
+    poisson_builder,
     poisson_moment,
 )
 
 
 NAN = float("nan")
 INF = float("inf")
+Z95 = _band_z(0.95)
+
+
+def _sd(s):
+    return np.sqrt(np.maximum(s.second_moment - s.mean**2, 0.0))
 
 
 @pytest.mark.parametrize(
@@ -63,16 +70,19 @@ def test_non_finite_input_rejected(make):
 
 _DESIGN = {1: np.ones((3, 1))}
 _MP1 = ModelSizePrior.geometric(0.5, 1, 1)
+_BASES3 = {3: make_basis(1, 3)}
+_BINARY = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
+_COUNTS = RegressionDataset([0.2, 0.7], [3.0, 0.0], kind="poisson")
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
 @pytest.mark.parametrize(
     "make, name",
     [
-        (lambda v: CoefficientPrior.dirichlet(v), "hyperparameter a"),
-        (lambda v: CoefficientPrior.dirichlet([1.0, v, 2.0]), "hyperparameter a"),
-        (lambda v: CoefficientPrior.beta(1.0, v), "hyperparameter b"),
-        (lambda v: CoefficientPrior.gamma(v, 1.0), "hyperparameter a"),
+        (lambda v: density_builder(_BASES3, [0.5], v), "hyperparameter a"),
+        (lambda v: density_builder(_BASES3, [0.5], [1.0, v, 2.0]), "hyperparameter a"),
+        (lambda v: binary_builder(_BINARY, _BASES3, (1.0, v), [0.5]), "hyperparameter b"),
+        (lambda v: poisson_builder(_COUNTS, _BASES3, (v, 1.0), [0.5]), "hyperparameter a"),
         (lambda v: ModelSizePrior.poisson(v, 1, 5), "lambda"),
         (lambda v: ModelSizePrior.negative_binomial(v, 0.5, 1, 5), "r="),
         (lambda v: gaussian_fit(_DESIGN, [0.1, 0.5, 0.9], _MP1, g=v), "g "),
@@ -345,6 +355,22 @@ class TestBinary:
         mc = binary_moment(data, bases, (1.0, 1.0), mp, grid, mode="mc", n_terms=4000, seed=2)
         assert np.all(np.abs(mc.mean - ex.mean) <= 4.0 * np.maximum(mc.mc_se, 1e-12))
 
+    @pytest.mark.parametrize("q, mode, n_terms", [(2, "exact", 3000), (3, "mc", 300)])
+    def test_band_stays_in_unit_interval(self, q, mode, n_terms):
+        # mean + 1.96 sd passes 1 at the high end of z; the band itself must not.
+        rng = np.random.default_rng(0)
+        z = rng.random(10)
+        x = (rng.random(10) < 0.2 + 0.6 * z).astype(float)
+        mp = ModelSizePrior.geometric(0.9, 5, 15)
+        s = binary_moment(
+            RegressionDataset(z, x, kind="binary"), bases_for_prior(q, mp), (1.0, 1.0), mp,
+            (np.arange(100) + 0.5) / 100, mode=mode, n_terms=n_terms,
+        )
+        banded = credible_band(s)
+        assert s.upper == 1.0 and np.any(s.mean + Z95 * _sd(s) > 1.0)
+        assert np.all(banded.band_low >= 0.0) and np.all(banded.band_high <= 1.0)
+        np.testing.assert_array_equal(banded.band_high, np.minimum(s.mean + Z95 * _sd(s), 1.0))
+
     def test_kind_checked(self):
         mp = ModelSizePrior.geometric(0.5, 2, 2)
         with pytest.raises(ValueError):
@@ -400,3 +426,10 @@ class TestPoisson:
         data = RegressionDataset([0.4, 0.6], [2.0, 1.0], kind="poisson")
         s = poisson_moment(data, bases, (1.0, 1.0), mp, np.linspace(0, 1, 11), m=2)
         assert np.all(s.second_moment >= s.mean**2 - 1e-9)
+
+    def test_band_is_not_capped(self):
+        mp = ModelSizePrior.geometric(0.5, 3, 4)
+        data = RegressionDataset([0.4, 0.6], [9.0, 7.0], kind="poisson")
+        s = poisson_moment(data, bases_for_prior(2, mp), (1.0, 1.0), mp, np.linspace(0, 1, 11))
+        assert s.upper == INF
+        np.testing.assert_array_equal(credible_band(s).band_high, s.mean + Z95 * _sd(s))
