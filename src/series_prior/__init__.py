@@ -36,7 +36,6 @@ from .rates import RateProblem, RateResult, SieveConstants, rate_exponents, solv
 from .regression import (
     FunctionalDataset,
     GaussianPosterior,
-    LongitudinalDataset,
     RegressionDataset,
     binary_moment,
     design_matrix,

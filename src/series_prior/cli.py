@@ -91,6 +91,7 @@ def _write_summary_outputs(summary, output, j_table):
 
 def _cmd_density_fit(opts) -> int:
     model_prior = _model_prior(opts)
+    _band_z(opts["level"])  # refuse a bad level before the input is read
     obs = harness.read_observations(opts["input"])
     data = DensityDataset.from_array(obs, rescale=opts["rescale"])
     summary = harness.fit_density(

@@ -10,28 +10,25 @@ line.
 
 run_experiment makes the bases, each dimension's grid columns and its
 Dirichlet family once, and every replication shares them; a replication
-builds only its own dataset's slot table. Replications run in the calling
-thread, unless each one samples at least 10,000 terms per dimension:
-lighter ones are many small numpy calls, which two threads run more slowly
-than one. Then a pool of worker_count threads runs them
-(SERIES_PRIOR_THREADS caps it, 0 = auto). Every replication derives its own
+builds only its own dataset's slot table. Replications run one after
+another; within one, a heavy sampled fit runs its dimensions on
+_engine.posterior_moments's thread pool. Every replication derives its own
 seed from (base seed, replication index), so results are identical for any
-worker count.
+thread count.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
 from . import _engine
+from ._engine import worker_count
 from .basis import Basis
 from .density import DensityDataset, PosteriorSummary, _band_z, bases_for_prior, credible_band, density_builder
 from .priors import ModelSizePrior
@@ -201,34 +198,6 @@ class ExperimentResult:
         return float(np.std(vals, ddof=1) / np.sqrt(len(vals))) if len(vals) > 1 else 0.0
 
 
-#: Sampled terms per dimension from which the pool beats the calling thread
-#: (2-core VM, q=3, n=500: 2 workers lost at N=3000 and won from N=10,000).
-_POOL_MIN_TERMS = 10_000
-
-
-def _pool_pays(config: ExperimentConfig) -> bool:
-    """Whether run_experiment's replications run faster in a pool than in the calling thread.
-
-    True when each replication samples at least _POOL_MIN_TERMS terms per
-    dimension: mode "mc", or "auto" with q^n past the term cap.
-    """
-    samples = config.mode == "mc" or (config.mode == "auto" and config.q**config.n > _engine.DEFAULT_TERM_CAP)
-    return samples and config.n_terms >= _POOL_MIN_TERMS
-
-
-def worker_count(tasks: int) -> int:
-    raw = os.environ.get("SERIES_PRIOR_THREADS", "0")
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"SERIES_PRIOR_THREADS must be an integer, got {raw!r}") from exc
-    if cap < 0:
-        raise ValueError("SERIES_PRIOR_THREADS must be >= 0")
-    if cap == 0:
-        cap = os.cpu_count() or 1
-    return max(1, min(cap, tasks))
-
-
 def fit_density(
     data: DensityDataset,
     q: int,
@@ -241,6 +210,7 @@ def fit_density(
     level: float = 0.95,
 ) -> PosteriorSummary:
     """Fit one dataset: exact when the term budget allows, sampled otherwise."""
+    _band_z(level)  # refuses a level outside (0, 1) before any basis is made
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
     return _fitter(bases, model_prior, grid, a, n_terms, mode, level)(data, seed)
@@ -249,10 +219,9 @@ def fit_density(
 def _fitter(bases: Mapping[int, Basis], model_prior, grid, a, n_terms, mode, level):
     """fit(data, seed): one dataset's posterior summary with its credible band.
 
-    The band level is checked, and the dimensions' families and grid columns
-    are made, here, once, before any fit; every fit shares them.
+    The dimensions' families and grid columns are made here, once, before
+    any fit; every fit shares them. The callers have checked the level.
     """
-    _band_z(level)
     for_data = density_builder(bases, grid, a)
 
     def fit(data: DensityDataset, seed) -> PosteriorSummary:
@@ -284,7 +253,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         bases_for_prior(config.q, model_prior), model_prior, metric_grid(config.grid_size),
         a=1.0, n_terms=config.n_terms, mode=config.mode, level=config.level,
     )
-    workers = worker_count(config.replications)  # a bad SERIES_PRIOR_THREADS raises, pool or not
+    worker_count(1)  # a bad SERIES_PRIOR_THREADS is refused before any output
     out_dir = Path(config.output_dir) if config.output_dir else None
     metrics_file = None
     if out_dir is not None:
@@ -293,26 +262,15 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         metrics_file.write(format_row(f.name for f in fields(MetricsRow)))
     rows: list[MetricsRow] = []
     summaries: list[PosteriorSummary] = []
-
-    def job(rep):
-        return _one_replication(config, density, fit, rep)
-
-    pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 and _pool_pays(config) else None
     try:
-        if pool is None:
-            produced: Iterable = (job(rep) for rep in range(config.replications))
-        else:
-            produced = pool.map(job, range(config.replications))
-        for row, summary in produced:
+        for rep in range(config.replications):
+            row, summary = _one_replication(config, density, fit, rep)
             rows.append(row)
             summaries.append(summary)
             if metrics_file is not None:
                 metrics_file.write(format_row(astuple(row)))
                 metrics_file.flush()
     finally:
-        # A replication that raises stops the run: the queued ones are dropped.
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
         if metrics_file is not None:
             metrics_file.close()
     result = ExperimentResult(config, rows, summaries)

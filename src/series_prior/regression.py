@@ -99,28 +99,6 @@ class FunctionalDataset:
         return self.curves.shape[0]
 
 
-@dataclass(frozen=True)
-class LongitudinalDataset:
-    """One (time, covariate value, response) triple per subject."""
-
-    times: np.ndarray
-    covariate_values: np.ndarray
-    responses: np.ndarray
-
-    def __post_init__(self):
-        t = np.atleast_1d(np.asarray(self.times, dtype=float))
-        z = np.atleast_1d(np.asarray(self.covariate_values, dtype=float))
-        x = np.atleast_1d(np.asarray(self.responses, dtype=float))
-        if not (t.shape == z.shape == x.shape):
-            raise ValueError("times, covariate values, and responses must match")
-        _check_finite(times=t, covariate_values=z, responses=x)
-        if t.size and (t.min() < 0.0 or t.max() > 1.0):
-            raise ValueError("times must lie in [0, 1]")
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "covariate_values", z)
-        object.__setattr__(self, "responses", x)
-
-
 def _interp_rows(x, xp, fp):
     """np.interp(x, xp, row) for every row of fp at once, bit for bit, as a C-ordered array.
 
@@ -137,8 +115,8 @@ def _interp_rows(x, xp, fp):
 
 
 def design_matrix(data, basis: Basis) -> np.ndarray:
-    """n x J design: basis values at scalar covariates, trapezoid integrals
-    of curve times basis for functional data, or Z(T) B(T) for longitudinal.
+    """n x J design: basis values at scalar covariates, or trapezoid integrals
+    of curve times basis for functional data.
 
     The functional integrals refine the curve grid with the basis knots
     (curves linearly interpolated, knot values taken one-sided), so the
@@ -158,8 +136,6 @@ def design_matrix(data, basis: Basis) -> np.ndarray:
         dw[:-1] += dg / 2.0
         dw[1:] += dg / 2.0
         return (curves * dw) @ B
-    if isinstance(data, LongitudinalDataset):
-        return data.covariate_values[:, None] * eval_basis(basis, data.times)
     raise ValueError(f"unsupported dataset type {type(data).__name__}")
 
 

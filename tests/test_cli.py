@@ -232,18 +232,18 @@ class TestRegressionCommands:
         assert np.any(mean + 1.96 * sd > 1.0)
         assert np.all(high <= 1.0) and np.all(high >= mean)
 
-    @pytest.mark.parametrize(
-        "argv", [["density-fit", "--input", "{obs}"], ["binreg", "--input", "{binary}"], ["poisreg", "--input", "{poisson}"]]
-    )
-    def test_bad_level_refused_before_any_fit(self, capsys, tmp_path, inputs, monkeypatch, argv):
+    @pytest.mark.parametrize("argv", [["density-fit"], ["binreg"], ["poisreg"]])
+    def test_bad_level_refused_before_any_fit(self, capsys, tmp_path, monkeypatch, argv):
+        # The input is missing too: the level is checked before the input is read.
         def no_fit(*args, **kwargs):
             pytest.fail("a fit ran before the level was checked")
 
         monkeypatch.setattr(_engine, "posterior_moments", no_fit)
         out = tmp_path / "fit.csv"
-        code, _, err = run(capsys, *[a.format(**inputs) for a in argv], "--level", "0", "--output", str(out))
+        missing = str(tmp_path / "missing.txt")
+        code, _, err = run(capsys, *argv, "--input", missing, "--level", "0", "--output", str(out))
         assert code == 1
-        assert err.startswith("error: ") and "level" in err
+        assert err.startswith("error: level must be in (0, 1)")
         assert not out.exists()
 
     def test_poisreg(self, capsys, tmp_path):

@@ -3,6 +3,7 @@ import math
 import tempfile
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -597,19 +598,35 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
     assert np.all(second >= mean**2 * (1.0 - 1e-12))
 
 
-@pytest.mark.parametrize("mode", ["exact", "mc"])
-@pytest.mark.parametrize("kind", ["binary", "poisson"])
-def test_regression_ignores_observation_order(kind, mode):
+@pytest.mark.parametrize("mode", ["exact", "mc", "pool"])
+@pytest.mark.parametrize("kind", ["density", "binary", "poisson"])
+def test_regression_ignores_observation_order(kind, mode, monkeypatch):
+    # "pool" samples on a pool of 2 threads, so order and thread count are checked together.
     mp = ModelSizePrior.geometric(0.5, 4, 7)
     bases = bases_for_prior(3, mp)
     rng = np.random.default_rng(4)
     z = np.append(rng.random(8), 0.5)  # 0.5 is a knot of the J=5 basis
     x = (rng.random(9) < 0.5).astype(float) if kind == "binary" else rng.integers(0, 3, 9).astype(float)
-    fit = binary_moment if kind == "binary" else poisson_moment
     perm = rng.permutation(9)
-    runs = [
-        fit(RegressionDataset(z[order], x[order], kind), bases, (1.0, 1.0), mp, GRID, mode=mode, n_terms=200, seed=6)
-        for order in (np.arange(9), perm)
-    ]
+    pools, pooled = [], mode == "pool"
+    if pooled:
+        monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
+        monkeypatch.setattr(_engine, "_POOL_MIN_TERMS", 2)
+        mode = "mc"
+
+    def recorded(max_workers):
+        pools.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    monkeypatch.setattr(_engine, "ThreadPoolExecutor", recorded)
+
+    def fit(order):
+        if kind == "density":
+            return fit_density(DensityDataset(z[order]), 3, mp, grid=GRID, mode=mode, n_terms=200, seed=6)
+        moment = binary_moment if kind == "binary" else poisson_moment
+        return moment(RegressionDataset(z[order], x[order], kind), bases, (1.0, 1.0), mp, GRID, mode=mode, n_terms=200, seed=6)
+
+    runs = [fit(order) for order in (np.arange(9), perm)]
     assert runs[0].mode == mode
+    assert pools == ([2, 2] if pooled else [])
     _assert_same(*runs)

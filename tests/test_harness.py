@@ -7,6 +7,7 @@ import tempfile
 import threading
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -18,11 +19,13 @@ from scipy.stats import beta as beta_dist
 from scipy.stats import kstest
 
 import series_prior
-from series_prior import harness
+from series_prior import _engine, harness
 from series_prior import density as density_mod
 from series_prior.basis import eval_normalized, make_basis
+from series_prior.density import DensityDataset, bases_for_prior
 from series_prior.harness import (
     ExperimentConfig,
+    ExperimentResult,
     TrueDensity,
     beta_half,
     fit_density,
@@ -40,6 +43,7 @@ from series_prior.harness import (
 )
 from series_prior.priors import ModelSizePrior
 from series_prior.quadrature import simpson_panel_rule
+from series_prior.regression import RegressionDataset, binary_moment, poisson_moment
 
 
 class TestTrueDensities:
@@ -145,6 +149,81 @@ class TestGridMetrics:
             grid_metrics(np.ones(5), mixture_51(), metric_grid(10))
 
 
+def _fit_calls(cfg: ExperimentConfig) -> dict:
+    """Zero-argument calls of run_experiment and of the density, binary and Poisson fits, at cfg's settings.
+
+    Each fit's data has cfg.n slots: n draws, binary responses, and Poisson
+    counts 2, 0, 2, 0, ... (1 last when n is odd), so q^n counts the
+    assignments of every fit alike.
+    """
+    model_prior = ModelSizePrior.geometric(cfg.geometric_p, cfg.j_min, cfg.j_max)
+    bases = bases_for_prior(cfg.q, model_prior)
+    grid = metric_grid(cfg.grid_size)
+    rng = np.random.default_rng(cfg.seed)
+    z = rng.random(cfg.n)
+    binary = RegressionDataset(z, (rng.random(cfg.n) < z).astype(float), "binary")
+    counts = np.resize([2.0, 0.0], cfg.n)
+    if cfg.n % 2:
+        counts[-1] = 1.0
+    poisson = RegressionDataset(z, counts, "poisson")
+    kw = dict(mode=cfg.mode, n_terms=cfg.n_terms, seed=cfg.seed)
+    return {
+        "run_experiment": lambda: run_experiment(cfg),
+        "fit_density": lambda: fit_density(DensityDataset(z), cfg.q, model_prior, grid=grid, level=cfg.level, **kw),
+        "binary_moment": lambda: binary_moment(binary, bases, (1.0, 1.0), model_prior, grid, **kw),
+        "poisson_moment": lambda: poisson_moment(poisson, bases, (1.0, 1.0), model_prior, grid, **kw),
+    }
+
+
+def _assert_same_fits(got, want):
+    """Each result's replication rows (but their wall times) and every summary field, bit for bit."""
+    for g, w in zip(got, want, strict=True):
+        if isinstance(w, ExperimentResult):
+            assert [(r.replication, r.l1, r.l2) for r in g.rows] == [(r.replication, r.l1, r.l2) for r in w.rows]
+            g, w = g.summaries, w.summaries
+        else:
+            g, w = [g], [w]
+        for a, b in zip(g, w, strict=True):
+            for field in dataclasses.fields(b):
+                x, y = getattr(a, field.name), getattr(b, field.name)
+                assert (x is None and y is None) or np.array_equal(x, y), field.name
+
+
+def _record_pools(mp) -> list:
+    """The max_workers of each pool the engine makes from now on, under the MonkeyPatch mp."""
+    made = []
+
+    def recorded(max_workers):
+        made.append(max_workers)
+        return ThreadPoolExecutor(max_workers)
+
+    mp.setattr(_engine, "ThreadPoolExecutor", recorded)
+    return made
+
+
+class _Pooled(Exception):
+    pass
+
+
+class _Unpooled(Exception):
+    pass
+
+
+def _makes_pool(fit) -> bool:
+    """Whether fit reaches the engine's pool or a per-dimension sum in the calling thread first.
+
+    The caller patches the pool to raise _Pooled and both engines to raise
+    _Unpooled, so no fit does the work.
+    """
+    try:
+        fit()
+    except _Pooled:
+        return True
+    except _Unpooled:
+        return False
+    raise AssertionError("the fit reached no engine")
+
+
 class TestRunExperiment:
     def test_deterministic_and_flushed(self, tmp_path):
         cfg = ExperimentConfig(
@@ -173,15 +252,16 @@ class TestRunExperiment:
         lines = (tmp_path / "a" / "metrics.csv").read_text().strip().splitlines()
         assert len(lines) == 4  # header + one row per replication
 
-    def test_worker_count_invariance(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)  # so 3 threads do run
-        cfg = dict(density="mixture-51", n=10, q=1, replications=4, seed=9)
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(_engine, "_POOL_MIN_TERMS", 2)  # so 3 threads do run
+        cfg = ExperimentConfig(density="mixture-51", n=10, q=2, replications=4, seed=9, mode="mc", n_terms=50)
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "1")
-        seq = run_experiment(ExperimentConfig(**cfg))
+        seq = [fit() for fit in _fit_calls(cfg).values()]
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "3")
-        par = run_experiment(ExperimentConfig(**cfg))
-        assert [r.l1 for r in seq.rows] == [r.l1 for r in par.rows]
-        assert np.array_equal(seq.summaries[2].mean, par.summaries[2].mean)
+        pools = _record_pools(monkeypatch)
+        par = [fit() for fit in _fit_calls(cfg).values()]
+        assert pools == [3] * (cfg.replications + 3)  # one pool per fit
+        _assert_same_fits(par, seq)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -201,18 +281,12 @@ class TestRunExperiment:
         for threads in ("1", "2", "3"):
             with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as out:
                 mp.setenv("SERIES_PRIOR_THREADS", threads)
-                mp.setattr(harness, "_pool_pays", lambda config: True)  # the pool runs from 2 threads on
-                res = run_experiment(dataclasses.replace(cfg, output_dir=out))
-                runs.append((res, [(Path(out) / name).read_bytes() for name in files]))
+                mp.setattr(_engine, "_POOL_MIN_TERMS", 2)  # a sampled fit pools from 2 threads on
+                fits = [fit() for fit in _fit_calls(dataclasses.replace(cfg, output_dir=out)).values()]
+                runs.append((fits, [(Path(out) / name).read_bytes() for name in files]))
         (ref, ref_bytes), others = runs[0], runs[1:]
-        for res, got_bytes in others:
-            assert [(r.replication, r.l1, r.l2) for r in res.rows] == [
-                (r.replication, r.l1, r.l2) for r in ref.rows
-            ]
-            for got, want in zip(res.summaries, ref.summaries, strict=True):
-                for field in dataclasses.fields(want):
-                    a, b = getattr(got, field.name), getattr(want, field.name)
-                    assert (a is None and b is None) or np.array_equal(a, b), field.name
+        for fits, got_bytes in others:
+            _assert_same_fits(fits, ref)
             assert got_bytes == ref_bytes
 
     @pytest.mark.parametrize("bad", [{"mode": "bogus"}, {"n_terms": 1}])
@@ -229,27 +303,27 @@ class TestRunExperiment:
         assert not (tmp_path / "out").exists()
 
     def test_raising_replication_stops_the_pool(self, monkeypatch):
+        # A dimension that raises drops the queued ones, and so stops the run.
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
-        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)
+        monkeypatch.setattr(_engine, "_POOL_MIN_TERMS", 2)
         ran = []
 
-        def failing(config, density, fit, rep):
-            ran.append(rep)
-            if rep > 0:
-                time.sleep(0.5)
-            raise RuntimeError(f"replication {rep} failed")
+        def failing(slots, family, J, *args):
+            ran.append(J)
+            time.sleep(0.2)
+            raise RuntimeError(f"dimension {J} failed")
 
-        monkeypatch.setattr(harness, "_one_replication", failing)
+        monkeypatch.setattr(_engine, "mc_mixture", failing)
         before = set(threading.enumerate())
-        with pytest.raises(RuntimeError, match="replication 0 failed") as caught:
-            run_experiment(ExperimentConfig(n=40, q=2, mode="exact", replications=12))
+        with pytest.raises(RuntimeError, match=r"dimension \d+ failed") as caught:
+            run_experiment(ExperimentConfig(n=40, q=2, mode="mc", n_terms=50, replications=12))
         started = [t for t in threading.enumerate() if t not in before]
         for t in started:
             t.join(timeout=1.0)
-        # The traceback keeps run_experiment's frame, and so an unclosed pool, alive.
+        # The traceback keeps posterior_moments's frame, and so an unclosed pool, alive.
         assert caught.tb is not None
         assert not any(t.is_alive() for t in started)
-        assert len(ran) < 12
+        assert len(ran) < 21  # of the first replication's 21 dimensions, J = 5..25
 
     @pytest.mark.parametrize(
         "case, pool",
@@ -263,21 +337,37 @@ class TestRunExperiment:
             (dict(q=2, n=20, mode="exact", n_terms=30_000), False),  # exact samples nothing
             (dict(q=2, n=23, n_terms=30_000), False),  # 2^23 is within the term cap: auto is exact
             (dict(q=2, n=24, n_terms=30_000), True),
+            (dict(q=3, n=500, mode="mc", n_terms=10_000), True),
         ],
     )
-    def test_pool_only_for_heavy_sampled_replications(self, case, pool):
-        assert harness._pool_pays(ExperimentConfig(**case)) is pool
+    def test_pool_only_for_heavy_sampled_replications(self, monkeypatch, case, pool):
+        # Each fit stops where the engine starts its work, so no sum is run.
+        def stop(exc):
+            def raising(*args, **kwargs):
+                raise exc
+
+            return raising
+
+        monkeypatch.setattr(_engine, "ThreadPoolExecutor", stop(_Pooled))
+        monkeypatch.setattr(_engine, "mc_mixture", stop(_Unpooled))
+        monkeypatch.setattr(_engine, "exact_mixture", stop(_Unpooled))
+        for threads, want in (("2", pool), ("1", False)):
+            monkeypatch.setenv("SERIES_PRIOR_THREADS", threads)
+            fits = _fit_calls(ExperimentConfig(**case))
+            assert {name: _makes_pool(fit) for name, fit in fits.items()} == dict.fromkeys(fits, want), threads
 
     def test_light_replications_start_no_thread(self, monkeypatch):
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("run_experiment made a pool")
+            raise AssertionError("the engine made a pool")
 
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(_engine, "ThreadPoolExecutor", no_pool)
         before = threading.active_count()
         res = run_experiment(ExperimentConfig(n=300, q=1, replications=4, seed=3))
         assert len(res.rows) == 4
+        for fit in _fit_calls(ExperimentConfig(n=60, q=3, replications=2, seed=3, mode="mc", n_terms=300)).values():
+            fit()
         assert threading.active_count() == before
 
     def test_grid_columns_made_once_per_experiment(self, monkeypatch):
@@ -305,32 +395,43 @@ class TestRunExperiment:
             n=30, q=2, replications=8, seed=5, mode="mc", n_terms=200, j_min=4, j_max=8, grid_size=20,
         )
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "1")
-        ref = run_experiment(cfg)
+        ref = [fit() for fit in _fit_calls(cfg).values()]
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "4")
-        monkeypatch.setattr(harness, "_pool_pays", lambda config: True)
+        monkeypatch.setattr(_engine, "_POOL_MIN_TERMS", 2)
+        pools = _record_pools(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            got = run_experiment(cfg)
+            got = [fit() for fit in _fit_calls(cfg).values()]
         finally:
             sys.setswitchinterval(interval)
-        assert [(r.l1, r.l2) for r in got.rows] == [(r.l1, r.l2) for r in ref.rows]
-        for g, w in zip(got.summaries, ref.summaries, strict=True):
-            np.testing.assert_array_equal(g.mean, w.mean)
-            np.testing.assert_array_equal(g.second_moment, w.second_moment)
+        assert pools == [4] * (cfg.replications + 3)  # one pool per fit
+        _assert_same_fits(got, ref)
+
+    def test_fit_density_checks_the_level_before_any_basis(self, monkeypatch):
+        def no_bases(*args, **kwargs):
+            pytest.fail("a basis was made before the level was checked")
+
+        monkeypatch.setattr(harness, "bases_for_prior", no_bases)
+        with pytest.raises(ValueError, match="level"):
+            fit_density(DensityDataset([0.2, 0.7]), 2, ModelSizePrior.geometric(0.9, 5, 8), level=0)
 
     def test_reported_se_is_std_over_sqrt_reps(self):
         res = run_experiment(ExperimentConfig(density="beta-half", n=10, q=1, replications=5, seed=2))
         vals = [r.l1 for r in res.rows]
         assert abs(res.l1_se - np.std(vals, ddof=1) / np.sqrt(5)) < 1e-15
 
-    def test_worker_env_validation(self, monkeypatch):
+    def test_worker_env_validation(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "-2")
         with pytest.raises(ValueError):
             worker_count(4)
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "soon")
         with pytest.raises(ValueError):
             worker_count(4)
+        # run_experiment refuses it before any output, though its light fits make no pool.
+        with pytest.raises(ValueError, match="SERIES_PRIOR_THREADS"):
+            run_experiment(ExperimentConfig(n=10, replications=1, output_dir=str(tmp_path / "out")))
+        assert not (tmp_path / "out").exists()
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "0")
         assert worker_count(2) >= 1
 

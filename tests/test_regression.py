@@ -12,7 +12,6 @@ from series_prior.priors import ModelSizePrior
 from series_prior.rates import SieveConstants
 from series_prior.regression import (
     FunctionalDataset,
-    LongitudinalDataset,
     RegressionDataset,
     _interp_rows,
     binary_builder,
@@ -46,9 +45,6 @@ def _sd(s):
         lambda: FunctionalDataset([0.0, 1.0], [[1.0, NAN]], [1.0]),
         lambda: FunctionalDataset([0.0, 1.0], [[1.0, 2.0]], [NAN]),
         lambda: FunctionalDataset([0.0, NAN, 1.0], [[1.0, 2.0, 3.0]], [1.0]),
-        lambda: LongitudinalDataset([NAN], [1.0], [1.0]),
-        lambda: LongitudinalDataset([0.5], [INF], [1.0]),
-        lambda: LongitudinalDataset([0.5], [1.0], [NAN]),
         lambda: eval_basis(make_basis(2, 3), [NAN]),
         lambda: gaussian_fit({1: np.ones((3, 1))}, [0.1, NAN, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
         lambda: gaussian_fit({1: np.ones((3, 1))}, [0.1, INF, 0.9], ModelSizePrior.geometric(0.5, 1, 1)),
@@ -57,8 +53,7 @@ def _sd(s):
     ],
     ids=[
         "density", "density-rescaled", "regression-covariate", "regression-response",
-        "binary-response", "functional-curve", "functional-response", "functional-grid",
-        "longitudinal-time", "longitudinal-covariate", "longitudinal-response", "eval-basis",
+        "binary-response", "functional-curve", "functional-response", "functional-grid", "eval-basis",
         "gaussian-fit-nan-response", "gaussian-fit-inf-response", "gaussian-fit-inf-design",
         "gaussian-fit-nan-design",
     ],
@@ -170,12 +165,6 @@ class TestDesignMatrix:
         assert got.flags.c_contiguous
         want = np.vstack([np.interp(x, grid, row) for row in curves])
         assert got.tobytes() == want.tobytes()
-
-    def test_longitudinal_rows(self):
-        data = LongitudinalDataset([0.3, 0.8], [2.0, -1.0], [0.0, 0.0])
-        b = make_basis(2, 4)
-        W = design_matrix(data, b)
-        np.testing.assert_allclose(W, np.array([2.0, -1.0])[:, None] * eval_basis(b, [0.3, 0.8]))
 
 
 class TestGaussian:
