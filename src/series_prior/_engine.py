@@ -8,8 +8,11 @@ Every active set is a run of at most q consecutive indices, so four numbers
 describe a slot: its first index, its width, its count group and its log
 basis values. A dimension's slots are one SlotTable, a frozen table with
 those four columns (log_values is n x q, 0 past each row's width), built by
-slots_for from the basis values with whole-array operations. The engines
-read the columns; there is no per-slot Python object.
+slots_for with whole-array operations from each observation's local basis
+window: the q values that can be nonzero there and the index of the first.
+dimension_slots makes every dimension's table of a dataset from one de Boor
+pass per spline order (basis.local_values), so no n x J basis matrix is
+formed. The engines read the columns; there is no per-slot Python object.
 
 The exact mode (exact_mixture) sums every assignment without listing them.
 An assignment's log weight separates per basis index into a factor of that
@@ -21,7 +24,8 @@ not with the q^n assignments; slots with a single active index cost nothing.
 It walks the bases and keeps one count state per basis, with that basis's
 closing factor already added (the forward pass sums the basis out of it, the
 backward pass takes the moments from it), the backward message and at most
-band tilted messages (band + 1: the widest active set of a grid column).
+band tilted messages (band + 1 bounds the widest active set of a grid
+column: the spline order, as posterior_moments passes it).
 Per dimension it returns (log_den, f1, f2): the log marginal likelihood of J
 and the grid moments given J, E[f | data, J] and E[f^2 | data, J]. The
 estimator is their mixture over J (combine_exact): the posterior weights
@@ -65,6 +69,8 @@ from math import prod
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
+
+from .basis import Basis, local_values
 
 #: Largest per-dimension assignment count that the exact mode accepts.
 DEFAULT_TERM_CAP = 10_000_000
@@ -143,31 +149,61 @@ def assignment_count(slots: SlotTable) -> int:
     return prod(w**c for w, c in enumerate(np.bincount(slots.width).tolist()))
 
 
-def slots_for(values: np.ndarray, groups=None, repeats=None) -> SlotTable:
+def slots_for(values: np.ndarray, groups=None, repeats=None, offset=0) -> SlotTable:
     """The slot table of the basis values at the observations, one value row per observation.
 
-    A row's active window is the run of its positive values: first is its
-    first column, width its length, and log_values the logs of its values.
-    groups gives each observation's count group (default 0); repeats the
-    number of rows it contributes, in place (default 1, 0 drops it). A row
-    with no positive value, or whose positive values are not consecutive,
-    raises ValueError.
+    values[i, c] is the value of basis index offset[i] + c at observation i:
+    a dense n x J matrix with offset 0, or each observation's local window
+    (basis.local_values) with its first index as offset. A row's active
+    window is the run of its positive values: first is its first index,
+    width its length, and log_values the logs of its values. groups gives
+    each observation's count group (default 0); repeats the number of rows
+    it contributes, in place (default 1, 0 drops it). A row with no positive
+    value, or whose positive values are not consecutive, raises ValueError.
     """
     values = np.asarray(values, dtype=float)
     active = values > 0.0
     width = np.count_nonzero(active, axis=1)
     if not np.all(width > 0):
         raise ValueError(f"observation {int(np.argmin(width))} has no active basis")
-    first = active.argmax(axis=1)
+    start = active.argmax(axis=1)
     q = int(width.max(initial=1))  # one log-value column even with no rows
-    cols = np.minimum(first[:, None] + np.arange(q), values.shape[1] - 1)
+    cols = np.minimum(start[:, None] + np.arange(q), values.shape[1] - 1)
     inside = np.arange(q) < width[:, None]
     window = np.where(inside, np.take_along_axis(values, cols, axis=1), 1.0)
     if not np.all(window > 0.0):
         raise ValueError("an observation's active basis indices are not consecutive")
     group = np.zeros(len(values), dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
-    table = SlotTable(first, width, group, np.log(window))
+    table = SlotTable(start + offset, width, group, np.log(window))
     return table if repeats is None else table.take(np.repeat(np.arange(len(values)), repeats))
+
+
+def dimension_slots(bases: Mapping[int, Basis], x, groups=None, repeats=None, normalized=False):
+    """(j, slots, first, values) of every dimension j of bases at the points x, from one de Boor pass per order.
+
+    first and values are the basis's local window at x (basis.local_values,
+    with its normalized flag), and slots equals slots_for of the dense
+    basis matrix with these groups and repeats. The bases of one order are
+    evaluated together and their windows stacked into one table by one
+    slots_for call; each dimension's table is a row slice of it, with its
+    log_values cut to the dimension's own widest observation.
+    """
+    orders: dict[int, list] = {}
+    for j, basis in bases.items():
+        orders.setdefault(basis.order, []).append(j)
+    for js in orders.values():
+        first, values = local_values([bases[j] for j in js], x, normalized)
+        D, P, q = values.shape
+        groups_d = None if groups is None else np.tile(groups, D)
+        table = slots_for(values.reshape(D * P, q), groups=groups_d, offset=first.ravel())
+        widest = table.width.reshape(D, P).max(axis=1, initial=1).tolist()
+        if repeats is not None:
+            table = table.take((np.arange(D)[:, None] * P + np.repeat(np.arange(P), repeats)).ravel())
+        rows = len(table) // D
+        for d, j in enumerate(js):
+            part = slice(d * rows, (d + 1) * rows)
+            slots = SlotTable(table.first[part], table.width[part], table.group[part], table.log_values[part, : widest[d]])
+            yield j, slots, first[d], values[d]
 
 
 def lgamma(x):
@@ -429,6 +465,7 @@ def exact_mixture(
     family,
     J: int,
     eval_cols: np.ndarray,
+    band: int,
     second: bool = False,
 ):
     """Exact sums over every assignment, by a banded forward-backward recursion.
@@ -443,48 +480,45 @@ def exact_mixture(
     factor of that basis's counts, and every row's active window is a run of
     consecutive indices. The width-1 rows of the slot table are folded into
     fixed counts (one bincount) and an exact sum of their log values. The
-    other rows are sorted by window with one lexsort on (first, last, group,
-    log values) and split into runs of bases that their windows chain
-    together, where the first index passes the running maximum of the last;
-    each run is one forward-backward recursion whose state is the joint
-    count of the open bases (_run_moments). Bases no run touches, and pairs
-    of bases in different runs, are independent given the data and take
-    closed forms. The grid moments then come from E[theta_k] and the band of
-    E[theta_k theta_l] for |k - l| up to the widest active set of an
-    evaluation column, times eval_cols.
+    other rows, if any, are sorted by window with one lexsort on (first,
+    last, group, log values) and split into runs of bases that their
+    windows chain together, where the first index passes the running
+    maximum of the last; each run is one forward-backward recursion whose
+    state is the joint count of the open bases (_run_moments). Bases no run
+    touches, and pairs of bases in different runs, are independent given
+    the data and take closed forms. The grid moments then come from
+    E[theta_k] and the band of E[theta_k theta_l] for |k - l| <= band,
+    times eval_cols. band bounds the widest active set of an evaluation
+    column, less one; posterior_moments passes the basis order less one. A
+    band past the columns' own adds only products of zero grid values, so
+    it does not change the result.
     """
     n = len(slots)
     G = family.n_groups
     single = slots.width == 1
-    cells = slots.group[single] * J + slots.first[single]
-    fixed = np.bincount(cells, minlength=G * J).reshape(G, J).astype(float)
-    chained = slots.take(~single)
-    last = chained.first + chained.width - 1
-    order = np.lexsort((*chained.log_values.T[::-1], chained.group, last, chained.first))
-    chained, last = chained.take(order), last[order]
-    # A run starts at each row whose first index passes every earlier row's last.
-    starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
-    edges = [*starts.tolist(), len(chained)]
+    folded = slots if single.all() else slots.take(single)
+    fixed = np.bincount(folded.group * J + folded.first, minlength=G * J).reshape(G, J).astype(float)
+    runs = []
+    if len(folded) < n:
+        chained = slots.take(~single)
+        last = chained.first + chained.width - 1
+        order = np.lexsort((*chained.log_values.T[::-1], chained.group, last, chained.first))
+        chained, last = chained.take(order), last[order]
+        # A run starts at each row whose first index passes every earlier row's last.
+        starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
+        runs = [chained.take(slice(a, b)) for a, b in itertools.pairwise([*starts.tolist(), len(chained)])]
 
-    band = 0
-    if second:
-        active = eval_cols != 0.0
-        first = active.argmax(axis=0)
-        final = J - 1 - active[::-1].argmax(axis=0)
-        band = int((final - first)[active.any(axis=0)].max(initial=0))
     ks = np.arange(J)
     mean, sq = family.moments(ks, tuple(fixed), n)  # exact for the bases no run touches
     pair = np.full((band + 1, J), np.nan)
     pair[0] = sq
     free = np.ones(J, dtype=bool)
-    parts = [family.log_global(n), math.fsum(slots.log_values[single, 0].tolist())]
+    parts = [family.log_global(n), math.fsum(folded.log_values[:, 0].tolist())]
     # log(0) of an empty sum is -inf, and terms far below the largest underflow
     # to 0, as may grid products; neither is an error, whatever the caller's errstate.
     with np.errstate(divide="ignore", under="ignore"):
-        for a, b in itertools.pairwise(edges):
-            start, stop, log_z = _run_moments(
-                chained.take(slice(a, b)), family, fixed, n, band, mean, pair if second else None
-            )
+        for run in runs:
+            start, stop, log_z = _run_moments(run, family, fixed, n, band, mean, pair if second else None)
             free[start:stop] = False
             parts.append(log_z)
         log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
@@ -718,7 +752,10 @@ def posterior_moments(
     slots is the dimension's SlotTable and eval_cols holds the basis values
     at the grid points (J x G). m=1 computes the mean only; m=2 also the
     pointwise second moment. An unknown mode, n_terms below 2 or a negative
-    seed is refused before any work, in every mode. Then every dimension is
+    seed is refused before any dimension is built, in every mode; the model
+    entry points (density.mc_moment, harness.fit_density,
+    regression.binary_moment and poisson_moment) refuse it before their
+    builders evaluate any basis. Then every dimension is
     built once, before the engine is chosen, and the engine is chosen from
     all of them: mode "exact" sums every assignment by exact_mixture's
     forward-backward recursion, whose cost does not grow with the assignment
@@ -734,6 +771,10 @@ def posterior_moments(
     dimension draws from its own (seed, J) generator and the pieces are mixed
     in J order, so the result is the same for every thread count. A
     dimension that raises drops the queued ones.
+
+    The exact engine gets band = order - 1 for each dimension: eval_cols
+    are the basis's values at the grid points, so no column has more than
+    order active functions.
     """
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")
@@ -755,7 +796,10 @@ def posterior_moments(
         raise EnumerationCapError(totals[over[0]], DEFAULT_TERM_CAP, over[0])
     engine = "mc" if mode == "mc" or over else "exact"
     if engine == "exact":
-        per_j = [exact_mixture(s, f, bases[j].dimension, cols, with_second) for j, (s, f, cols) in built.items()]
+        per_j = [
+            exact_mixture(s, f, bases[j].dimension, cols, bases[j].order - 1, with_second)
+            for j, (s, f, cols) in built.items()
+        ]
         mean, second, j_w_log = combine_exact(per_j, log_prior)
         se = np.zeros_like(mean)
     else:

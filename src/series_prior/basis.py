@@ -5,13 +5,19 @@ J = q + K - 1 dimensional space. The functions are nonnegative, sum to one
 pointwise, and each is supported on at most q consecutive subintervals.
 The normalized variants B*_j = B_j / integral(B_j) each integrate to one and
 serve as density kernels.
+
+So at any point at most q consecutive functions are nonzero. local_values,
+the one de Boor recursion here, returns just those: for D bases of one
+order at P points, the first index (D, P) and the values (D, P, q), in one
+pass over all of them. eval_basis and eval_normalized scatter one basis's
+window into the dense (P, J) matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -87,18 +93,65 @@ def quadrature_integrals(basis: Basis, total_points: int = 10_000) -> np.ndarray
     return w @ eval_basis(basis, x)
 
 
-def _span_indices(basis: Basis, x: np.ndarray) -> np.ndarray:
-    """Knot-span index of each point: i with t_i <= x < t_{i+1}, x=1 in the last span."""
-    q, K = basis.order, basis.intervals
-    i = np.searchsorted(basis.knots, x, side="right") - 1
-    return np.clip(i, q - 1, q + K - 2)
-
-
 def _check_domain(x: np.ndarray) -> None:
     if not np.all(np.isfinite(x)):
         raise ValueError("evaluation points must be finite")
     if x.size and (np.min(x) < 0.0 or np.max(x) > 1.0):
         raise ValueError("evaluation points must lie in [0, 1]")
+
+
+def local_values(bases: Sequence[Basis], x, normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The q values of D same-order bases that can be nonzero at P points, by one de Boor pass.
+
+    Returns (first, values): first[d, p] is the first index of the q
+    functions of bases[d] whose support holds x[p], the point's knot span
+    (t_i <= x < t_{i+1}, x=1 in the last span) less q - 1, and
+    values[d, p, o] is the value of function first[d, p] + o there, or of
+    B*_j = B_j / integral(B_j) if normalized. Every other function is zero
+    at x[p]. The triangular recursion runs on (D, P) arrays at once, and
+    each element takes the arithmetic of a one-basis pass, so stacking
+    does not change a bit. x is a scalar or a vector; points outside
+    [0, 1] or non-finite raise ValueError, as do no bases or mixed orders.
+    """
+    if not bases:
+        raise ValueError("need at least one basis")
+    q = bases[0].order
+    if any(b.order != q for b in bases):
+        raise ValueError("the bases of one pass must share their order")
+    pts = np.atleast_1d(np.asarray(x, dtype=float))
+    _check_domain(pts)
+    D, P = len(bases), pts.shape[0]
+    # Knot span of each point: the count of knots <= x, less one, capped at
+    # the last span; the q leading zero knots keep it at q - 1 or above.
+    span = np.empty((D, P), dtype=np.intp)
+    for d, b in enumerate(bases):
+        span[d] = b.knots.searchsorted(pts, side="right")
+    span -= 1
+    np.minimum(span, np.array([[q + b.intervals - 2] for b in bases]), out=span)
+    first = span - (q - 1)
+    # Every basis's knots in one array; at[d, p] is the span's knot in it.
+    knots = np.concatenate([b.knots for b in bases])
+    at = span + np.cumsum([0] + [b.knots.size for b in bases[:-1]])[:, None]
+    N = np.zeros((q, D, P))
+    N[0] = 1.0
+    left = np.empty((q, D, P))
+    right = np.empty((q, D, P))
+    for d in range(1, q):
+        left[d] = pts - knots[at + 1 - d]
+        right[d] = knots[at + d] - pts
+        saved = np.zeros((D, P))
+        for r in range(d):
+            denom = right[r + 1] + left[d - r]
+            temp = N[r] / denom
+            N[r] = saved + right[r + 1] * temp
+            saved = left[d - r] * temp
+        N[d] = saved
+    values = np.moveaxis(N, 0, -1)
+    if normalized:
+        integrals = np.concatenate([b.integrals for b in bases])
+        offset = np.cumsum([0] + [b.dimension for b in bases[:-1]])[:, None, None]
+        values = values / integrals[offset + first[..., None] + np.arange(q)]
+    return first, values
 
 
 def eval_basis(basis: Basis, x) -> np.ndarray:
@@ -107,34 +160,12 @@ def eval_basis(basis: Basis, x) -> np.ndarray:
     x may be a scalar (returns shape (J,)) or an array (returns (len(x), J)).
     Values are nonnegative, at most q are nonzero, and they sum to one.
     Points outside [0, 1] or non-finite raise ValueError; there is no clamping.
+    This is local_values of the one basis, scattered into the J columns.
     """
-    scalar = np.isscalar(x)
-    pts = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_domain(pts)
-    q = basis.order
-    t = basis.knots
-    span = _span_indices(basis, pts)
-    P = pts.shape[0]
-    # Triangular recursion over the q nonzero functions of each span.
-    N = np.zeros((P, q))
-    N[:, 0] = 1.0
-    left = np.empty((P, q))
-    right = np.empty((P, q))
-    for d in range(1, q):
-        left[:, d] = pts - t[span + 1 - d]
-        right[:, d] = t[span + d] - pts
-        saved = np.zeros(P)
-        for r in range(d):
-            denom = right[:, r + 1] + left[:, d - r]
-            temp = N[:, r] / denom
-            N[:, r] = saved + right[:, r + 1] * temp
-            saved = left[:, d - r] * temp
-        N[:, d] = saved
-    out = np.zeros((P, basis.dimension))
-    first = span - (q - 1)
-    cols = first[:, None] + np.arange(q)[None, :]
-    np.put_along_axis(out, cols, N, axis=1)
-    return out[0] if scalar else out
+    first, values = local_values([basis], x)
+    out = np.zeros((values.shape[1], basis.dimension))
+    np.put_along_axis(out, first[0][:, None] + np.arange(basis.order), values[0], axis=1)
+    return out[0] if np.isscalar(x) else out
 
 
 def eval_normalized(basis: Basis, x) -> np.ndarray:

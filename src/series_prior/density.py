@@ -6,7 +6,9 @@ prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
 density_builder makes each dimension's Dirichlet family and grid columns
-once, and each dataset's builder adds that dataset's slots. Its ``a`` is the
+once, and each dataset's builder adds that dataset's slots: every
+dimension's slot table from one de Boor pass over the observations
+(_engine.dimension_slots), with no n x J basis matrix. Its ``a`` is the
 Dirichlet parameter as a plain value, a positive finite scalar or a length-J
 vector, checked once when the builder is made. Every posterior-moment entry
 point of the package (exact_moment, mc_moment, harness.fit_density,
@@ -92,8 +94,11 @@ def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
     per basis function, or a length-J vector. Each dimension's Dirichlet
     family and grid columns depend only on (bases, grid, a), so they are
     made here, once, and every dataset's build(j) shares them; build(j) adds
-    the dataset's slot table. Observations are taken in sorted order, so
-    outputs do not depend on their order.
+    the dataset's slot table. for_data makes every table at once, from one
+    de Boor pass over the observations per spline order
+    (_engine.dimension_slots), so no n x J basis matrix is formed.
+    Observations are taken in sorted order, so outputs do not depend on
+    their order.
     """
     a = _hyperparameter(a, "a")
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -104,9 +109,10 @@ def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
 
     def for_data(data: DensityDataset):
         obs = np.sort(data.observations)
+        tables = {j: slots for j, slots, _, _ in _engine.dimension_slots(bases, obs, normalized=True)}
 
         def build(j):
-            return (_engine.slots_for(eval_normalized(bases[j], obs)), *shared[j])
+            return (tables[j], *shared[j])
 
         return build
 
@@ -150,6 +156,7 @@ def mc_moment(
     standard error of the mean. Reproducible for a given seed regardless of
     scheduling: each dimension uses a generator derived from (seed, j).
     """
+    _engine.check_mode("mc", n_terms, seed)  # before the builder evaluates any basis
     build = density_builder(bases, grid, a)(data)
     return _engine.posterior_moments(
         build, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed

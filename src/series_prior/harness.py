@@ -211,6 +211,7 @@ def fit_density(
 ) -> PosteriorSummary:
     """Fit one dataset: exact when the term budget allows, sampled otherwise."""
     _band_z(level)  # refuses a level outside (0, 1) before any basis is made
+    _engine.check_mode(mode, n_terms, seed)  # and a bad mode, term count or seed
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
     return _fitter(bases, model_prior, grid, a, n_terms, mode, level)(data, seed)

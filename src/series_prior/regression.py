@@ -305,6 +305,8 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
     Rows are sorted by response, then covariate: group-major, so that the
     rows of one window (group, first index, width) are adjacent, and the
     sampler draws and counts a window's rows together, not row by row.
+    Every dimension's slots come from one de Boor pass per spline order
+    (_engine.dimension_slots), and its grid columns are made once, here.
     """
     if data.kind != "binary":
         raise ValueError("binary_moment needs a binary dataset")
@@ -313,11 +315,11 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
     groups = np.where(data.responses[order] == 1.0, 0, 1)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     params_for = _params_for(beta_params)
+    cols = {j: eval_basis(basis, z_grid).T for j, basis in bases.items()}
+    tables = {j: slots for j, slots, _, _ in _engine.dimension_slots(bases, z, groups=groups)}
 
     def build(j):
-        basis = bases[j]
-        slots = _engine.slots_for(eval_basis(basis, z), groups=groups)
-        return slots, _engine.BetaFamily(*params_for(basis.dimension)), eval_basis(basis, z_grid).T
+        return tables[j], _engine.BetaFamily(*params_for(bases[j].dimension)), cols[j]
 
     return build
 
@@ -329,7 +331,10 @@ def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_p
     each a positive finite scalar or a length-J vector. The exponential
     likelihood factor contributes the per-coordinate tilt c_k = sum_i B_k(Z_i);
     each observation then adds X_i expansion slots for the monomial part
-    (ordered tuples carry the multinomial multiplicities).
+    (ordered tuples carry the multinomial multiplicities). The slots and
+    the tilt come from one de Boor pass per spline order
+    (_engine.dimension_slots): c_k is a weighted bincount of the local
+    values, in observation order. The grid columns are made once, here.
     """
     if data.kind != "poisson":
         raise ValueError("poisson_moment needs a poisson dataset")
@@ -338,12 +343,15 @@ def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_p
     x = data.responses[order].astype(int)
     z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     params_for = _params_for(gamma_params)
+    cols = {j: eval_basis(basis, z_grid).T for j, basis in bases.items()}
+    parts = {}
+    for j, slots, first, values in _engine.dimension_slots(bases, z, repeats=x):
+        index = first[:, None] + np.arange(values.shape[1])
+        parts[j] = slots, np.bincount(index.ravel(), weights=values.ravel(), minlength=bases[j].dimension)
 
     def build(j):
-        basis = bases[j]
-        vals = eval_basis(basis, z)
-        family = _engine.GammaFamily(*params_for(basis.dimension), vals.sum(axis=0))
-        return _engine.slots_for(vals, repeats=x), family, eval_basis(basis, z_grid).T
+        slots, tilt = parts[j]
+        return slots, _engine.GammaFamily(*params_for(bases[j].dimension), tilt), cols[j]
 
     return build
 
@@ -360,6 +368,7 @@ def binary_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the success probability f(z) = theta' B(z)."""
+    _engine.check_mode(mode, n_terms, seed)  # before the builder evaluates any basis
     build = binary_builder(data, bases, beta_params, z_grid)
     return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)
 
@@ -376,5 +385,6 @@ def poisson_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the Poisson rate f(z) = theta' B(z)."""
+    _engine.check_mode(mode, n_terms, seed)  # before the builder evaluates any basis
     build = poisson_builder(data, bases, gamma_params, z_grid)
     return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)

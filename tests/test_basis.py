@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import BSpline
 from scipy.stats import beta as beta_dist
 
+from series_prior import _engine
 from series_prior.basis import (
     SimplexInfeasibleError,
     eval_basis,
     eval_normalized,
     fit_coefficients,
+    local_values,
     make_basis,
     quadrature_integrals,
     simplex_coefficients,
@@ -117,6 +121,98 @@ class TestActiveSet:
 
     def test_interior_window(self):
         assert self._active(make_basis(3, 10), 0.55) == [5, 6, 7]
+
+
+def _scatter(first, values, J):
+    """The dense (P, J) matrix of one basis's local window."""
+    out = np.zeros((first.size, J))
+    np.put_along_axis(out, first[:, None] + np.arange(values.shape[1]), values, axis=1)
+    return out
+
+
+@st.composite
+def stacked_points(draw, q):
+    """Bases of order q on 1-30 intervals, and points on [0, 1] that hit their knots and the ulps beside them."""
+    bases = [make_basis(q, K) for K in draw(st.lists(st.integers(1, 30), min_size=1, max_size=6))]
+    knots = np.unique(np.concatenate([b.knots for b in bases]))
+    near = np.concatenate([knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+    near = near[(near >= 0.0) & (near <= 1.0)].tolist()
+    points = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1.0] + near))
+    return bases, np.array(draw(st.lists(points, max_size=40)), dtype=float)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_stacked_pass_equals_per_basis_evaluation(data):
+    q = data.draw(st.integers(1, 4))
+    bases, x = data.draw(stacked_points(q))
+    first, values = local_values(bases, x)
+    first_n, values_n = local_values(bases, x, normalized=True)
+    assert first.shape == (len(bases), x.size) and values.shape == (len(bases), x.size, q)
+    np.testing.assert_array_equal(first_n, first)
+    for d, b in enumerate(bases):
+        span = np.clip(np.searchsorted(b.knots, x, side="right") - 1, q - 1, q + b.intervals - 2)
+        np.testing.assert_array_equal(first[d], span - (q - 1))
+        dense = eval_basis(b, x)
+        assert np.array_equal(_scatter(first[d], values[d], b.dimension), dense)
+        assert np.array_equal(_scatter(first[d], values_n[d], b.dimension), eval_normalized(b, x))
+        # The single-basis pass is the same as the stacked one.
+        assert np.array_equal(local_values([b], x)[1][0], values[d])
+    empty_first, empty_values = local_values(bases, np.empty(0))
+    assert empty_first.shape == (len(bases), 0) and empty_values.shape == (len(bases), 0, q)
+
+
+def test_stacked_pass_refuses_mixed_orders_and_no_bases():
+    with pytest.raises(ValueError, match="share their order"):
+        local_values([make_basis(2, 3), make_basis(3, 3)], [0.5])
+    with pytest.raises(ValueError, match="at least one basis"):
+        local_values([], [0.5])
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        local_values([make_basis(2, 3)], [1.5])
+
+
+def _same_table(got, want):
+    for column in ("first", "width", "group", "log_values"):
+        a, b = getattr(got, column), getattr(want, column)
+        assert a.shape == b.shape and np.array_equal(a, b), column
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dimension_slots_equal_slots_of_the_dense_matrix(data):
+    orders = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    drawn = [data.draw(stacked_points(q)) for q in orders]
+    bases = {b.dimension * 10 + b.order: b for group, _ in drawn for b in group}  # keys need not be J
+    x = np.concatenate([points for _, points in drawn])
+    n = x.size
+    groups = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    repeats = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    normalized = data.draw(st.booleans())
+    evaluate = eval_normalized if normalized else eval_basis
+    seen = []
+    for j, slots, first, values in _engine.dimension_slots(bases, x, groups, repeats, normalized):
+        basis = bases[j]
+        _same_table(slots, _engine.slots_for(evaluate(basis, x), groups=groups, repeats=repeats))
+        assert np.array_equal(_scatter(first, values, basis.dimension), evaluate(basis, x))
+        # One basis on its own gives the same table as the mixed-order mapping.
+        (_, alone, _, _), = _engine.dimension_slots({j: basis}, x, groups, repeats, normalized)
+        _same_table(slots, alone)
+        seen.append(j)
+    assert sorted(seen) == sorted(bases)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_local_sums_equal_dense_column_sums(data):
+    # The Poisson tilt c_k = sum_i B_k(z_i), as a weighted bincount of the
+    # local values, has the bits of the dense matrix's column sums.
+    q = data.draw(st.integers(1, 4))
+    bases, x = data.draw(stacked_points(q))
+    first, values = local_values(bases, x)
+    for d, b in enumerate(bases):
+        index = first[d][:, None] + np.arange(q)
+        tilt = np.bincount(index.ravel(), weights=values[d].ravel(), minlength=b.dimension)
+        assert np.array_equal(tilt, eval_basis(b, x).sum(axis=0))
 
 
 class TestFitting:

@@ -12,7 +12,8 @@ from oracles import (
     simplex_quadrature_mean,
     union_breakpoint_rule,
 )
-from series_prior import _engine
+from series_prior import _engine, harness
+from series_prior import density as density_mod
 from series_prior.basis import eval_normalized, make_basis
 from series_prior.density import (
     DensityDataset,
@@ -46,7 +47,7 @@ class TestLogTerm:
     def _log_marginal(obs, basis, a=1.0):
         J = basis.dimension
         slots, family, cols = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))(J)
-        return _engine.exact_mixture(slots, family, J, cols)[0]
+        return _engine.exact_mixture(slots, family, J, cols, basis.order - 1)[0]
 
     def test_empty_data_term_is_one(self):
         assert abs(self._log_marginal([], make_basis(1, 2), (1.0, 1.0))) < 1e-14
@@ -233,6 +234,23 @@ class TestMcMoment:
         grid = np.linspace(0.005, 0.995, 100)
         s = mc_moment(DensityDataset(obs), grid, bases, mp, n_terms=1000, seed=1)
         assert np.all(s.second_moment >= s.mean**2 - 1e-9)
+
+
+@pytest.mark.parametrize("n_terms, seed, message", [(1, 0, "at least 2"), (3000, -1, "non-negative")])
+def test_bad_terms_refused_before_any_basis_pass(n_terms, seed, message, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a basis was evaluated before the mode check")
+
+    monkeypatch.setattr(_engine, "local_values", fail)
+    monkeypatch.setattr(density_mod, "eval_normalized", fail)
+    mp = ModelSizePrior.geometric(0.5, 3, 5)
+    data = DensityDataset(np.array([0.2, 0.7]))
+    with pytest.raises(ValueError, match=message):
+        mc_moment(data, np.linspace(0.0, 1.0, 5), bases_for_prior(2, mp), mp, n_terms=n_terms, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        harness.fit_density(data, 2, mp, n_terms=n_terms, seed=seed)
+    with pytest.raises(ValueError, match="mode must be"):
+        harness.fit_density(data, 2, mp, mode="bogus")
 
 
 class TestCredibleBand:

@@ -204,7 +204,7 @@ def test_assignment_count_is_exact_past_the_cap():
 
 @st.composite
 def chain_cases(draw, max_points=6):
-    """Slots, family and evaluation columns of one dimension; the default size can be enumerated."""
+    """Slots, family, evaluation columns and band (order - 1) of one dimension; the default size can be enumerated."""
     q, K = draw(st.integers(1, 4)), draw(st.integers(1, 4))
     basis = make_basis(q, K)
     J = basis.dimension
@@ -216,15 +216,15 @@ def chain_cases(draw, max_points=6):
     kind = draw(st.sampled_from(["dirichlet", "beta", "gamma"]))
     if kind == "dirichlet":
         slots = _engine.slots_for(eval_normalized(basis, x))
-        return slots, _engine.DirichletFamily(a), J, eval_normalized(basis, grid).T
+        return slots, _engine.DirichletFamily(a), J, eval_normalized(basis, grid).T, q - 1
     vals = eval_basis(basis, x)
     if kind == "beta":
         groups = draw(st.lists(st.integers(0, 1), min_size=x.size, max_size=x.size))
         slots = _engine.slots_for(vals, groups=groups)
-        return slots, _engine.BetaFamily(a, b), J, eval_basis(basis, grid).T
+        return slots, _engine.BetaFamily(a, b), J, eval_basis(basis, grid).T, q - 1
     repeats = draw(st.lists(st.integers(0, 3), min_size=x.size, max_size=x.size))
     slots = _engine.slots_for(vals, repeats=repeats)
-    return slots, _engine.GammaFamily(a, b, vals.sum(axis=0)), J, eval_basis(basis, grid).T
+    return slots, _engine.GammaFamily(a, b, vals.sum(axis=0)), J, eval_basis(basis, grid).T, q - 1
 
 
 def _assert_log_close(got, want):
@@ -241,9 +241,9 @@ def _assert_log_close(got, want):
 @settings(max_examples=150, deadline=None)
 @given(chain_cases(), st.booleans(), st.randoms(use_true_random=False))
 def test_exact_mixture_equals_enumeration(case, second, rnd):
-    slots, family, J, eval_cols = case
+    slots, family, J, eval_cols, band = case
     assume(assignment_count(slots) <= 5000)
-    got = _engine.exact_mixture(slots, family, J, eval_cols, second)
+    got = _engine.exact_mixture(slots, family, J, eval_cols, band, second)
     want = enumerate_mixture(slots, family, J, eval_cols, second)
     log_den = got[0]
     with np.errstate(divide="ignore"):
@@ -252,7 +252,7 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
         _assert_log_close(g, w)
     perm = list(range(len(slots)))
     rnd.shuffle(perm)
-    for g, w in zip(_engine.exact_mixture(slots.take(perm), family, J, eval_cols, second), got):
+    for g, w in zip(_engine.exact_mixture(slots.take(perm), family, J, eval_cols, band, second), got):
         np.testing.assert_array_equal(g, w)
 
 
@@ -261,12 +261,26 @@ def test_exact_mixture_equals_enumeration(case, second, rnd):
 def test_exact_mixture_keeps_the_callers_errstate(case, second):
     # The recursion ignores divide-by-zero and underflow in one errstate of
     # its own; it must neither need a laxer caller nor change the caller's.
-    slots, family, J, eval_cols = case
-    want = _engine.exact_mixture(slots, family, J, eval_cols, second)
+    slots, family, J, eval_cols, band = case
+    want = _engine.exact_mixture(slots, family, J, eval_cols, band, second)
     with warnings.catch_warnings(), np.errstate(all="raise"):
         warnings.simplefilter("error")
-        got = _engine.exact_mixture(slots, family, J, eval_cols, second)
+        got = _engine.exact_mixture(slots, family, J, eval_cols, band, second)
         assert np.geterr() == {"divide": "raise", "over": "raise", "under": "raise", "invalid": "raise"}
+    for g, w in zip(got, want):
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain_cases(), st.booleans(), st.integers(0, 3))
+def test_exact_mixture_band_past_the_grid_changes_no_bit(case, second, extra):
+    # posterior_moments passes band = order - 1; a band past the grid
+    # columns' own adds only zero grid products, so every bit stays.
+    slots, family, J, eval_cols, band = case
+    want = _engine.exact_mixture(slots, family, J, eval_cols, band, second)
+    active = eval_cols != 0.0
+    own = max([int(np.ptp(np.flatnonzero(col))) for col in active.T if col.any()], default=0)
+    got = _engine.exact_mixture(slots, family, J, eval_cols, min(own + extra, J - 1), second)
     for g, w in zip(got, want):
         assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
@@ -330,8 +344,10 @@ def test_exact_mixture_ignores_row_order(seed):
     slots = _engine.slots_for(eval_normalized(basis, rng.random(30)))
     family = _engine.DirichletFamily(np.ones(basis.dimension))
     eval_cols = eval_normalized(basis, GRID).T
-    want = _engine.exact_mixture(slots, family, basis.dimension, eval_cols, True)
-    got = _engine.exact_mixture(slots.take(rng.permutation(len(slots))), family, basis.dimension, eval_cols, True)
+    want = _engine.exact_mixture(slots, family, basis.dimension, eval_cols, basis.order - 1, True)
+    got = _engine.exact_mixture(
+        slots.take(rng.permutation(len(slots))), family, basis.dimension, eval_cols, basis.order - 1, True
+    )
     for g, w in zip(got, want):
         np.testing.assert_array_equal(g, w)
 
@@ -350,7 +366,7 @@ def test_exact_recursion_keeps_no_per_step_messages():
     eval_cols = eval_normalized(basis, GRID).T
     tracemalloc.start()
     try:
-        _engine.exact_mixture(slots, family, J, eval_cols, True)
+        _engine.exact_mixture(slots, family, J, eval_cols, basis.order - 1, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -414,7 +430,7 @@ def _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, s
     st.integers(0, 2**32 - 1),
 )
 def test_mc_mixture_equals_reference(case, second, n_draws, seed):
-    slots, family, J, eval_cols = case
+    slots, family, J, eval_cols, _ = case
     got = _engine.mc_mixture(slots, family, J, eval_cols, n_draws, np.random.default_rng(seed), second)
     _assert_matches_reference(got, slots, family, J, eval_cols, n_draws, seed, second)
 
@@ -422,7 +438,7 @@ def test_mc_mixture_equals_reference(case, second, n_draws, seed):
 @settings(max_examples=50, deadline=None)
 @given(chain_cases(max_points=40), st.integers(0, 2**32 - 1))
 def test_mc_mixture_draws_the_stream_of_one_call_per_row(case, seed):
-    slots, family, J, eval_cols = case
+    slots, family, J, eval_cols, _ = case
     rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
     _engine.mc_mixture(slots, family, J, eval_cols, 7, rng)
     for k in slots.width.tolist():
@@ -493,7 +509,7 @@ def test_combine_mc_equals_pooled_draws(case, parts):
     # The reference pools every draw, weighted by prior x active-set product x
     # exp(log weight), and takes the delta-method variance from each draw's
     # deviation from the pooled mean.
-    slots, family, J, eval_cols = case
+    slots, family, J, eval_cols, _ = case
     N = 64
     log_scale = np.log(np.prod(slots.width.astype(float)))
     pieces, log_ws, m1s, m2s = [], [], [], []

@@ -21,7 +21,7 @@ from scipy.stats import kstest
 import series_prior
 from series_prior import _engine, harness
 from series_prior import density as density_mod
-from series_prior.basis import eval_normalized, make_basis
+from series_prior.basis import eval_normalized, local_values, make_basis
 from series_prior.density import DensityDataset, bases_for_prior
 from series_prior.harness import (
     ExperimentConfig,
@@ -371,22 +371,26 @@ class TestRunExperiment:
         assert threading.active_count() == before
 
     def test_grid_columns_made_once_per_experiment(self, monkeypatch):
-        # The grid (7 points) and the samples (n=11) differ in size, so each
-        # eval_normalized call of the density builder is one or the other.
+        # Each dimension's grid columns are one eval_normalized call of the
+        # whole run, and each replication's slots one stacked de Boor pass over
+        # its n=11 samples for all three dimensions (one spline order).
         cfg = ExperimentConfig(n=11, q=2, replications=3, grid_size=7, j_min=4, j_max=6, seed=8)
         grid = metric_grid(cfg.grid_size)
-        calls = []
+        grid_calls, passes = [], []
 
         def counted(basis, x):
-            kind = "grid" if np.array_equal(x, grid) else "data"
-            calls.append((basis.dimension, kind))
+            grid_calls.append((basis.dimension, np.array_equal(x, grid)))
             return eval_normalized(basis, x)
 
+        def counted_pass(bases, x, normalized=False):
+            passes.append(([b.dimension for b in bases], np.size(x), normalized))
+            return local_values(bases, x, normalized)
+
         monkeypatch.setattr(density_mod, "eval_normalized", counted)
+        monkeypatch.setattr(_engine, "local_values", counted_pass)
         run_experiment(cfg)
-        assert sorted(calls) == sorted(
-            [(j, "grid") for j in (4, 5, 6)] + [(j, "data") for j in (4, 5, 6)] * cfg.replications
-        )
+        assert sorted(grid_calls) == [(4, True), (5, True), (6, True)]
+        assert passes == [([4, 5, 6], cfg.n, True)] * cfg.replications
 
     def test_shared_parts_hold_in_a_crowded_pool(self, monkeypatch):
         # Every worker reads the same families and grid columns; 4 threads on

@@ -6,7 +6,9 @@ from oracles import (
     gaussian_marginal_quadrature,
     poisson_quadrature_mean,
 )
-from series_prior.basis import eval_basis, make_basis
+from series_prior import _engine
+from series_prior import regression as regression_mod
+from series_prior.basis import eval_basis, local_values, make_basis
 from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder
 from series_prior.priors import ModelSizePrior
 from series_prior.rates import SieveConstants
@@ -290,6 +292,55 @@ class TestGaussian:
         post = gaussian_fit(designs, x, mp)
         mean, _ = gaussian_predict(post, designs)
         assert np.mean(mean**2) <= 3.0 * sigma**2 * mp.j_max / n
+
+
+@pytest.mark.parametrize("kind", ["binary", "poisson"])
+def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
+    # A builder evaluates each dimension's grid columns once and its data in
+    # one stacked de Boor pass, however often build(j) is called.
+    rng = np.random.default_rng(4)
+    z, z_grid = rng.random(9), np.linspace(0.0, 1.0, 6)
+    x = (rng.random(9) < 0.5).astype(float) if kind == "binary" else rng.integers(0, 3, 9).astype(float)
+    bases = bases_for_prior(2, ModelSizePrior.geometric(0.5, 4, 6))
+    grid_calls, passes = [], []
+
+    def counted(basis, points):
+        grid_calls.append((basis.dimension, np.array_equal(points, z_grid)))
+        return eval_basis(basis, points)
+
+    def counted_pass(pass_bases, points, normalized=False):
+        passes.append([b.dimension for b in pass_bases])
+        return local_values(pass_bases, points, normalized)
+
+    monkeypatch.setattr(regression_mod, "eval_basis", counted)
+    monkeypatch.setattr(_engine, "local_values", counted_pass)
+    builder = binary_builder if kind == "binary" else poisson_builder
+    build = builder(RegressionDataset(z, x, kind), bases, (1.0, 1.0), z_grid)
+    for _ in range(3):
+        for j in bases:
+            build(j)
+    assert sorted(grid_calls) == [(4, True), (5, True), (6, True)]
+    assert passes == [[4, 5, 6]]
+
+
+@pytest.mark.parametrize(
+    "mode, n_terms, seed, message",
+    [("bogus", 3000, 0, "mode must be"), ("mc", 1, 0, "at least 2"), ("auto", 3000, -1, "non-negative")],
+)
+def test_bad_mode_refused_before_any_basis_pass(mode, n_terms, seed, message, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("a basis was evaluated before the mode check")
+
+    monkeypatch.setattr(_engine, "local_values", fail)
+    monkeypatch.setattr(regression_mod, "eval_basis", fail)
+    mp = ModelSizePrior.geometric(0.5, 4, 6)
+    bases = bases_for_prior(2, mp)
+    z, grid = np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 5)
+    flags = dict(mode=mode, n_terms=n_terms, seed=seed)
+    with pytest.raises(ValueError, match=message):
+        binary_moment(RegressionDataset(z, np.array([1.0, 0.0]), "binary"), bases, (1.0, 1.0), mp, grid, **flags)
+    with pytest.raises(ValueError, match=message):
+        poisson_moment(RegressionDataset(z, np.array([2.0, 0.0]), "poisson"), bases, (1.0, 1.0), mp, grid, **flags)
 
 
 class TestBinary:
