@@ -14,18 +14,26 @@ dimension_slots makes every dimension's table of a dataset from one de Boor
 pass per spline order (basis.local_values), so no n x J basis matrix is
 formed. The engines read the columns; there is no per-slot Python object.
 
-The exact mode (exact_mixture) sums every assignment without listing them.
-An assignment's log weight separates per basis index into a factor of that
-basis's counts, and every active set is a run of at most q consecutive
-indices, so the sum is a chain: one forward-backward recursion whose state
-is the joint count of the open basis functions (the Polya-urn count form).
-Its cost grows with the number of slots, J and the size of that count state,
-not with the q^n assignments; slots with a single active index cost nothing.
-It walks the bases and keeps one count state per basis, with that basis's
-closing factor already added (the forward pass sums the basis out of it, the
-backward pass takes the moments from it), the backward message and at most
-band tilted messages (band + 1 bounds the widest active set of a grid
-column: the spline order, as posterior_moments passes it).
+The exact mode sums every assignment without listing them, in one pass per
+fit (exact_fit; exact_mixture is its one-dimension case). An assignment's
+log weight separates per basis index into a factor of that basis's counts,
+and every active set is a run of at most q consecutive indices, so the sum
+is a chain: a forward-backward recursion per run of chained bases, whose
+state is the joint count of the open basis functions (the Polya-urn count
+form). Its cost grows with the number of slots, J and the size of that
+count state, not with the q^n assignments; slots with a single active index
+cost nothing. Each dimension's closing factors and coefficient moments are
+read from tables made by one family.log_close and one family.moments call
+on its count grid, so the recursion calls no family method. Runs with the
+same row pattern (each row's first index relative to the run's, width and
+group), from any dimension, have count states of one shape at every step,
+and are stepped together along a leading batch axis; every batched step
+acts on each run alone, so a dimension's bits do not depend on its company.
+The recursion walks the bases and keeps one count state per basis, with
+that basis's closing factor already added (the forward pass sums the basis
+out of it, the backward pass takes the moments from it), the backward
+message and at most band tilted messages (band + 1 bounds the widest active
+set of a grid column: the spline order, as posterior_moments passes it).
 Per dimension it returns (log_den, f1, f2): the log marginal likelihood of J
 and the grid moments given J, E[f | data, J] and E[f^2 | data, J]. The
 estimator is their mixture over J (combine_exact): the posterior weights
@@ -46,13 +54,14 @@ moments(k, c, n), E[theta_k] and E[theta_k^2] given the counts of n slots;
 cross(n), the ratio E[theta_k theta_l] / (E[theta_k] E[theta_l]) for k != l;
 and log_global(n), the log factor every assignment shares. An assignment's
 log weight is log_global(n) plus log_close summed over the bases. The
-recursion applies these to count states; the sampler to one row of counts
-per sampled assignment.
+exact mode applies these once per dimension to every count each basis
+can reach; the sampler to one row of counts per sampled assignment.
 
 posterior_moments is the one driver every model goes through: it picks the
-mode, runs the per-dimension sums, on a thread pool when they are heavy
-enough, and mixes them over J; its docstring is the one statement of the
-mode and pool rules. Everything here is pure given its inputs; the
+mode, runs the sums (one exact pass for the fit, or one sampled sum per
+dimension, on a thread pool when they are heavy enough), and mixes them
+over J; its docstring is the one statement of the mode and pool rules.
+Everything here is pure given its inputs; the
 Monte-Carlo generator of dimension J is derived from (seed, J), and the
 dimensions are mixed in J order, so results do not depend on scheduling or
 on the thread count.
@@ -379,85 +388,235 @@ def _assign_back(beta, axes, log_values):
     return out
 
 
-def _run_moments(run, family, fixed, n, band, mean, pair=None):
-    """Forward-backward sums over one run of bases that multi-index slots couple.
+def _chain(entering, log_values, base, G, tables, band, cross, second):
+    """Forward-backward sums over B runs that share one row pattern, stepped together.
 
-    run is a SlotTable of rows sorted by window whose windows chain into the
-    bases start..stop-1, and no other row reaches those bases except through
-    the folded counts in fixed. The state is the joint count, per group, of
-    the open bases: axis o*G + g counts the group-g rows assigned to basis
-    (oldest open) + o. The recursion walks the bases: at basis k the rows
-    whose window starts at k enter, then k closes, with its log factor at its
-    final count, and its counts are summed out of the state.
+    The runs have the same rows relative to their first basis, so their
+    count states have the same shape at every step; axis 0 of a state is
+    the run, and axis 1 + o*G + g counts the group-g rows assigned to basis
+    (oldest open) + o. entering[p] lists the (axes, row) of the rows whose
+    window starts at the run's basis p (entering[P] is empty), and
+    log_values[row][o] holds each run's log basis value of window offset o,
+    shaped to broadcast against a state. tables holds the flat
+    closing-factor, E[theta] and E[theta^2] tables of the runs' dimensions,
+    and base[:, p] the start of each run's block for its basis p: that
+    basis's count grid in C order, which has the shape of the state's
+    leading count axes when the basis closes. So the recursion reads one
+    slice of each table per closing and calls no family method.
 
-    Returns (start, stop, log_z), log_z being the log sum of the run's terms.
-    mean[k] receives E[theta_k] for the run's bases and, if given, pair[d, k]
-    E[theta_k theta_{k+d}] for d <= band and k + d inside the run. The
-    forward pass keeps one rolling state and, per basis, the state plus its
-    closing factor. The backward pass walks the bases in reverse with the
+    The forward pass keeps one rolling state and, per basis, the state plus
+    its closing factor. The backward pass walks the bases in reverse with the
     backward message and at most band tilted messages, one per later basis
-    within the band, weighted by its E[theta], and meets them with each kept
-    state to take the moments. The caller ignores divide-by-zero
-    (np.errstate), as _lse needs.
+    within the band, weighted by its E[theta]. A basis's count posterior is
+    exp(closed + after - log_z) summed over the other axes and normalized by
+    its own sum: the joint's total is the run's marginal at every basis.
+    Returns log_z (B,), mean (B, P) and, if second, pair (band + 1, B, P):
+    pair[d, :, p] is E[theta_p theta_{p+d}] where p + d < P, and NaN past the
+    run. The caller ignores divide-by-zero and underflow (np.errstate).
     """
-    G = family.n_groups
-    first, widths, groups = run.first.tolist(), run.width.tolist(), run.group.tolist()
-    start = first[0]
-    stop = max(f + w for f, w in zip(first, widths))
-    # Per basis, the (axes, log values) of the rows that enter there, and an
-    # empty list past the last basis, where the backward pass starts.
-    entering = [[] for _ in range(start, stop + 1)]
-    for f, w, g, lv in zip(first, widths, groups, run.log_values.tolist()):
-        entering[f - start].append((tuple(range(g, w * G, G)), lv[:w]))
-
-    x = np.zeros((1,) * (max(widths) * G))
-    closing = []  # per basis: (state + log factor, counts on its leading axes, log factor)
-    for k in range(start, stop):
-        for axes, lv in entering[k - start]:
-            x = _assign(x, axes, lv)
-        lead = x.shape[:G]
-        counts = tuple(
-            np.arange(fixed[g, k], fixed[g, k] + lead[g]).reshape((-1,) + (1,) * (G - 1 - g)) for g in range(G)
-        )
-        factor = family.log_close(k, counts)
-        if factor.shape != lead:
-            factor = np.broadcast_to(factor, lead)
-        factor = factor.reshape(lead + (1,) * (x.ndim - G))
+    log_close, e1_table, e2_table = tables
+    B, P = base.shape
+    D = log_values.ndim - 3  # count axes of a state
+    lead = tuple(range(1, G + 1))
+    x = np.zeros((B,) + (1,) * D)
+    closing = []  # per basis: (state + closing factor, that factor, its table index)
+    for p in range(P):
+        for axes, row in entering[p]:
+            x = _assign(x, axes, log_values[row])
+        at = base[:, p].reshape((B,) + (1,) * G) + np.arange(prod(x.shape[1 : G + 1])).reshape(x.shape[1 : G + 1])
+        factor = log_close[at].reshape(x.shape[: G + 1] + (1,) * (D - G))
         x = x + factor
-        closing.append((x, counts, factor))
-        x = _lse(x, tuple(range(G))).reshape(x.shape[G:] + (1,) * G)
-    log_z = float(x.item())
+        closing.append((x, factor, at))
+        x = _lse(x, lead).reshape((B,) + x.shape[G + 1 :] + (1,) * G)
+    log_z = x
 
-    cross = family.cross(n)
-    b, live = np.zeros_like(x), []  # live: (basis, log mass, tilted message) of later bases
-    for k in range(stop - 1, start - 1, -1):
-        for axes, lv in reversed(entering[k + 1 - start]):
-            b = _assign_back(b, axes, lv)
-            live = [(later, m, _assign_back(t, axes, lv)) for later, m, t in live]
-        closed, counts, factor = closing[k - start]
-        after = b.reshape((1,) * G + b.shape[:-G])
-        joint = closed + after
-        log_mass = float(_lse(joint).item())
-        w = np.exp(joint - log_mass).sum(axis=tuple(range(G, joint.ndim)))
-        e1, e2 = family.moments(k, counts, n)
-        mean[k] = (w * e1).sum()
+    mean = np.empty((B, P))
+    pair = np.full((band + 1, B, P), np.nan) if second else None
+    b, live = np.zeros_like(x), []  # live: (basis, log normalizer, tilted message) of later bases
+    for p in range(P - 1, -1, -1):
+        for axes, row in reversed(entering[p + 1]):
+            b = _assign_back(b, axes, log_values[row])
+            live = [(later, m, _assign_back(t, axes, log_values[row])) for later, m, t in live]
+        closed, factor, at = closing[p]
+        after = b.reshape((B,) + (1,) * G + b.shape[1 : D + 1 - G])
+        w = np.exp(closed + after - log_z).sum(axis=tuple(range(G + 1, D + 1)))
+        norm = w.sum(axis=lead, keepdims=True)
+        w /= norm
+        e1 = e1_table[at]
+        mean[:, p] = (w * e1).sum(axis=lead)
         b = factor + after
-        if pair is not None:
-            pair[0, k] = (w * e2).sum()
-        if pair is None or band == 0:
+        if not second:
             continue
-        if np.shape(e1) != w.shape:
-            e1 = np.broadcast_to(e1, w.shape)
+        pair[0, :, p] = (w * e2_table[at]).sum(axis=lead)
+        if band == 0:
+            continue
         tilt = np.log(e1).reshape(factor.shape)
         tilted = closed + tilt
         kept = []
         for later, m, t in live:
-            t = t.reshape((1,) * G + t.shape[:-G])
-            pair[later - k, k] = np.exp(float(_lse(tilted + t).item()) - m) * cross
-            if later - k < band:
+            t = t.reshape((B,) + (1,) * G + t.shape[1 : D + 1 - G])
+            pair[later - p, :, p] = np.exp(tilted + t - m).sum(axis=tuple(range(1, D + 1))) * cross
+            if later - p < band:
                 kept.append((later, m, factor + t))
-        live = kept + [(k, log_mass, tilt + b)]
-    return start, stop, log_z
+        live = kept + [(p, log_z + np.log(norm).reshape(log_z.shape), tilt + b)]
+    return log_z.reshape(B), mean, pair
+
+
+def exact_fit(dims, second: bool = False):
+    """Exact sums over every assignment of each dimension of a fit, in one pass.
+
+    dims is a sequence of (slots, family, J, eval_cols, band), one per
+    dimension, as exact_mixture takes them; the result is the list of their
+    (log_den, f1, f2), in the same order. A dimension's result has the same
+    bits whether it is solved alone, with other dimensions, or in another
+    order: every batched step acts on each run alone.
+
+    The dimensions' slot tables are stacked, with each first index moved to
+    a global basis index (its dimension's offset plus the index), so one
+    pass serves the fit. The width-1 rows are folded into fixed counts (one
+    bincount) and, per dimension, an exact sum of their log values. The
+    other rows are sorted by window with one lexsort on (first, last, group,
+    log values), which makes the result independent of the row order, and
+    split into runs of bases that their windows chain together, where the
+    first index passes the running maximum of the last; no run spans two
+    dimensions. Two bincounts over the windows and a cumsum give the rows
+    covering each basis, per group, so a basis's counts run from its fixed
+    ones up by that many; its table block is that count grid in C order
+    (one entry where no row covers it). One family.log_close and one
+    family.moments call on a dimension's blocks give its closing-factor,
+    E[theta] and E[theta^2] tables.
+
+    A run's row pattern is the tuple of (first - run start, width, group)
+    over its sorted rows. Runs of one pattern, from any dimension, have
+    count states of one shape at every step, so each pattern is one
+    forward-backward recursion with a leading batch axis (_chain), whose
+    closing factors and moments are gathers from each run's own tables.
+    Bases no run touches, and pairs of bases in different runs, are
+    independent given the data and take the tables' values at the fixed
+    counts.
+    """
+    dims = list(dims)
+    Js = [int(J) for _, _, J, _, _ in dims]
+    sizes = [len(slots) for slots, *_ in dims]
+    offset = np.cumsum([0] + Js)
+    offsets = offset.tolist()
+    total = offsets[-1]
+    G = max(family.n_groups for _, family, *_ in dims)
+    Q = max(slots.log_values.shape[1] for slots, *_ in dims)
+    first = np.concatenate([slots.first for slots, *_ in dims]) + np.repeat(offset[:-1], sizes)
+    width = np.concatenate([slots.width for slots, *_ in dims])
+    group = np.concatenate([slots.group for slots, *_ in dims])
+    row_of = np.cumsum([0] + sizes).tolist()
+    single = width == 1
+    every = bool(single.all())  # no row is chained, so none need masking out
+    folded = slice(None) if every else single
+    fixed = np.bincount(group[folded] * total + first[folded], minlength=G * total).reshape(G, total)
+    singles = [  # each dimension's exact sum of its width-1 rows' log values
+        math.fsum((slots.log_values[:, 0] if every else slots.log_values[single[lo:hi], 0]).tolist())
+        for (slots, *_), lo, hi in zip(dims, row_of, row_of[1:])
+    ]
+
+    # The chained rows, sorted by window and split into runs: a run starts at
+    # each row whose first index passes every earlier row's last. Each basis's
+    # count span per group is one more than the chained rows covering it.
+    starts = run_dim = np.zeros(0, dtype=np.intp)
+    patterns: dict[tuple, list[int]] = {}  # (groups, row pattern) -> its runs
+    if not every:
+        chained = np.flatnonzero(~single)
+        c_log_values = np.zeros((len(chained), Q))
+        cut = np.searchsorted(chained, row_of).tolist()
+        for (slots, *_), r, lo, hi in zip(dims, row_of, cut, cut[1:]):
+            c_log_values[lo:hi, : slots.log_values.shape[1]] = slots.log_values[chained[lo:hi] - r]
+        last = first[chained] + width[chained] - 1
+        order = np.lexsort((*c_log_values.T[::-1], group[chained], last, first[chained]))
+        chained, last, c_log_values = chained[order], last[order], c_log_values[order]
+        c_first, c_width, c_group = first[chained], width[chained], group[chained]
+        starts = np.flatnonzero(c_first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
+        edge = c_group * (total + 1)  # +1 where a window opens, -1 past its end
+        cover = np.bincount(edge + c_first, minlength=G * (total + 1)) - np.bincount(edge + last + 1, minlength=G * (total + 1))
+        span = 1 + np.cumsum(cover.reshape(G, total + 1), axis=1)[:, :total]
+        run_start = c_first[starts]
+        run_dim = np.searchsorted(offset, run_start, side="right") - 1
+        rel = c_first - np.repeat(run_start, np.diff(np.append(starts, len(chained))))
+        row_keys = list(zip(rel.tolist(), c_width.tolist(), c_group.tolist()))
+        for r, (d, lo, hi) in enumerate(zip(run_dim.tolist(), starts.tolist(), [*starts[1:].tolist(), len(chained)])):
+            patterns.setdefault((dims[d][1].n_groups, tuple(row_keys[lo:hi])), []).append(r)
+        inner = np.ones_like(span)  # step of group g's count within a block
+        for g in range(G - 1, 0, -1):
+            inner[g - 1] = inner[g] * span[g]
+        size = inner[0] * span[0]
+        edges = np.concatenate(([0], np.cumsum(size)))
+        base = edges[:-1]  # each basis's block, whose first entry is at its fixed counts
+        basis_of = np.repeat(np.arange(total), size)
+        within = np.arange(edges[-1]) - base[basis_of]
+        counts = (fixed[:, basis_of] + within // inner[:, basis_of] % span[:, basis_of]).astype(float)
+        local = basis_of - np.repeat(offset[:-1], np.diff(edges[offset]))  # each entry's basis in its dimension
+    else:  # no row is chained: one entry per basis, at its fixed counts
+        edges = np.arange(total + 1)
+        base = edges[:-1]
+        counts = fixed.astype(float)
+        local = base - np.repeat(offset[:-1], Js)
+    # The closing-factor, E[theta] and E[theta^2] tables, one row each.
+    tables, cross, edges = np.empty((3, edges[-1])), [], edges.tolist()
+    for (slots, family, *_), o, J, n in zip(dims, offsets, Js, sizes):
+        lo, hi = edges[o], edges[o + J]
+        own = tuple(counts[: family.n_groups, lo:hi])
+        k = local[lo:hi]
+        tables[0, lo:hi] = family.log_close(k, own)
+        tables[1, lo:hi], tables[2, lo:hi] = family.moments(k, own, n)
+        cross.append(family.cross(n))
+    log_free, mean, sq = tables[:, base]  # exact for the bases no run touches
+    band_max = max(band for *_, band in dims)
+    pair = np.full((band_max + 1, total), np.nan)
+    pair[0] = sq
+    free = np.ones(total, dtype=bool)
+
+    log_z = np.empty(len(starts))
+    # log(0) of an empty sum is -inf, and terms far below the largest underflow
+    # to 0, as may grid products; neither is an error, whatever the caller's errstate.
+    with np.errstate(divide="ignore", under="ignore"):
+        for (g, pattern), runs in patterns.items():
+            runs = np.array(runs)
+            B, R = len(runs), len(pattern)
+            P = max(r + w for r, w, _ in pattern)
+            D = max(w for _, w, _ in pattern) * g
+            entering = [[] for _ in range(P + 1)]
+            for i, (r, w, h) in enumerate(pattern):
+                entering[r].append((tuple(range(1 + h, 1 + w * g, g)), i))
+            lv = c_log_values[starts[runs] + np.arange(R)[:, None]]  # (R, B, Q)
+            lv = lv.transpose(0, 2, 1).reshape((R, Q, B) + (1,) * D)
+            ks = run_start[runs][:, None] + np.arange(P)
+            of = run_dim[runs].tolist()
+            group_band = max(dims[d][4] for d in of) if second else 0
+            run_cross = np.array([cross[d] for d in of])
+            lz, run_mean, run_pair = _chain(entering, lv, base[ks], g, tables, group_band, run_cross, second)
+            log_z[runs] = lz
+            mean[ks] = run_mean
+            free[ks] = False
+            if second:
+                for d in range(min(group_band, P - 1) + 1):
+                    pair[d, ks[:, : P - d]] = run_pair[d, :, : P - d]
+
+        out = []
+        run_cut = np.searchsorted(run_dim, np.arange(len(dims) + 1)).tolist()
+        for i, ((_, family, J, eval_cols, band), o, n) in enumerate(zip(dims, offsets, sizes)):
+            part = slice(o, o + J)
+            parts = [family.log_global(n), singles[i]]
+            parts += log_z[run_cut[i] : run_cut[i + 1]].tolist()
+            log_den = float(math.fsum(parts) + log_free[part][free[part]].sum())
+            e1 = mean[part]
+            f1 = e1 @ eval_cols
+            if not second:
+                out.append((log_den, f1, None))
+                continue
+            f2 = pair[0, part] @ eval_cols**2
+            for d in range(1, band + 1):
+                row = pair[d, o : o + J - d]
+                apart = np.isnan(row)
+                row[apart] = (e1[: J - d] * e1[d:] * cross[i])[apart]
+                f2 += 2.0 * row @ (eval_cols[: J - d] * eval_cols[d:])
+            out.append((log_den, f1, f2))
+    return out
 
 
 def exact_mixture(
@@ -468,7 +627,7 @@ def exact_mixture(
     band: int,
     second: bool = False,
 ):
-    """Exact sums over every assignment, by a banded forward-backward recursion.
+    """Exact sums over every assignment of one dimension, by a banded forward-backward recursion.
 
     Returns (log_den, f1, f2): log_den is the log of the sum of every
     assignment's weight, the marginal likelihood of dimension J; f1 and f2
@@ -476,63 +635,19 @@ def exact_mixture(
     E[(theta'b)^2 | data, J], at each evaluation column (f2 None unless
     second). combine_exact mixes them over J.
 
-    The log weight of an assignment separates per basis index into a closing
-    factor of that basis's counts, and every row's active window is a run of
-    consecutive indices. The width-1 rows of the slot table are folded into
-    fixed counts (one bincount) and an exact sum of their log values. The
-    other rows, if any, are sorted by window with one lexsort on (first,
-    last, group, log values) and split into runs of bases that their
-    windows chain together, where the first index passes the running
-    maximum of the last; each run is one forward-backward recursion whose
-    state is the joint count of the open bases (_run_moments). Bases no run
-    touches, and pairs of bases in different runs, are independent given
-    the data and take closed forms. The grid moments then come from
-    E[theta_k] and the band of E[theta_k theta_l] for |k - l| <= band,
-    times eval_cols. band bounds the widest active set of an evaluation
-    column, less one; posterior_moments passes the basis order less one. A
-    band past the columns' own adds only products of zero grid values, so
-    it does not change the result.
+    This is exact_fit of the one dimension, with the same bits as that
+    dimension's result in any fit. The log weight of an assignment separates
+    per basis index into a closing factor of that basis's counts, and every
+    row's active window is a run of consecutive indices, so the rows split
+    into runs of chained bases, each summed by a recursion whose state is
+    the joint count of the open bases; bases no run touches take closed
+    forms. The grid moments then come from E[theta_k] and the band of
+    E[theta_k theta_l] for |k - l| <= band, times eval_cols. band bounds the
+    widest active set of an evaluation column, less one; posterior_moments
+    passes the basis order less one. A band past the columns' own adds only
+    products of zero grid values, so it does not change the result.
     """
-    n = len(slots)
-    G = family.n_groups
-    single = slots.width == 1
-    folded = slots if single.all() else slots.take(single)
-    fixed = np.bincount(folded.group * J + folded.first, minlength=G * J).reshape(G, J).astype(float)
-    runs = []
-    if len(folded) < n:
-        chained = slots.take(~single)
-        last = chained.first + chained.width - 1
-        order = np.lexsort((*chained.log_values.T[::-1], chained.group, last, chained.first))
-        chained, last = chained.take(order), last[order]
-        # A run starts at each row whose first index passes every earlier row's last.
-        starts = np.flatnonzero(chained.first > np.maximum.accumulate(np.concatenate(([-1], last)))[:-1])
-        runs = [chained.take(slice(a, b)) for a, b in itertools.pairwise([*starts.tolist(), len(chained)])]
-
-    ks = np.arange(J)
-    mean, sq = family.moments(ks, tuple(fixed), n)  # exact for the bases no run touches
-    pair = np.full((band + 1, J), np.nan)
-    pair[0] = sq
-    free = np.ones(J, dtype=bool)
-    parts = [family.log_global(n), math.fsum(folded.log_values[:, 0].tolist())]
-    # log(0) of an empty sum is -inf, and terms far below the largest underflow
-    # to 0, as may grid products; neither is an error, whatever the caller's errstate.
-    with np.errstate(divide="ignore", under="ignore"):
-        for run in runs:
-            start, stop, log_z = _run_moments(run, family, fixed, n, band, mean, pair if second else None)
-            free[start:stop] = False
-            parts.append(log_z)
-        log_den = float(math.fsum(parts) + family.log_close(ks, tuple(fixed))[free].sum())
-        f1 = mean @ eval_cols
-        if not second:
-            return log_den, f1, None
-        f2 = pair[0] @ eval_cols**2
-        cross = family.cross(n)
-        for d in range(1, band + 1):
-            row = pair[d, : J - d]
-            apart = np.isnan(row)
-            row[apart] = (mean[: J - d] * mean[d:] * cross)[apart]
-            f2 += 2.0 * row @ (eval_cols[: J - d] * eval_cols[d:])
-    return log_den, f1, f2
+    return exact_fit([(slots, family, J, eval_cols, band)], second)[0]
 
 
 @dataclass
@@ -757,20 +872,23 @@ def posterior_moments(
     regression.binary_moment and poisson_moment) refuse it before their
     builders evaluate any basis. Then every dimension is
     built once, before the engine is chosen, and the engine is chosen from
-    all of them: mode "exact" sums every assignment by exact_mixture's
-    forward-backward recursion, whose cost does not grow with the assignment
-    count, and raises EnumerationCapError naming the first dimension that
-    has more than DEFAULT_TERM_CAP assignments; "mc" samples n_terms
-    assignments per dimension; "auto" is exact when every dimension is
-    within the cap, sampled otherwise.
+    all of them: mode "exact" sums every assignment of every dimension in
+    one exact_fit call, whose forward-backward recursions read per-dimension
+    count tables and step the runs of one row pattern together, and whose
+    cost does not grow with the assignment count; it raises
+    EnumerationCapError naming the first dimension that has more than
+    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
+    dimension; "auto" is exact when every dimension is within the cap,
+    sampled otherwise.
 
     A sampled fit with n_terms >= _POOL_MIN_TERMS runs its dimensions on a
     pool of worker_count(dimensions) threads (SERIES_PRIOR_THREADS caps it);
-    every other fit runs in the calling thread, since lighter dimensions are
-    many small numpy calls, which two threads run more slowly than one. Each
-    dimension draws from its own (seed, J) generator and the pieces are mixed
-    in J order, so the result is the same for every thread count. A
-    dimension that raises drops the queued ones.
+    every other fit, and every exact fit, runs in the calling thread, since
+    lighter dimensions are many small numpy calls, which two threads run
+    more slowly than one. Each dimension draws from its own (seed, J)
+    generator and the pieces are mixed in J order, so the result is the
+    same for every thread count. A dimension that raises drops the queued
+    ones.
 
     The exact engine gets band = order - 1 for each dimension: eval_cols
     are the basis's values at the grid points, so no column has more than
@@ -796,10 +914,9 @@ def posterior_moments(
         raise EnumerationCapError(totals[over[0]], DEFAULT_TERM_CAP, over[0])
     engine = "mc" if mode == "mc" or over else "exact"
     if engine == "exact":
-        per_j = [
-            exact_mixture(s, f, bases[j].dimension, cols, bases[j].order - 1, with_second)
-            for j, (s, f, cols) in built.items()
-        ]
+        per_j = exact_fit(
+            [(s, f, bases[j].dimension, cols, bases[j].order - 1) for j, (s, f, cols) in built.items()], with_second
+        )
         mean, second, j_w_log = combine_exact(per_j, log_prior)
         se = np.zeros_like(mean)
     else:

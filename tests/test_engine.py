@@ -286,6 +286,57 @@ def test_exact_mixture_band_past_the_grid_changes_no_bit(case, second, extra):
 
 
 @st.composite
+def fit_cases(draw, max_points=12):
+    """The (slots, family, J, eval_cols, band) of several dimensions of one fit.
+
+    The dimensions share one order, family kind and data set, and have
+    their own knot count (often repeated) and hyperparameters, so one row
+    pattern recurs across dimensions with other fixed counts and tables.
+    """
+    q = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["dirichlet", "beta", "gamma"]))
+    points = st.one_of(unit, st.sampled_from([0.2, 0.25, 0.5, 0.75, 1.0 / 3.0]))
+    x = np.array(draw(st.lists(points, max_size=max_points // 2 if kind == "gamma" else max_points)))
+    grid = np.array(draw(st.lists(points, max_size=5)))
+    groups = draw(st.lists(st.integers(0, 1), min_size=x.size, max_size=x.size))
+    repeats = draw(st.lists(st.integers(0, 2), min_size=x.size, max_size=x.size))
+    dims = []
+    for K in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)):
+        basis = make_basis(q, K)
+        J = basis.dimension
+        a = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
+        b = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
+        if kind == "dirichlet":
+            dims.append((_engine.slots_for(eval_normalized(basis, x)), _engine.DirichletFamily(a), J, eval_normalized(basis, grid).T, q - 1))
+            continue
+        vals, cols = eval_basis(basis, x), eval_basis(basis, grid).T
+        if kind == "beta":
+            dims.append((_engine.slots_for(vals, groups=groups), _engine.BetaFamily(a, b), J, cols, q - 1))
+        else:
+            dims.append((_engine.slots_for(vals, repeats=repeats), _engine.GammaFamily(a, b, vals.sum(axis=0)), J, cols, q - 1))
+    return dims
+
+
+def _bits(result):
+    return [None if f is None else np.asarray(f).tobytes() for f in result]
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_cases(), st.booleans(), st.randoms(use_true_random=False))
+def test_exact_fit_gives_each_dimension_the_bits_it_has_alone(dims, second, rnd):
+    # Runs of one row pattern are stepped together whichever dimension they
+    # come from; no dimension's result may depend on its company or place.
+    fit = _engine.exact_fit(dims, second)
+    order = list(range(len(dims)))
+    rnd.shuffle(order)
+    shuffled = _engine.exact_fit([dims[i] for i in order], second)
+    for i, dim in enumerate(dims):
+        alone = _bits(_engine.exact_mixture(*dim, second))
+        assert _bits(fit[i]) == alone
+        assert _bits(shuffled[order.index(i)]) == alone
+
+
+@st.composite
 def per_j_moments(draw):
     """exact_mixture results of several dimensions and their log prior.
 

@@ -210,9 +210,10 @@ class _Unpooled(Exception):
 
 
 def _makes_pool(fit) -> bool:
-    """Whether fit reaches the engine's pool or a per-dimension sum in the calling thread first.
+    """Whether fit reaches the engine's pool or calling-thread work first.
 
-    The caller patches the pool to raise _Pooled and both engines to raise
+    The caller patches the pool to raise _Pooled, and the sampler's
+    per-dimension sum and the exact engine's one pass per fit to raise
     _Unpooled, so no fit does the work.
     """
     try:
@@ -350,7 +351,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(_engine, "ThreadPoolExecutor", stop(_Pooled))
         monkeypatch.setattr(_engine, "mc_mixture", stop(_Unpooled))
-        monkeypatch.setattr(_engine, "exact_mixture", stop(_Unpooled))
+        monkeypatch.setattr(_engine, "exact_fit", stop(_Unpooled))
         for threads, want in (("2", pool), ("1", False)):
             monkeypatch.setenv("SERIES_PRIOR_THREADS", threads)
             fits = _fit_calls(ExperimentConfig(**case))
