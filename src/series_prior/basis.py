@@ -10,14 +10,17 @@ So at any point at most q consecutive functions are nonzero. local_values,
 the one de Boor recursion here, returns just those: for D bases of one
 order at P points, the first index (D, P) and the values (D, P, q), in one
 pass over all of them. eval_basis and eval_normalized scatter one basis's
-window into the dense (P, J) matrix.
+window into the dense (P, J) matrix. grid_columns keeps the columns of a
+fixed grid, which depend on nothing but the bases and the grid, in a small
+memo, so every fit on that grid reads them and none makes them again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -63,7 +66,10 @@ def make_basis(q: int, K: int) -> Basis:
 
     Integrals use the knot-span identity (t_{j+q} - t_j) / q and are
     cross-checked against knot-aligned composite Simpson quadrature.
-    Results are cached; the returned arrays are read-only.
+    Results are cached, 512 bases at most; an entry is about 0.4 KB of
+    objects plus 8 (2 J + q) bytes of arrays, 0.8 KB at J = 25, so at
+    J <= 25 the cache holds at most 0.4 MB. The returned arrays are
+    read-only.
     """
     if not (isinstance(q, (int, np.integer)) and q >= 1):
         raise ValueError(f"order q must be a positive integer, got {q!r}")
@@ -171,6 +177,78 @@ def eval_basis(basis: Basis, x) -> np.ndarray:
 def eval_normalized(basis: Basis, x) -> np.ndarray:
     """Evaluate the normalized functions B*_j = B_j / integral(B_j)."""
     return eval_basis(basis, x) / basis.integrals
+
+
+def _by_value(item):
+    """A hashable stand-in for item: a Basis or an array by its bytes, a mapping by its items."""
+    if isinstance(item, Basis):
+        return item.order, item.intervals, item.knots.tobytes(), item.integrals.tobytes()
+    if isinstance(item, np.ndarray):
+        return item.dtype.str, item.shape, item.tobytes()
+    if isinstance(item, Mapping):
+        return tuple((k, _by_value(v)) for k, v in item.items())
+    return item
+
+
+class _MemoKey:
+    """The arguments of a memoized function, hashed and compared by value.
+
+    Bases and arrays are not hashable, so a memo keyed by them holds one of
+    these: args as given, and a key built from the bytes of every array and
+    every basis's (order, intervals, knots, integrals). Two calls whose
+    arguments agree bit for bit share an entry; a hand-built Basis with the
+    same (order, intervals) but other knots does not.
+    """
+
+    __slots__ = ("args", "_key", "_hash")
+
+    def __init__(self, *args):
+        self.args = args
+        self._key = tuple(_by_value(a) for a in args)
+        self._hash = hash(self._key)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _MemoKey) and self._key == other._key
+
+
+def grid_columns(bases: Mapping[int, Basis], x, normalized: bool = False) -> Mapping[int, np.ndarray]:
+    """Every basis's values at the grid x, as a read-only mapping j -> (J, P) columns.
+
+    cols[j] holds the same values, in the same F-ordered layout, as
+    eval_basis(bases[j], x).T, or eval_normalized(bases[j], x).T if
+    normalized. A fit on a fixed grid reads these and never changes them,
+    so they are made once per (bases, x, normalized) in the process: a
+    miss takes one local_values pass per spline order and scatters each
+    basis's window into a (P, J) array; a hit returns the same arrays.
+    Neither the mapping nor its arrays can be written. x is a vector of
+    points in [0, 1].
+
+    The memo keeps the 16 most recent (bases, grid) entries. An entry holds
+    8 P sum(J) bytes, so its worst case is 16 x 8 P sum(J) bytes: at the
+    command line's defaults (J = 5..25, P = 100 points) 252 KB an entry and
+    4 MB in all.
+    """
+    return _grid_columns(_MemoKey(bases, np.atleast_1d(np.asarray(x, dtype=float)), bool(normalized)))
+
+
+@lru_cache(maxsize=16)
+def _grid_columns(key: _MemoKey) -> Mapping[int, np.ndarray]:
+    bases, x, normalized = key.args
+    by_order: dict[int, list[int]] = {}
+    for j, basis in bases.items():
+        by_order.setdefault(basis.order, []).append(j)
+    cols = {}
+    for q, js in by_order.items():
+        first, values = local_values([bases[j] for j in js], x, normalized)
+        for d, j in enumerate(js):
+            out = np.zeros((x.size, bases[j].dimension))
+            np.put_along_axis(out, first[d][:, None] + np.arange(q), values[d], axis=1)
+            out.flags.writeable = False
+            cols[j] = out.T
+    return MappingProxyType(cols)
 
 
 class FitResult(NamedTuple):

@@ -212,7 +212,7 @@ def _cmd_funreg(opts) -> int:
     post = gaussian_fit(
         designs, data.responses, model_prior, g=opts["theta.g"], a=opts["theta.a"], b=opts["theta.b"]
     )
-    coef_designs = {j: basis_mod.eval_basis(bases[j], tgrid) for j in bases}
+    coef_designs = {j: cols.T for j, cols in basis_mod.grid_columns(bases, tgrid).items()}
     mean, var = gaussian_function_moments(post, coef_designs)
     sd = np.sqrt(np.maximum(var, 0.0))
     out = Path(opts["output"])

@@ -5,8 +5,9 @@ B-splines, a Dirichlet prior on theta given the dimension J, and a truncated
 prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
-density_builder makes each dimension's Dirichlet family and grid columns
-once, and each dataset's builder adds that dataset's slots: every
+density_builder makes each dimension's Dirichlet family once and reads its
+grid columns from basis.grid_columns, which makes them once per (bases,
+grid) in the process; each dataset's builder adds that dataset's slots: every
 dimension's slot table from one de Boor pass over the observations
 (_engine.dimension_slots), with no n x J basis matrix. Its ``a`` is the
 Dirichlet parameter as a plain value, a positive finite scalar or a length-J
@@ -27,7 +28,7 @@ import numpy as np
 
 from . import _engine
 from ._engine import EnumerationCapError, PosteriorSummary
-from .basis import Basis, eval_normalized, make_basis
+from .basis import Basis, grid_columns, make_basis
 from .priors import ModelSizePrior, _hyperparameter, _per_basis
 
 __all__ = [
@@ -92,18 +93,19 @@ def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
 
     a is the Dirichlet parameter: a positive finite scalar, repeated once
     per basis function, or a length-J vector. Each dimension's Dirichlet
-    family and grid columns depend only on (bases, grid, a), so they are
-    made here, once, and every dataset's build(j) shares them; build(j) adds
-    the dataset's slot table. for_data makes every table at once, from one
+    family depends only on (bases, a), so it is made here, once; its grid
+    columns are basis.grid_columns's, made once per (bases, grid) in the
+    process. Every dataset's build(j) shares both and adds the dataset's
+    slot table. for_data makes every table at once, from one
     de Boor pass over the observations per spline order
     (_engine.dimension_slots), so no n x J basis matrix is formed.
     Observations are taken in sorted order, so outputs do not depend on
     their order.
     """
     a = _hyperparameter(a, "a")
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    cols = grid_columns(bases, grid, normalized=True)
     shared = {
-        j: (_engine.DirichletFamily(_per_basis(a, basis.dimension, "a")), eval_normalized(basis, grid).T)
+        j: (_engine.DirichletFamily(_per_basis(a, basis.dimension, "a")), cols[j])
         for j, basis in bases.items()
     }
 

@@ -8,10 +8,11 @@ goes through read_rows, and every CSV it writes goes through format_row:
 write_table writes whole files, run_experiment streams metrics.csv line by
 line.
 
-run_experiment makes the bases, each dimension's grid columns and its
-Dirichlet family once, and every replication shares them; a replication
-builds only its own dataset's slot table. Replications run one after
-another; within one, a heavy sampled fit runs its dimensions on
+run_experiment makes the bases and each dimension's Dirichlet family once,
+and every replication shares them and the grid columns, which
+basis.grid_columns makes once per (bases, grid) in the process; a
+replication builds only its own dataset's slot table. Replications run one
+after another; within one, a heavy sampled fit runs its dimensions on
 _engine.posterior_moments's thread pool. Every replication derives its own
 seed from (base seed, replication index), so results are identical for any
 thread count.
@@ -220,8 +221,10 @@ def fit_density(
 def _fitter(bases: Mapping[int, Basis], model_prior, grid, a, n_terms, mode, level):
     """fit(data, seed): one dataset's posterior summary with its credible band.
 
-    The dimensions' families and grid columns are made here, once, before
-    any fit; every fit shares them. The callers have checked the level.
+    The dimensions' families are made here, once, before any fit, and
+    every fit shares them; the grid columns come from basis.grid_columns,
+    made on the first fit on this (bases, grid) in the process and read by
+    every later one. The callers have checked the level.
     """
     for_data = density_builder(bases, grid, a)
 

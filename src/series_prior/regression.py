@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from . import _engine
 from ._engine import PosteriorSummary, lgamma, logsumexp
-from .basis import Basis, eval_basis
+from .basis import Basis, _MemoKey, eval_basis, grid_columns
 from .priors import ModelSizePrior, _hyperparameter, _per_basis
 
 
@@ -99,21 +100,6 @@ class FunctionalDataset:
         return self.curves.shape[0]
 
 
-def _interp_rows(x, xp, fp):
-    """np.interp(x, xp, row) for every row of fp at once, bit for bit, as a C-ordered array.
-
-    x lies inside [xp[0], xp[-1]], xp is strictly increasing and fp finite.
-    Each value takes np.interp's own arithmetic: fp[j] where x equals xp[j]
-    (the last point too), else slope * (x - xp[j]) + fp[j] with
-    slope = (fp[j+1] - fp[j]) / (xp[j+1] - xp[j]) and xp[j] < x < xp[j+1].
-    """
-    j = np.searchsorted(xp, x, side="right") - 1
-    k = np.minimum(j, xp.size - 2)
-    left = fp.take(k, axis=1)  # take, not fp[:, k], which numpy lays out in F order
-    slope = (fp.take(k + 1, axis=1) - left) / (xp[k + 1] - xp[k])
-    return np.where(xp[j] == x, fp.take(j, axis=1), slope * (x - xp[k]) + left)
-
-
 def design_matrix(data, basis: Basis) -> np.ndarray:
     """n x J design: basis values at scalar covariates, or trapezoid integrals
     of curve times basis for functional data.
@@ -121,22 +107,51 @@ def design_matrix(data, basis: Basis) -> np.ndarray:
     The functional integrals refine the curve grid with the basis knots
     (curves linearly interpolated, knot values taken one-sided), so the
     quadrature error is O(grid step^2) even for bases that jump at knots.
+    That quadrature is linear in the curve, so the design is
+    data.curves @ W for one (grid size x J) operator W per (basis, grid),
+    which _curve_operator keeps: a training set, its test set and every
+    later fit on the same grid share it.
     """
     if isinstance(data, RegressionDataset):
         return eval_basis(basis, data.covariates)
     if isinstance(data, FunctionalDataset):
-        g = data.grid
-        inner = basis.breakpoints()
-        inner = inner[(inner > g[0]) & (inner < g[-1])]
-        gg = np.unique(np.concatenate([g, inner, np.nextafter(inner, -np.inf)]))
-        curves = _interp_rows(gg, g, data.curves)
-        B = eval_basis(basis, gg)
-        dw = np.zeros_like(gg)
-        dg = np.diff(gg)
-        dw[:-1] += dg / 2.0
-        dw[1:] += dg / 2.0
-        return (curves * dw) @ B
+        return data.curves @ _curve_operator(_MemoKey(basis, data.grid))
     raise ValueError(f"unsupported dataset type {type(data).__name__}")
+
+
+@lru_cache(maxsize=32)
+def _curve_operator(key) -> np.ndarray:
+    """W = L' diag(dw) B for the (basis, curve grid) of key, read-only.
+
+    The refined points x are the grid, the inner knots and the floats just
+    below them; dw is the trapezoid rule on x, B the basis values at x and
+    L the linear interpolation from the grid to x, as np.interp takes it:
+    x between grid points k and k+1 at fraction t gets weight 1 - t on k
+    and t on k+1. L is never formed: each refined point's two weights times
+    dw times its B row are scatter-added into W, so the memory is
+    O(refined points x J).
+
+    The memo keeps the 32 most recent (basis, grid) operators, enough for a
+    truncation range of 32 dimensions on one grid. An operator holds 8 G J
+    bytes for a grid of G points, so its worst case is 32 x 8 G J bytes: on
+    a 100-point curve grid with J <= 25, 20 KB an operator and 640 KB in all.
+    """
+    basis, g = key.args
+    inner = basis.breakpoints()
+    inner = inner[(inner > g[0]) & (inner < g[-1])]
+    x = np.unique(np.concatenate([g, inner, np.nextafter(inner, -np.inf)]))
+    dx = np.diff(x)
+    dw = np.zeros_like(x)
+    dw[:-1] += dx / 2.0
+    dw[1:] += dx / 2.0
+    k = np.minimum(np.searchsorted(g, x, side="right") - 1, g.size - 2)
+    t = (x - g[k]) / (g[k + 1] - g[k])
+    rows = dw[:, None] * eval_basis(basis, x)
+    W = np.zeros((g.size, basis.dimension))
+    np.add.at(W, k, (1.0 - t)[:, None] * rows)
+    np.add.at(W, k + 1, t[:, None] * rows)
+    W.flags.writeable = False
+    return W
 
 
 @dataclass(frozen=True)
@@ -306,16 +321,16 @@ def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_par
     rows of one window (group, first index, width) are adjacent, and the
     sampler draws and counts a window's rows together, not row by row.
     Every dimension's slots come from one de Boor pass per spline order
-    (_engine.dimension_slots), and its grid columns are made once, here.
+    (_engine.dimension_slots). Its grid columns are basis.grid_columns's,
+    made once per (bases, grid) in the process and shared by every fit.
     """
     if data.kind != "binary":
         raise ValueError("binary_moment needs a binary dataset")
     order = np.lexsort((data.covariates, data.responses))
     z = data.covariates[order]
     groups = np.where(data.responses[order] == 1.0, 0, 1)
-    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     params_for = _params_for(beta_params)
-    cols = {j: eval_basis(basis, z_grid).T for j, basis in bases.items()}
+    cols = grid_columns(bases, z_grid)
     tables = {j: slots for j, slots, _, _ in _engine.dimension_slots(bases, z, groups=groups)}
 
     def build(j):
@@ -334,16 +349,16 @@ def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_p
     (ordered tuples carry the multinomial multiplicities). The slots and
     the tilt come from one de Boor pass per spline order
     (_engine.dimension_slots): c_k is a weighted bincount of the local
-    values, in observation order. The grid columns are made once, here.
+    values, in observation order. The grid columns are basis.grid_columns's,
+    made once per (bases, grid) in the process and shared by every fit.
     """
     if data.kind != "poisson":
         raise ValueError("poisson_moment needs a poisson dataset")
     order = np.lexsort((data.responses, data.covariates))
     z = data.covariates[order]
     x = data.responses[order].astype(int)
-    z_grid = np.atleast_1d(np.asarray(z_grid, dtype=float))
     params_for = _params_for(gamma_params)
-    cols = {j: eval_basis(basis, z_grid).T for j, basis in bases.items()}
+    cols = grid_columns(bases, z_grid)
     parts = {}
     for j, slots, first, values in _engine.dimension_slots(bases, z, repeats=x):
         index = first[:, None] + np.arange(values.shape[1])

@@ -7,10 +7,12 @@ from scipy.stats import beta as beta_dist
 
 from series_prior import _engine
 from series_prior.basis import (
+    Basis,
     SimplexInfeasibleError,
     eval_basis,
     eval_normalized,
     fit_coefficients,
+    grid_columns,
     local_values,
     make_basis,
     quadrature_integrals,
@@ -213,6 +215,61 @@ def test_local_sums_equal_dense_column_sums(data):
         index = first[d][:, None] + np.arange(q)
         tilt = np.bincount(index.ravel(), weights=values[d].ravel(), minlength=b.dimension)
         assert np.array_equal(tilt, eval_basis(b, x).sum(axis=0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_grid_columns_are_the_dense_columns(data):
+    # The memo's columns have the values and the F-ordered layout of
+    # eval_basis(b, x).T and eval_normalized(b, x).T, for bases of mixed orders.
+    orders = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
+    drawn = [data.draw(stacked_points(q)) for q in orders]
+    bases = {b.dimension * 10 + b.order: b for group, _ in drawn for b in group}
+    x = np.concatenate([points for _, points in drawn])
+    for normalized, evaluate in ((False, eval_basis), (True, eval_normalized)):
+        cols = grid_columns(bases, x, normalized)
+        assert sorted(cols) == sorted(bases)
+        for j, basis in bases.items():
+            want = evaluate(basis, x).T
+            got = cols[j]
+            assert got.shape == want.shape and got.strides == want.strides
+            assert got.flags.f_contiguous and want.flags.f_contiguous
+            assert got.tobytes() == want.tobytes()
+
+
+def test_grid_columns_cannot_be_written():
+    cols = grid_columns({4: make_basis(2, 3), 5: make_basis(2, 4)}, np.linspace(0.0, 1.0, 6))
+    for view in (cols[4], cols[4].T, cols[5][1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        cols[4] = np.zeros((4, 6))
+    with pytest.raises(TypeError):
+        del cols[5]
+
+
+def test_grid_columns_key_holds_every_value():
+    basis = make_basis(3, 4)
+    x = np.linspace(0.0, 1.0, 9)
+    plain = grid_columns({6: basis}, x)
+    assert grid_columns({6: make_basis(3, 4)}, x.copy()) is plain  # equal values share an entry
+    normalized = grid_columns({6: basis}, x, normalized=True)
+    assert normalized is not plain
+    assert np.array_equal(normalized[6], eval_normalized(basis, x).T)
+    moved = x.copy()
+    moved[3] = np.nextafter(moved[3], 1.0)  # one ulp off: another grid of the same length
+    assert grid_columns({6: basis}, moved) is not plain
+    # Same (order, intervals), other knots: its own entry, with its own values.
+    knots = np.array([0.0, 0.0, 0.0, 0.1, 0.5, 0.6, 1.0, 1.0, 1.0])
+    uneven = Basis(order=3, intervals=4, knots=knots, integrals=(knots[3:9] - knots[:6]) / 3)
+    other = grid_columns({6: uneven}, x)
+    assert other is not plain
+    assert np.array_equal(other[6], eval_basis(uneven, x).T)
+    assert not np.array_equal(other[6], plain[6])
+    # Same knots, other integrals: the plain values agree, the normalized ones do not.
+    scaled = Basis(order=3, intervals=4, knots=basis.knots, integrals=2.0 * basis.integrals)
+    assert grid_columns({6: scaled}, x, normalized=True) is not normalized
+    assert np.array_equal(grid_columns({6: scaled}, x, normalized=True)[6], eval_normalized(scaled, x).T)
 
 
 class TestFitting:

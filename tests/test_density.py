@@ -242,7 +242,7 @@ def test_bad_terms_refused_before_any_basis_pass(n_terms, seed, message, monkeyp
         raise AssertionError("a basis was evaluated before the mode check")
 
     monkeypatch.setattr(_engine, "local_values", fail)
-    monkeypatch.setattr(density_mod, "eval_normalized", fail)
+    monkeypatch.setattr(density_mod, "grid_columns", fail)
     mp = ModelSizePrior.geometric(0.5, 3, 5)
     data = DensityDataset(np.array([0.2, 0.7]))
     with pytest.raises(ValueError, match=message):

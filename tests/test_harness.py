@@ -20,8 +20,8 @@ from scipy.stats import kstest
 
 import series_prior
 from series_prior import _engine, harness
-from series_prior import density as density_mod
-from series_prior.basis import eval_normalized, local_values, make_basis
+from series_prior import basis as basis_mod
+from series_prior.basis import local_values, make_basis
 from series_prior.density import DensityDataset, bases_for_prior
 from series_prior.harness import (
     ExperimentConfig,
@@ -372,26 +372,48 @@ class TestRunExperiment:
         assert threading.active_count() == before
 
     def test_grid_columns_made_once_per_experiment(self, monkeypatch):
-        # Each dimension's grid columns are one eval_normalized call of the
-        # whole run, and each replication's slots one stacked de Boor pass over
-        # its n=11 samples for all three dimensions (one spline order).
+        # The grid columns are one stacked de Boor pass over the grid for all
+        # three dimensions (one spline order), made on the first run on this
+        # (bases, grid) in the process; the replications and a repeat run read
+        # them. Each replication's slots are one stacked pass over its n=11
+        # samples.
         cfg = ExperimentConfig(n=11, q=2, replications=3, grid_size=7, j_min=4, j_max=6, seed=8)
         grid = metric_grid(cfg.grid_size)
-        grid_calls, passes = [], []
+        bases_for_prior(cfg.q, ModelSizePrior.geometric(cfg.geometric_p, cfg.j_min, cfg.j_max))  # made before counting
+        grid_passes, passes = [], []
 
-        def counted(basis, x):
-            grid_calls.append((basis.dimension, np.array_equal(x, grid)))
-            return eval_normalized(basis, x)
+        def counted_grid(bases, x, normalized=False):
+            grid_passes.append(([b.dimension for b in bases], np.array_equal(x, grid), normalized))
+            return local_values(bases, x, normalized)
 
         def counted_pass(bases, x, normalized=False):
             passes.append(([b.dimension for b in bases], np.size(x), normalized))
             return local_values(bases, x, normalized)
 
-        monkeypatch.setattr(density_mod, "eval_normalized", counted)
+        monkeypatch.setattr(basis_mod, "local_values", counted_grid)
         monkeypatch.setattr(_engine, "local_values", counted_pass)
+        basis_mod._grid_columns.cache_clear()
         run_experiment(cfg)
-        assert sorted(grid_calls) == [(4, True), (5, True), (6, True)]
+        assert grid_passes == [([4, 5, 6], True, True)]
         assert passes == [([4, 5, 6], cfg.n, True)] * cfg.replications
+        run_experiment(dataclasses.replace(cfg, seed=9))
+        assert grid_passes == [([4, 5, 6], True, True)]
+        assert passes == [([4, 5, 6], cfg.n, True)] * 2 * cfg.replications
+
+    @pytest.mark.parametrize("mode", ["exact", "mc"])
+    def test_cold_and_warm_memo_give_the_same_fits(self, mode):
+        # A fit that fills the grid-column memo and one that reads it give
+        # the same summaries, bit for bit.
+        cfg = ExperimentConfig(n=7, q=2, seed=3, mode=mode, n_terms=300, j_min=4, j_max=7, grid_size=9)
+        calls = _fit_calls(cfg)
+        for name in ("fit_density", "binary_moment", "poisson_moment"):
+            basis_mod._grid_columns.cache_clear()
+            cold = calls[name]()
+            warm = calls[name]()
+            assert basis_mod._grid_columns.cache_info().hits == 1, name
+            for field in dataclasses.fields(cold):
+                a, b = getattr(cold, field.name), getattr(warm, field.name)
+                assert (a is None and b is None) or np.asarray(a).tobytes() == np.asarray(b).tobytes(), field.name
 
     def test_shared_parts_hold_in_a_crowded_pool(self, monkeypatch):
         # Every worker reads the same families and grid columns; 4 threads on

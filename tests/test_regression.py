@@ -7,6 +7,7 @@ from oracles import (
     poisson_quadrature_mean,
 )
 from series_prior import _engine
+from series_prior import basis as basis_mod
 from series_prior import regression as regression_mod
 from series_prior.basis import eval_basis, local_values, make_basis
 from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder
@@ -15,7 +16,7 @@ from series_prior.rates import SieveConstants
 from series_prior.regression import (
     FunctionalDataset,
     RegressionDataset,
-    _interp_rows,
+    _curve_operator,
     binary_builder,
     binary_moment,
     design_matrix,
@@ -157,16 +158,44 @@ class TestDesignMatrix:
         ],
     )
     def test_row_interpolation_is_np_interp(self, grid):
-        # design_matrix's refined points: the grid (its last point too), the
-        # inner knots and the floats just below them.
-        inner = make_basis(3, 5).breakpoints()
+        # design_matrix applies one (grid x J) operator to the curves. The
+        # reference interpolates each row with np.interp at the refined points
+        # (the grid, its last point too, the inner knots and the floats just
+        # below them) and applies the trapezoid weights of those points.
+        b = make_basis(3, 5)
+        inner = b.breakpoints()
         inner = inner[(inner > grid[0]) & (inner < grid[-1])]
         x = np.unique(np.concatenate([grid, inner, np.nextafter(inner, -np.inf)]))
+        dw = np.zeros_like(x)
+        dw[:-1] += np.diff(x) / 2.0
+        dw[1:] += np.diff(x) / 2.0
         curves = 3.0 + np.cumsum(np.random.default_rng(5).normal(size=(7, grid.size)), axis=1)
-        got = _interp_rows(x, grid, curves)
-        assert got.flags.c_contiguous
-        want = np.vstack([np.interp(x, grid, row) for row in curves])
-        assert got.tobytes() == want.tobytes()
+        want = (np.vstack([np.interp(x, grid, row) for row in curves]) * dw) @ eval_basis(b, x)
+        got = design_matrix(FunctionalDataset(grid, curves, np.zeros(7)), b)
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+    def test_operator_made_once_per_basis_and_grid(self, monkeypatch):
+        # A training set and its test set on one grid share each basis's
+        # operator; another grid gets its own. The operator is read-only.
+        evaluated = []
+
+        def counted(basis, points):
+            evaluated.append(basis.dimension)
+            return eval_basis(basis, points)
+
+        monkeypatch.setattr(regression_mod, "eval_basis", counted)
+        _curve_operator.cache_clear()
+        rng = np.random.default_rng(6)
+        bases = bases_for_prior(3, ModelSizePrior.geometric(0.5, 4, 6))
+        grid = np.linspace(0.0, 1.0, 12)
+        train, test = (FunctionalDataset(grid, rng.random((n, grid.size)), np.zeros(n)) for n in (5, 3))
+        for data in (train, test, train):
+            for basis in bases.values():
+                design_matrix(data, basis)
+        assert evaluated == [4, 5, 6]
+        design_matrix(FunctionalDataset(grid[1:], train.curves[:, 1:], np.zeros(5)), bases[4])
+        assert evaluated == [4, 5, 6, 4]
+        assert not _curve_operator(basis_mod._MemoKey(bases[4], grid)).flags.writeable
 
 
 class TestGaussian:
@@ -296,31 +325,35 @@ class TestGaussian:
 
 @pytest.mark.parametrize("kind", ["binary", "poisson"])
 def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
-    # A builder evaluates each dimension's grid columns once and its data in
-    # one stacked de Boor pass, however often build(j) is called.
+    # The grid columns are one stacked de Boor pass over the grid per
+    # (bases, grid) in the process: a second builder on the same bases and
+    # grid, as a repeat fit makes, reads them. Each builder evaluates its data
+    # in one stacked pass, however often build(j) is called.
     rng = np.random.default_rng(4)
     z, z_grid = rng.random(9), np.linspace(0.0, 1.0, 6)
     x = (rng.random(9) < 0.5).astype(float) if kind == "binary" else rng.integers(0, 3, 9).astype(float)
     bases = bases_for_prior(2, ModelSizePrior.geometric(0.5, 4, 6))
-    grid_calls, passes = [], []
+    grid_passes, passes = [], []
 
-    def counted(basis, points):
-        grid_calls.append((basis.dimension, np.array_equal(points, z_grid)))
-        return eval_basis(basis, points)
+    def counted_grid(pass_bases, points, normalized=False):
+        grid_passes.append(([b.dimension for b in pass_bases], np.array_equal(points, z_grid), normalized))
+        return local_values(pass_bases, points, normalized)
 
     def counted_pass(pass_bases, points, normalized=False):
         passes.append([b.dimension for b in pass_bases])
         return local_values(pass_bases, points, normalized)
 
-    monkeypatch.setattr(regression_mod, "eval_basis", counted)
+    monkeypatch.setattr(basis_mod, "local_values", counted_grid)
     monkeypatch.setattr(_engine, "local_values", counted_pass)
+    basis_mod._grid_columns.cache_clear()
     builder = binary_builder if kind == "binary" else poisson_builder
-    build = builder(RegressionDataset(z, x, kind), bases, (1.0, 1.0), z_grid)
-    for _ in range(3):
-        for j in bases:
-            build(j)
-    assert sorted(grid_calls) == [(4, True), (5, True), (6, True)]
-    assert passes == [[4, 5, 6]]
+    for _ in range(2):
+        build = builder(RegressionDataset(z, x, kind), bases, (1.0, 1.0), z_grid)
+        for _ in range(3):
+            for j in bases:
+                build(j)
+    assert grid_passes == [([4, 5, 6], True, False)]
+    assert passes == [[4, 5, 6]] * 2
 
 
 @pytest.mark.parametrize(
@@ -333,6 +366,7 @@ def test_bad_mode_refused_before_any_basis_pass(mode, n_terms, seed, message, mo
 
     monkeypatch.setattr(_engine, "local_values", fail)
     monkeypatch.setattr(regression_mod, "eval_basis", fail)
+    monkeypatch.setattr(regression_mod, "grid_columns", fail)
     mp = ModelSizePrior.geometric(0.5, 4, 6)
     bases = bases_for_prior(2, mp)
     z, grid = np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 5)

@@ -1,10 +1,12 @@
-"""Dead names in the package source, found with the standard library's ast.
+"""Dead names and unbounded caches in the package source, found with the standard library's ast.
 
 An import that is never referenced (re-exports in __init__.py and names in
 __all__ excepted), a function-local name that is assigned but never read
 (``_``-prefixed names excepted) and a module-level ``_``-prefixed function or
 class that no module of the package reads, by name or as an attribute, fail
-the test.
+the test. So does a functools cache without a stated bound: ``functools.cache``,
+or an ``lru_cache`` whose maxsize is not a positive integer literal (bare
+``@lru_cache`` included, whose bound of 128 is implicit).
 """
 
 import ast
@@ -93,6 +95,67 @@ def unread_private_defs(trees: dict) -> list[str]:
         and node.name.startswith("_")
         and not node.name.startswith("__")
         and not any(node.name in read for _, other, read in statements if other is not node)
+    ]
+
+
+def _is_functools(node, name: str) -> bool:
+    """node names functools' `name`: a bare name or functools.<name>."""
+    if isinstance(node, ast.Name):
+        return node.id == name
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr == name
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "functools"
+    )
+
+
+def _bounded(call: ast.Call) -> bool:
+    size = call.args[0] if call.args else next((k.value for k in call.keywords if k.arg == "maxsize"), None)
+    return isinstance(size, ast.Constant) and type(size.value) is int and size.value > 0
+
+
+def unbounded_caches(tree) -> list[str]:
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            bad += [f"line {node.lineno}: imports functools.cache" for a in node.names if a.name == "cache"]
+        elif isinstance(node, ast.Attribute) and _is_functools(node, "cache"):
+            bad.append(f"line {node.lineno}: functools.cache")
+        elif isinstance(node, ast.Call) and _is_functools(node.func, "lru_cache"):
+            if not _bounded(node):
+                bad.append(f"line {node.lineno}: lru_cache without a positive integer maxsize")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            bad += [
+                f"line {d.lineno}: bare lru_cache" for d in node.decorator_list if _is_functools(d, "lru_cache")
+            ]
+    return bad
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_caches_are_bounded(path):
+    dead = unbounded_caches(ast.parse(path.read_text(), filename=str(path)))
+    assert not dead, f"{path.name}: " + "; ".join(dead)
+
+
+def test_check_finds_unbounded_caches():
+    tree = ast.parse(
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(x):\n    pass\n"
+        "@functools.lru_cache(None)\ndef b(x):\n    pass\n"
+        "@lru_cache\ndef c(x):\n    pass\n"
+        "@functools.cache\ndef d(x):\n    pass\n"
+        "@lru_cache()\ndef e(x):\n    pass\n"
+        "@lru_cache(maxsize=16)\ndef f(x):\n    pass\n"
+        "@functools.lru_cache(32)\ndef g(x):\n    pass\n"
+    )
+    assert sorted(unbounded_caches(tree), key=lambda s: int(s.split()[1].rstrip(":"))) == [
+        "line 2: imports functools.cache",
+        "line 3: lru_cache without a positive integer maxsize",
+        "line 6: lru_cache without a positive integer maxsize",
+        "line 9: bare lru_cache",
+        "line 12: functools.cache",
+        "line 15: lru_cache without a positive integer maxsize",
     ]
 
 
