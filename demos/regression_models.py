@@ -10,7 +10,7 @@ from series_prior import (
     RegressionDataset,
     bases_for_prior,
     binary_moment,
-    design_matrix,
+    design_matrices,
     gaussian_fit,
     gaussian_predict,
     poisson_moment,
@@ -54,9 +54,8 @@ train = FunctionalDataset(grid, curves[:45], responses[:45])
 test = FunctionalDataset(grid, curves[45:], responses[45:])
 prior_f = ModelSizePrior.geometric(0.5, 5, 15)
 bases = bases_for_prior(3, prior_f)
-post = gaussian_fit({j: design_matrix(train, b) for j, b in bases.items()},
-                    train.responses, prior_f)
-pred, var = gaussian_predict(post, {j: design_matrix(test, b) for j, b in bases.items()})
+post = gaussian_fit(design_matrices(train, bases), train.responses, prior_f)
+pred, var = gaussian_predict(post, design_matrices(test, bases))
 rmse = float(np.sqrt(np.mean((pred - test.responses) ** 2)))
 print(f"45 train / 15 test curves: prediction RMSE {rmse:.3f} (noise level 0.1)")
 print("posterior weight by dimension:",

@@ -39,6 +39,7 @@ from .regression import (
     RegressionDataset,
     binary_moment,
     design_matrix,
+    design_matrices,
     gaussian_fit,
     gaussian_function_moments,
     gaussian_predict,

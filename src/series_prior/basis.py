@@ -11,8 +11,9 @@ the one de Boor recursion here, returns just those: for D bases of one
 order at P points, the first index (D, P) and the values (D, P, q), in one
 pass over all of them. eval_basis and eval_normalized scatter one basis's
 window into the dense (P, J) matrix. grid_columns keeps the columns of a
-fixed grid, which depend on nothing but the bases and the grid, in a small
-memo, so every fit on that grid reads them and none makes them again.
+fixed grid, and curve_operators the trapezoid operators of a curve grid,
+which depend on nothing but the bases and the grid, in small memos, so
+every fit on that grid reads them and none makes them again.
 """
 
 from __future__ import annotations
@@ -160,6 +161,13 @@ def local_values(bases: Sequence[Basis], x, normalized: bool = False) -> tuple[n
     return first, values
 
 
+def _dense(first: np.ndarray, values: np.ndarray, dimension: int) -> np.ndarray:
+    """One basis's local values, first (P,) and values (P, q), scattered into its dense (P, J) matrix."""
+    out = np.zeros((first.size, dimension))
+    np.put_along_axis(out, first[:, None] + np.arange(values.shape[1]), values, axis=1)
+    return out
+
+
 def eval_basis(basis: Basis, x) -> np.ndarray:
     """Evaluate all J basis functions at x by the de Boor triangular recursion.
 
@@ -169,8 +177,7 @@ def eval_basis(basis: Basis, x) -> np.ndarray:
     This is local_values of the one basis, scattered into the J columns.
     """
     first, values = local_values([basis], x)
-    out = np.zeros((values.shape[1], basis.dimension))
-    np.put_along_axis(out, first[0][:, None] + np.arange(basis.order), values[0], axis=1)
+    out = _dense(first[0], values[0], basis.dimension)
     return out[0] if np.isscalar(x) else out
 
 
@@ -179,39 +186,53 @@ def eval_normalized(basis: Basis, x) -> np.ndarray:
     return eval_basis(basis, x) / basis.integrals
 
 
-def _by_value(item):
-    """A hashable stand-in for item: a Basis or an array by its bytes, a mapping by its items."""
-    if isinstance(item, Basis):
-        return item.order, item.intervals, item.knots.tobytes(), item.integrals.tobytes()
-    if isinstance(item, np.ndarray):
-        return item.dtype.str, item.shape, item.tobytes()
-    if isinstance(item, Mapping):
-        return tuple((k, _by_value(v)) for k, v in item.items())
-    return item
+class _GridKey:
+    """Bases, a grid and a flag, hashed and compared by value: the key of the grid memos.
 
-
-class _MemoKey:
-    """The arguments of a memoized function, hashed and compared by value.
-
-    Bases and arrays are not hashable, so a memo keyed by them holds one of
-    these: args as given, and a key built from the bytes of every array and
-    every basis's (order, intervals, knots, integrals). Two calls whose
-    arguments agree bit for bit share an entry; a hand-built Basis with the
-    same (order, intervals) but other knots does not.
+    Bases and arrays are not hashable. The key's value is the flag, the
+    grid's shape and bytes, and every basis's j, order, intervals and the
+    bytes of its knots and integrals, so two calls whose arguments agree bit
+    for bit share an entry, and a hand-built Basis with the same (order,
+    intervals) but other knots does not. The grid is kept only as those
+    bytes (grid reads them back, read-only): an entry holds no reference to
+    the caller's array and no second copy of it.
     """
 
-    __slots__ = ("args", "_key", "_hash")
+    __slots__ = ("bases", "_value", "_hash")
 
-    def __init__(self, *args):
-        self.args = args
-        self._key = tuple(_by_value(a) for a in args)
-        self._hash = hash(self._key)
+    def __init__(self, bases: Mapping[int, Basis], x, flag: bool = False):
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        self.bases = dict(bases)
+        self._value = (
+            bool(flag),
+            x.shape,
+            x.tobytes(),
+            tuple((j, b.order, b.intervals, b.knots.tobytes(), b.integrals.tobytes()) for j, b in self.bases.items()),
+        )
+        self._hash = hash(self._value)
+
+    @property
+    def flag(self) -> bool:
+        return self._value[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        return np.frombuffer(self._value[2]).reshape(self._value[1])
 
     def __hash__(self) -> int:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, _MemoKey) and self._key == other._key
+        return isinstance(other, _GridKey) and self._value == other._value
+
+
+_ENTRY_BYTES = 8 << 20  # the largest entry a grid memo keeps: 8 MB
+
+
+def _memoized(memo, key: _GridKey):
+    """memo(key), or memo's fill without keeping the entry when its arrays would pass _ENTRY_BYTES."""
+    size = 8 * key.grid.size * sum(b.dimension for b in key.bases.values())
+    return memo(key) if size <= _ENTRY_BYTES else memo.__wrapped__(key)
 
 
 def grid_columns(bases: Mapping[int, Basis], x, normalized: bool = False) -> Mapping[int, np.ndarray]:
@@ -226,29 +247,79 @@ def grid_columns(bases: Mapping[int, Basis], x, normalized: bool = False) -> Map
     Neither the mapping nor its arrays can be written. x is a vector of
     points in [0, 1].
 
-    The memo keeps the 16 most recent (bases, grid) entries. An entry holds
-    8 P sum(J) bytes, so its worst case is 16 x 8 P sum(J) bytes: at the
-    command line's defaults (J = 5..25, P = 100 points) 252 KB an entry and
-    4 MB in all.
+    The memo keeps the 16 most recent (bases, grid) entries. An entry of
+    P points holds 8 P sum(J) bytes of columns and 8 P bytes of key, about
+    4 MB in all at the command line's defaults (J = 5..25, P = 100). An
+    entry whose columns would pass _ENTRY_BYTES (8 MB) is made on every call
+    and not kept, so the memo holds at most 16 x 8 MB of arrays and their keys.
     """
-    return _grid_columns(_MemoKey(bases, np.atleast_1d(np.asarray(x, dtype=float)), bool(normalized)))
+    return _memoized(_grid_columns, _GridKey(bases, x, normalized))
 
 
 @lru_cache(maxsize=16)
-def _grid_columns(key: _MemoKey) -> Mapping[int, np.ndarray]:
-    bases, x, normalized = key.args
+def _grid_columns(key: _GridKey) -> Mapping[int, np.ndarray]:
+    x = key.grid
     by_order: dict[int, list[int]] = {}
-    for j, basis in bases.items():
+    for j, basis in key.bases.items():
         by_order.setdefault(basis.order, []).append(j)
     cols = {}
-    for q, js in by_order.items():
-        first, values = local_values([bases[j] for j in js], x, normalized)
+    for js in by_order.values():
+        first, values = local_values([key.bases[j] for j in js], x, key.flag)
         for d, j in enumerate(js):
-            out = np.zeros((x.size, bases[j].dimension))
-            np.put_along_axis(out, first[d][:, None] + np.arange(q), values[d], axis=1)
+            out = _dense(first[d], values[d], key.bases[j].dimension)
             out.flags.writeable = False
             cols[j] = out.T
     return MappingProxyType(cols)
+
+
+def curve_operators(bases: Mapping[int, Basis], grid) -> Mapping[int, np.ndarray]:
+    """Every basis's trapezoid operator on a curve grid, as a read-only mapping j -> (G, J) W.
+
+    For a curve f sampled at the G grid points, f @ W[j] integrates f times
+    each function of bases[j] by the trapezoid rule on the grid refined with
+    that basis's inner knots and the floats just below them, f linearly
+    interpolated as np.interp does. So W = L' diag(dw) B: B the basis values
+    at the refined points x, dw the trapezoid weights on x, and L the
+    interpolation from the grid to x (x between grid points k and k+1 at
+    fraction t gets weight 1 - t on k and t on k+1). L is never formed:
+    each refined point's two weights times dw times its B row are
+    scatter-added into W, so a miss takes O(refined points x J) memory.
+    grid must be strictly increasing in [0, 1], with at least 2 points.
+
+    One entry holds every basis's operator on one grid, so a training set,
+    its test set and every later fit on that grid share them, for as many
+    dimensions as fit the size cap below. The memo keeps the 16 most recent
+    (bases, grid) entries; an entry of G points holds 8 G (sum(J) + 1)
+    bytes, about 4 MB in all at J = 5..25 on a 100-point grid. As in
+    grid_columns, an entry past _ENTRY_BYTES is not kept, so the memo holds
+    at most 16 x 8 MB of arrays and their keys.
+    """
+    return _memoized(_curve_operators, _GridKey(bases, grid))
+
+
+@lru_cache(maxsize=16)
+def _curve_operators(key: _GridKey) -> Mapping[int, np.ndarray]:
+    g = key.grid
+    if g.ndim != 1 or g.size < 2 or np.any(np.diff(g) <= 0):
+        raise ValueError("a curve grid needs at least 2 strictly increasing points")
+    ops = {}
+    for j, basis in key.bases.items():
+        inner = basis.breakpoints()
+        inner = inner[(inner > g[0]) & (inner < g[-1])]
+        x = np.unique(np.concatenate([g, inner, np.nextafter(inner, -np.inf)]))
+        dx = np.diff(x)
+        dw = np.zeros_like(x)
+        dw[:-1] += dx / 2.0
+        dw[1:] += dx / 2.0
+        k = np.minimum(np.searchsorted(g, x, side="right") - 1, g.size - 2)
+        t = (x - g[k]) / (g[k + 1] - g[k])
+        rows = dw[:, None] * eval_basis(basis, x)
+        W = np.zeros((g.size, basis.dimension))
+        np.add.at(W, k, (1.0 - t)[:, None] * rows)
+        np.add.at(W, k + 1, t[:, None] * rows)
+        W.flags.writeable = False
+        ops[j] = W
+    return MappingProxyType(ops)
 
 
 class FitResult(NamedTuple):

@@ -29,7 +29,7 @@ from .regression import (
     FunctionalDataset,
     RegressionDataset,
     binary_moment,
-    design_matrix,
+    design_matrices,
     gaussian_fit,
     gaussian_function_moments,
     gaussian_predict,
@@ -208,7 +208,7 @@ def _cmd_funreg(opts) -> int:
             raise ValueError("with responses in the last column, curve rows need one extra value")
     data = FunctionalDataset(grid=grid, curves=curves, responses=responses)
     bases = bases_for_prior(opts["q"], model_prior)
-    designs = {j: design_matrix(data, basis) for j, basis in bases.items()}
+    designs = design_matrices(data, bases)
     post = gaussian_fit(
         designs, data.responses, model_prior, g=opts["theta.g"], a=opts["theta.a"], b=opts["theta.b"]
     )
@@ -226,7 +226,7 @@ def _cmd_funreg(opts) -> int:
     if opts["predict"]:
         pgrid, pcurves = _read_curves(opts["predict"])
         pdata = FunctionalDataset(grid=pgrid, curves=pcurves, responses=np.zeros(pcurves.shape[0]))
-        pdesigns = {j: design_matrix(pdata, bases[j]) for j in bases}
+        pdesigns = design_matrices(pdata, bases)
         pmean, pvar = gaussian_predict(post, pdesigns)
         harness.write_table(
             opts["predictions"], ("id", "mean", "sd"),

@@ -29,14 +29,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Mapping
 
 import numpy as np
 
 from . import _engine
 from ._engine import PosteriorSummary, lgamma, logsumexp
-from .basis import Basis, _MemoKey, eval_basis, grid_columns
+from .basis import Basis, curve_operators, eval_basis, grid_columns
 from .priors import ModelSizePrior, _hyperparameter, _per_basis
 
 
@@ -108,50 +107,28 @@ def design_matrix(data, basis: Basis) -> np.ndarray:
     (curves linearly interpolated, knot values taken one-sided), so the
     quadrature error is O(grid step^2) even for bases that jump at knots.
     That quadrature is linear in the curve, so the design is
-    data.curves @ W for one (grid size x J) operator W per (basis, grid),
-    which _curve_operator keeps: a training set, its test set and every
-    later fit on the same grid share it.
+    data.curves @ W for basis.curve_operators's W of (basis, grid). This
+    keys the one basis; design_matrices keeps every dimension's operator
+    on a grid as one memo entry.
+    """
+    return design_matrices(data, {basis.dimension: basis})[basis.dimension]
+
+
+def design_matrices(data, bases: Mapping[int, Basis]) -> dict[int, np.ndarray]:
+    """design_matrix(data, bases[j]) for every j, with the same bits.
+
+    For functional data the operators come from one
+    basis.curve_operators(bases, grid) entry, so a training set, its test
+    set and every later fit on that grid share them, for as many
+    dimensions as fit that memo's size cap (sum(J) up to about 10,000 on a
+    100-point grid).
     """
     if isinstance(data, RegressionDataset):
-        return eval_basis(basis, data.covariates)
+        return {j: eval_basis(basis, data.covariates) for j, basis in bases.items()}
     if isinstance(data, FunctionalDataset):
-        return data.curves @ _curve_operator(_MemoKey(basis, data.grid))
+        ops = curve_operators(bases, data.grid)
+        return {j: data.curves @ ops[j] for j in bases}
     raise ValueError(f"unsupported dataset type {type(data).__name__}")
-
-
-@lru_cache(maxsize=32)
-def _curve_operator(key) -> np.ndarray:
-    """W = L' diag(dw) B for the (basis, curve grid) of key, read-only.
-
-    The refined points x are the grid, the inner knots and the floats just
-    below them; dw is the trapezoid rule on x, B the basis values at x and
-    L the linear interpolation from the grid to x, as np.interp takes it:
-    x between grid points k and k+1 at fraction t gets weight 1 - t on k
-    and t on k+1. L is never formed: each refined point's two weights times
-    dw times its B row are scatter-added into W, so the memory is
-    O(refined points x J).
-
-    The memo keeps the 32 most recent (basis, grid) operators, enough for a
-    truncation range of 32 dimensions on one grid. An operator holds 8 G J
-    bytes for a grid of G points, so its worst case is 32 x 8 G J bytes: on
-    a 100-point curve grid with J <= 25, 20 KB an operator and 640 KB in all.
-    """
-    basis, g = key.args
-    inner = basis.breakpoints()
-    inner = inner[(inner > g[0]) & (inner < g[-1])]
-    x = np.unique(np.concatenate([g, inner, np.nextafter(inner, -np.inf)]))
-    dx = np.diff(x)
-    dw = np.zeros_like(x)
-    dw[:-1] += dx / 2.0
-    dw[1:] += dx / 2.0
-    k = np.minimum(np.searchsorted(g, x, side="right") - 1, g.size - 2)
-    t = (x - g[k]) / (g[k + 1] - g[k])
-    rows = dw[:, None] * eval_basis(basis, x)
-    W = np.zeros((g.size, basis.dimension))
-    np.add.at(W, k, (1.0 - t)[:, None] * rows)
-    np.add.at(W, k + 1, t[:, None] * rows)
-    W.flags.writeable = False
-    return W
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from scipy.interpolate import BSpline
 from scipy.stats import beta as beta_dist
 
 from series_prior import _engine
+from series_prior import basis as basis_mod
 from series_prior.basis import (
     Basis,
     SimplexInfeasibleError,
@@ -259,9 +260,17 @@ def test_grid_columns_key_holds_every_value():
     moved = x.copy()
     moved[3] = np.nextafter(moved[3], 1.0)  # one ulp off: another grid of the same length
     assert grid_columns({6: basis}, moved) is not plain
-    # Same (order, intervals), other knots: its own entry, with its own values.
+    # The memo keeps no reference to the caller's grid: changing it after
+    # the call leaves the entry under the values it was made for.
+    mine = x.copy()
+    kept = grid_columns({6: basis}, mine)
+    mine[3] = 0.77
+    assert grid_columns({6: basis}, x) is kept
+    assert grid_columns({6: basis}, mine) is not kept
+    # Same (order, intervals, integrals), other knots: its own entry, with
+    # its own values.
     knots = np.array([0.0, 0.0, 0.0, 0.1, 0.5, 0.6, 1.0, 1.0, 1.0])
-    uneven = Basis(order=3, intervals=4, knots=knots, integrals=(knots[3:9] - knots[:6]) / 3)
+    uneven = Basis(order=3, intervals=4, knots=knots, integrals=basis.integrals)
     other = grid_columns({6: uneven}, x)
     assert other is not plain
     assert np.array_equal(other[6], eval_basis(uneven, x).T)
@@ -270,6 +279,24 @@ def test_grid_columns_key_holds_every_value():
     scaled = Basis(order=3, intervals=4, knots=basis.knots, integrals=2.0 * basis.integrals)
     assert grid_columns({6: scaled}, x, normalized=True) is not normalized
     assert np.array_equal(grid_columns({6: scaled}, x, normalized=True)[6], eval_normalized(scaled, x).T)
+
+
+def test_grid_memos_keep_no_entry_past_the_size_cap(monkeypatch):
+    # An entry whose arrays would pass the cap is made on every call, with
+    # the same values, and not kept; one within it is kept.
+    bases = {4: make_basis(2, 3), 5: make_basis(2, 4)}
+    x = np.linspace(0.0, 1.0, 7)
+    fits, short = 8 * x.size * 9, 8 * x.size * 9 - 1  # sum(J) = 9
+    for fill, memo in ((grid_columns, basis_mod._grid_columns), (basis_mod.curve_operators, basis_mod._curve_operators)):
+        memo.cache_clear()
+        monkeypatch.setattr(basis_mod, "_ENTRY_BYTES", short)
+        first, again = fill(bases, x), fill(bases, x)
+        assert first is not again and memo.cache_info().currsize == 0
+        assert all(np.array_equal(first[j], again[j]) for j in bases)
+        monkeypatch.setattr(basis_mod, "_ENTRY_BYTES", fits)
+        assert fill(bases, x) is fill(bases, x) and memo.cache_info().currsize == 1
+        assert all(np.array_equal(fill(bases, x)[j], first[j]) for j in bases)
+    assert np.array_equal(grid_columns(bases, x)[5], eval_basis(bases[5], x).T)
 
 
 class TestFitting:

@@ -16,9 +16,9 @@ from series_prior.rates import SieveConstants
 from series_prior.regression import (
     FunctionalDataset,
     RegressionDataset,
-    _curve_operator,
     binary_builder,
     binary_moment,
+    design_matrices,
     design_matrix,
     gaussian_fit,
     gaussian_function_moments,
@@ -174,28 +174,38 @@ class TestDesignMatrix:
         got = design_matrix(FunctionalDataset(grid, curves, np.zeros(7)), b)
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
-    def test_operator_made_once_per_basis_and_grid(self, monkeypatch):
-        # A training set and its test set on one grid share each basis's
-        # operator; another grid gets its own. The operator is read-only.
+    def test_operators_made_once_per_bases_and_grid(self, monkeypatch):
+        # A training set and its test set on one grid share every basis's
+        # operator, for more dimensions than the memo has entries; another
+        # grid gets its own. design_matrix keys one basis and gives the same
+        # bits. The operators are read-only.
         evaluated = []
 
         def counted(basis, points):
             evaluated.append(basis.dimension)
             return eval_basis(basis, points)
 
-        monkeypatch.setattr(regression_mod, "eval_basis", counted)
-        _curve_operator.cache_clear()
+        bases = bases_for_prior(2, ModelSizePrior.geometric(0.5, 2, 40))  # made before counting
+        monkeypatch.setattr(basis_mod, "eval_basis", counted)
+        basis_mod._curve_operators.cache_clear()
         rng = np.random.default_rng(6)
-        bases = bases_for_prior(3, ModelSizePrior.geometric(0.5, 4, 6))
         grid = np.linspace(0.0, 1.0, 12)
         train, test = (FunctionalDataset(grid, rng.random((n, grid.size)), np.zeros(n)) for n in (5, 3))
-        for data in (train, test, train):
-            for basis in bases.values():
-                design_matrix(data, basis)
-        assert evaluated == [4, 5, 6]
-        design_matrix(FunctionalDataset(grid[1:], train.curves[:, 1:], np.zeros(5)), bases[4])
-        assert evaluated == [4, 5, 6, 4]
-        assert not _curve_operator(basis_mod._MemoKey(bases[4], grid)).flags.writeable
+        designs = [design_matrices(data, bases) for data in (train, test, train)]
+        assert evaluated == list(range(2, 41))
+        for j, basis in bases.items():
+            assert design_matrix(train, basis).tobytes() == designs[0][j].tobytes()
+            assert design_matrix(test, basis).tobytes() == designs[1][j].tobytes()
+        assert designs[2][7] is not designs[0][7] and designs[2][7].tobytes() == designs[0][7].tobytes()
+        del evaluated[:]
+        design_matrices(FunctionalDataset(grid[1:], train.curves[:, 1:], np.zeros(5)), {4: bases[4]})
+        assert evaluated == [4]
+        ops = basis_mod.curve_operators(bases, grid)
+        assert not ops[4].flags.writeable
+        with pytest.raises(TypeError):
+            ops[4] = np.zeros((grid.size, 4))
+        with pytest.raises(ValueError, match="strictly increasing"):
+            basis_mod.curve_operators(bases, grid[::-1])
 
 
 class TestGaussian:
