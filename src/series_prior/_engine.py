@@ -57,8 +57,9 @@ log weight is log_global(n) plus log_close summed over the bases. The
 exact mode applies these once per dimension to every count each basis
 can reach; the sampler to one row of counts per sampled assignment.
 
-posterior_moments is the one driver every model goes through: it picks the
-mode, runs the sums (one exact pass for the fit, or one sampled sum per
+posterior_moments is the one driver every model goes through: it checks
+the fit's arguments, only then calls the model's builder on the data, picks
+the mode, runs the sums (one exact pass for the fit, or one sampled sum per
 dimension, on a thread pool when they are heavy enough), and mixes them
 over J; its docstring is the one statement of the mode and pool rules.
 Everything here is pure given its inputs; the
@@ -852,7 +853,8 @@ class PosteriorSummary:
 
 
 def posterior_moments(
-    build: Callable[[int], tuple[SlotTable, object, np.ndarray]],
+    for_data: Callable[[object], Callable[[int], tuple[SlotTable, object, np.ndarray]]],
+    data,
     bases: Mapping,
     model_prior,
     grid,
@@ -861,23 +863,24 @@ def posterior_moments(
     n_terms: int = 3000,
     seed=0,
 ) -> PosteriorSummary:
-    """Posterior moments at the grid points, mixed over every dimension in bases.
+    """Posterior moments of data at the grid points, mixed over every dimension in bases.
 
-    build(j) returns (slots, family, eval_cols) for dimension j, where
-    slots is the dimension's SlotTable and eval_cols holds the basis values
-    at the grid points (J x G). m=1 computes the mean only; m=2 also the
-    pointwise second moment. An unknown mode, n_terms below 2 or a negative
-    seed is refused before any dimension is built, in every mode; the model
-    entry points (density.mc_moment, harness.fit_density,
-    regression.binary_moment and poisson_moment) refuse it before their
-    builders evaluate any basis. Then every dimension is
-    built once, before the engine is chosen, and the engine is chosen from
-    all of them: mode "exact" sums every assignment of every dimension in
-    one exact_fit call, whose forward-backward recursions read per-dimension
-    count tables and step the runs of one row pattern together, and whose
-    cost does not grow with the assignment count; it raises
-    EnumerationCapError naming the first dimension that has more than
-    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
+    for_data is a model's builder (density.density_builder,
+    regression.binary_builder or poisson_builder), made for these bases and
+    grid: for_data(data) returns build, and build(j) returns (slots,
+    family, eval_cols) for dimension j, where slots is the dimension's
+    SlotTable and eval_cols holds the basis values at the grid points
+    (J x G). m=1 computes the mean only; m=2 also the pointwise second
+    moment. A bad m, an unknown mode, n_terms below 2, a negative seed or a
+    dimension of the prior's support with no basis is refused first, in
+    every mode, before for_data(data) evaluates any basis. Then every
+    dimension is built once, before the engine is chosen, and the engine is
+    chosen from all of them: mode "exact" sums every assignment of every
+    dimension in one exact_fit call, whose forward-backward recursions read
+    per-dimension count tables and step the runs of one row pattern
+    together, and whose cost does not grow with the assignment count; it
+    raises EnumerationCapError naming the first dimension that has more
+    than DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
     dimension; "auto" is exact when every dimension is within the cap,
     sampled otherwise.
 
@@ -907,6 +910,7 @@ def posterior_moments(
     log_prior = model_prior.log_pmf(j_values)
     with_second = m == 2
 
+    build = for_data(data)
     built = {int(j): build(j) for j in j_values}
     totals = {} if mode == "mc" else {j: assignment_count(b[0]) for j, b in built.items()}
     over = [j for j, total in totals.items() if total > DEFAULT_TERM_CAP]

@@ -218,7 +218,7 @@ def _cmd_funreg(opts) -> int:
     out = Path(opts["output"])
     harness.write_table(
         out,
-        ("x", "mean", "sd", "band_low", "band_high", "mc_se"),
+        harness.SUMMARY_COLUMNS,
         zip(tgrid, mean, sd, mean - z * sd, mean + z * sd, np.zeros_like(mean)),
     )
     harness.write_j_table(out.with_name(out.stem + "_j.csv"), post.j_values, post.j_weights)

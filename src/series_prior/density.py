@@ -5,17 +5,18 @@ B-splines, a Dirichlet prior on theta given the dimension J, and a truncated
 prior on J. The posterior mean and second moment at any point are finite
 sums over active-set index assignments.
 
-density_builder makes each dimension's Dirichlet family once and reads its
-grid columns from basis.grid_columns, which makes them once per (bases,
-grid) in the process; each dataset's builder adds that dataset's slots: every
+density_builder(bases, grid, a) has the shape of every model's builder: it
+checks the Dirichlet parameter ``a`` (a positive finite scalar or a
+length-J vector) and makes each dimension's Dirichlet family, and evaluates
+no basis. Its for_data(data) reads the grid columns from basis.grid_columns,
+which makes them once per (bases, grid) in the process, and makes every
 dimension's slot table from one de Boor pass over the observations
-(_engine.dimension_slots), with no n x J basis matrix. Its ``a`` is the
-Dirichlet parameter as a plain value, a positive finite scalar or a length-J
-vector, checked once when the builder is made. Every posterior-moment entry
-point of the package (exact_moment, mc_moment, harness.fit_density,
-regression.binary_moment and regression.poisson_moment) hands such a builder
-to _engine.posterior_moments, whose docstring states the rules of its
-``mode`` ("exact", "mc" or "auto") and of the term cap.
+(_engine.dimension_slots), with no n x J basis matrix. Every
+posterior-moment entry point of the package (exact_moment, mc_moment,
+harness.fit_density, regression.binary_moment and regression.poisson_moment)
+hands its builder and data to _engine.posterior_moments, which refuses a bad
+m, ``mode`` ("exact", "mc" or "auto"), term count or seed before it calls
+for_data, and whose docstring states the rules of the mode and the term cap.
 """
 
 from __future__ import annotations
@@ -89,34 +90,26 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
 
 
 def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
-    """The per-dimension builders of _engine.posterior_moments: for_data(data) -> build.
+    """The builder of _engine.posterior_moments for densities: for_data(data) -> build.
 
     a is the Dirichlet parameter: a positive finite scalar, repeated once
-    per basis function, or a length-J vector. Each dimension's Dirichlet
-    family depends only on (bases, a), so it is made here, once; its grid
-    columns are basis.grid_columns's, made once per (bases, grid) in the
-    process. Every dataset's build(j) shares both and adds the dataset's
-    slot table. for_data makes every table at once, from one
-    de Boor pass over the observations per spline order
-    (_engine.dimension_slots), so no n x J basis matrix is formed.
-    Observations are taken in sorted order, so outputs do not depend on
-    their order.
+    per basis function, or a length-J vector. It is checked here, and each
+    dimension's Dirichlet family, which depends only on (bases, a), is made
+    here, once; no basis is evaluated. for_data(data) reads the grid
+    columns from basis.grid_columns, made once per (bases, grid) in the
+    process, and makes every dimension's slot table from one de Boor pass
+    over the observations per spline order (_engine.dimension_slots), so no
+    n x J basis matrix is formed. Observations are taken in sorted order,
+    so outputs do not depend on their order.
     """
     a = _hyperparameter(a, "a")
-    cols = grid_columns(bases, grid, normalized=True)
-    shared = {
-        j: (_engine.DirichletFamily(_per_basis(a, basis.dimension, "a")), cols[j])
-        for j, basis in bases.items()
-    }
+    families = {j: _engine.DirichletFamily(_per_basis(a, basis.dimension, "a")) for j, basis in bases.items()}
 
     def for_data(data: DensityDataset):
+        cols = grid_columns(bases, grid, normalized=True)
         obs = np.sort(data.observations)
-        tables = {j: slots for j, slots, _, _ in _engine.dimension_slots(bases, obs, normalized=True)}
-
-        def build(j):
-            return (tables[j], *shared[j])
-
-        return build
+        slots = _engine.dimension_slots(bases, obs, normalized=True)
+        return {j: (table, families[j], cols[j]) for j, table, _, _ in slots}.__getitem__
 
     return for_data
 
@@ -135,8 +128,8 @@ def exact_moment(
     m=1 computes the mean only; m=2 also the pointwise second moment. This is
     mode "exact" of _engine.posterior_moments, so the term cap applies.
     """
-    build = density_builder(bases, grid, a)(data)
-    return _engine.posterior_moments(build, bases, model_prior, grid, m=m, mode="exact")
+    for_data = density_builder(bases, grid, a)
+    return _engine.posterior_moments(for_data, data, bases, model_prior, grid, m=m, mode="exact")
 
 
 def mc_moment(
@@ -155,13 +148,15 @@ def mc_moment(
     its counts, so the mean is a weighted average of densities and
     integrates to 1. The draws are shared between numerator and denominator
     (the ratio estimator has O(1/N) bias); mc_se is the delta-method
-    standard error of the mean. Reproducible for a given seed regardless of
-    scheduling: each dimension uses a generator derived from (seed, j).
+    standard error of the mean. It sees only the spread of the sampled
+    terms, so from moderate n on, where a few dominant assignments are
+    rarely drawn, it understates the error (README, "Computation modes").
+    Reproducible for a given seed regardless of scheduling: each dimension
+    uses a generator derived from (seed, j).
     """
-    _engine.check_mode("mc", n_terms, seed)  # before the builder evaluates any basis
-    build = density_builder(bases, grid, a)(data)
+    for_data = density_builder(bases, grid, a)
     return _engine.posterior_moments(
-        build, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed
+        for_data, data, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed
     )
 
 

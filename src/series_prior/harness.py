@@ -8,14 +8,16 @@ goes through read_rows, and every CSV it writes goes through format_row:
 write_table writes whole files, run_experiment streams metrics.csv line by
 line.
 
-run_experiment makes the bases and each dimension's Dirichlet family once,
-and every replication shares them and the grid columns, which
-basis.grid_columns makes once per (bases, grid) in the process; a
-replication builds only its own dataset's slot table. Replications run one
-after another; within one, a heavy sampled fit runs its dimensions on
-_engine.posterior_moments's thread pool. Every replication derives its own
-seed from (base seed, replication index), so results are identical for any
-thread count.
+run_experiment makes the bases and one density builder (each dimension's
+Dirichlet family) once, and every replication hands that builder and its
+own dataset to _engine.posterior_moments, then takes credible_band, as
+fit_density does for one dataset. Every replication shares the families and
+the grid columns, which basis.grid_columns makes once per (bases, grid) in
+the process; a replication builds only its own dataset's slot table.
+Replications run one after another; within one, a heavy sampled fit runs
+its dimensions on _engine.posterior_moments's thread pool. Every
+replication derives its own seed from (base seed, replication index), so
+results are identical for any thread count.
 """
 
 from __future__ import annotations
@@ -24,13 +26,12 @@ import functools
 import time
 from dataclasses import astuple, dataclass, fields
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
 from . import _engine
 from ._engine import worker_count
-from .basis import Basis
 from .density import DensityDataset, PosteriorSummary, _band_z, bases_for_prior, credible_band, density_builder
 from .priors import ModelSizePrior
 from .quadrature import simpson_panel_rule
@@ -211,36 +212,25 @@ def fit_density(
     level: float = 0.95,
 ) -> PosteriorSummary:
     """Fit one dataset: exact when the term budget allows, sampled otherwise."""
-    _band_z(level)  # refuses a level outside (0, 1) before any basis is made
-    _engine.check_mode(mode, n_terms, seed)  # and a bad mode, term count or seed
+    _band_z(level)  # refuses a level outside (0, 1) before any fit
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
-    return _fitter(bases, model_prior, grid, a, n_terms, mode, level)(data, seed)
+    summary = _engine.posterior_moments(
+        density_builder(bases, grid, a), data, bases, model_prior, grid, 2, mode, n_terms, seed
+    )
+    return credible_band(summary, level)
 
 
-def _fitter(bases: Mapping[int, Basis], model_prior, grid, a, n_terms, mode, level):
-    """fit(data, seed): one dataset's posterior summary with its credible band.
-
-    The dimensions' families are made here, once, before any fit, and
-    every fit shares them; the grid columns come from basis.grid_columns,
-    made on the first fit on this (bases, grid) in the process and read by
-    every later one. The callers have checked the level.
-    """
-    for_data = density_builder(bases, grid, a)
-
-    def fit(data: DensityDataset, seed) -> PosteriorSummary:
-        summary = _engine.posterior_moments(
-            for_data(data), bases, model_prior, grid, m=2, mode=mode, n_terms=n_terms, seed=seed,
-        )
-        return credible_band(summary, level)
-
-    return fit
-
-
-def _one_replication(config: ExperimentConfig, density: TrueDensity, fit, rep: int):
+def _one_replication(config: ExperimentConfig, density: TrueDensity, model, rep: int):
+    """Sample replication rep, fit it with model = (for_data, bases, model_prior, grid) and score it."""
+    for_data, bases, model_prior, grid = model
     t0 = time.perf_counter()
     data = sample_density(density, config.n, np.random.SeedSequence([config.seed, rep]))
-    summary = fit(data, int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0]))
+    seed = int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0])
+    summary = _engine.posterior_moments(
+        for_data, data, bases, model_prior, grid, 2, config.mode, config.n_terms, seed
+    )
+    summary = credible_band(summary, config.level)
     l1, l2 = grid_metrics(summary.mean, density, summary.grid)
     return MetricsRow(rep, l1, l2, time.perf_counter() - t0), summary
 
@@ -253,10 +243,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """
     density = get_density(config.density)
     model_prior = ModelSizePrior.geometric(config.geometric_p, config.j_min, config.j_max)
-    fit = _fitter(
-        bases_for_prior(config.q, model_prior), model_prior, metric_grid(config.grid_size),
-        a=1.0, n_terms=config.n_terms, mode=config.mode, level=config.level,
-    )
+    bases = bases_for_prior(config.q, model_prior)
+    grid = metric_grid(config.grid_size)
+    model = density_builder(bases, grid), bases, model_prior, grid
     worker_count(1)  # a bad SERIES_PRIOR_THREADS is refused before any output
     out_dir = Path(config.output_dir) if config.output_dir else None
     metrics_file = None
@@ -268,7 +257,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     summaries: list[PosteriorSummary] = []
     try:
         for rep in range(config.replications):
-            row, summary = _one_replication(config, density, fit, rep)
+            row, summary = _one_replication(config, density, model, rep)
             rows.append(row)
             summaries.append(summary)
             if metrics_file is not None:
@@ -307,18 +296,18 @@ def write_table(path, header, rows) -> None:
         fh.writelines(format_row(row) for row in rows)
 
 
+#: The columns of every grid summary CSV: write_summary's, and the funreg command's.
+SUMMARY_COLUMNS = ("x", "mean", "sd", "band_low", "band_high", "mc_se")
+
+
 def write_summary(path, summary: PosteriorSummary) -> None:
-    """x,mean,sd,band_low,band_high,mc_se rows; absent moments and bands are written as 0."""
+    """SUMMARY_COLUMNS rows; absent moments and bands are written as 0."""
     zeros = np.zeros_like(summary.mean)
     second = summary.second_moment
     sd = zeros if second is None else np.sqrt(np.maximum(second - summary.mean**2, 0.0))
     low = zeros if summary.band_low is None else summary.band_low
     high = zeros if summary.band_high is None else summary.band_high
-    write_table(
-        path,
-        ("x", "mean", "sd", "band_low", "band_high", "mc_se"),
-        zip(summary.grid, summary.mean, sd, low, high, summary.mc_se),
-    )
+    write_table(path, SUMMARY_COLUMNS, zip(summary.grid, summary.mean, sd, low, high, summary.mc_se))
 
 
 def write_j_table(path, j_values, j_weights) -> None:

@@ -20,7 +20,21 @@ import numpy as np
 
 from ._engine import lgamma, logsumexp
 
-_MODEL_FAMILIES = ("geometric", "poisson", "negative-binomial")
+_MODEL_FAMILIES = {"geometric": 1, "poisson": 1, "negative-binomial": 2}  # family -> parameter count
+
+
+def _check_params(family: str, params: tuple) -> None:
+    """Refuse a family's parameter count or range; NaN fails every comparison."""
+    if len(params) != _MODEL_FAMILIES[family]:
+        raise ValueError(f"the {family} prior takes {_MODEL_FAMILIES[family]} parameter(s), got {len(params)}")
+    if family == "geometric" and not 0.0 < params[0] < 1.0:
+        raise ValueError(f"geometric success probability must be in (0,1), got {params[0]}")
+    if family == "poisson" and not 0.0 < params[0] < np.inf:
+        raise ValueError(f"poisson mean lambda must be positive and finite, got {params[0]}")
+    if family == "negative-binomial" and not (0.0 < params[0] < np.inf and 0.0 < params[1] < 1.0):
+        raise ValueError(
+            f"negative-binomial r must be positive and finite and p in (0,1), got r={params[0]}, p={params[1]}"
+        )
 
 
 def _base_log_pmf(family: str, params: tuple, j: np.ndarray) -> np.ndarray:
@@ -40,12 +54,11 @@ def _base_log_pmf(family: str, params: tuple, j: np.ndarray) -> np.ndarray:
             + r * np.log(p)
             + j * np.log1p(-p)
         )
-    raise ValueError(f"unknown model-size family {family!r}")
 
 
 @dataclass(frozen=True)
 class ModelSizePrior:
-    """Truncated prior on the number of series terms J."""
+    """Truncated prior on the number of series terms J; checked when made, by a factory or directly."""
 
     family: str
     params: tuple
@@ -56,31 +69,30 @@ class ModelSizePrior:
     def __post_init__(self):
         if self.family not in _MODEL_FAMILIES:
             raise ValueError(f"unknown model-size family {self.family!r}")
+        params = tuple(float(v) for v in self.params)
+        _check_params(self.family, params)
+        if not all(isinstance(j, (int, np.integer)) for j in (self.j_min, self.j_max)):
+            raise ValueError(f"truncation bounds must be integers, got [{self.j_min}, {self.j_max}]")
         if not (1 <= self.j_min <= self.j_max):
             raise ValueError(
                 f"truncation must satisfy 1 <= j_min <= j_max, got [{self.j_min}, {self.j_max}]"
             )
+        object.__setattr__(self, "params", params)
         support = np.arange(self.j_min, self.j_max + 1)
-        norm = logsumexp(_base_log_pmf(self.family, self.params, support))
+        norm = logsumexp(_base_log_pmf(self.family, params, support))
         object.__setattr__(self, "_log_norm", norm)
 
     @staticmethod
     def geometric(p: float, j_min: int = 5, j_max: int = 25) -> "ModelSizePrior":
-        if not 0.0 < p < 1.0:
-            raise ValueError(f"geometric success probability must be in (0,1), got {p}")
-        return ModelSizePrior("geometric", (float(p),), int(j_min), int(j_max))
+        return ModelSizePrior("geometric", (p,), j_min, j_max)
 
     @staticmethod
     def poisson(lam: float, j_min: int = 5, j_max: int = 25) -> "ModelSizePrior":
-        if not 0.0 < lam < np.inf:
-            raise ValueError(f"poisson mean lambda must be positive and finite, got {lam}")
-        return ModelSizePrior("poisson", (float(lam),), int(j_min), int(j_max))
+        return ModelSizePrior("poisson", (lam,), j_min, j_max)
 
     @staticmethod
     def negative_binomial(r: float, p: float, j_min: int = 5, j_max: int = 25) -> "ModelSizePrior":
-        if not 0.0 < r < np.inf or not 0.0 < p < 1.0:
-            raise ValueError(f"negative-binomial r must be positive and finite and p in (0,1), got r={r}, p={p}")
-        return ModelSizePrior("negative-binomial", (float(r), float(p)), int(j_min), int(j_max))
+        return ModelSizePrior("negative-binomial", (r, p), j_min, j_max)
 
     @property
     def support(self) -> np.ndarray:

@@ -13,13 +13,14 @@ plain (unnormalized) basis:
   exponential factor collapses coordinatewise; each observation contributes
   X_i expansion slots.
 
-binary_builder and poisson_builder give each dimension's slots and
-coefficient family. Their hyperparameters are plain values (a, b), each a
+binary_builder and poisson_builder take (bases, z_grid, (a, b)), as
+density.density_builder does, and give each dimension's slots and
+coefficient family. The hyperparameters (a, b) are plain values, each a
 positive finite scalar, repeated once per basis function, or a length-J
 vector; a bad value is refused when the builder is made. binary_moment and
-poisson_moment hand the builders to the shared
-driver _engine.posterior_moments, which returns the same PosteriorSummary as
-the density module; its docstring states the rules of ``mode``. The exact
+poisson_moment hand a builder and the data to the shared driver
+_engine.posterior_moments, which returns the same PosteriorSummary as the
+density module; its docstring states the rules of ``mode``. The exact
 recursion runs over the success/failure or count state of the open basis
 functions, and each sampled assignment contributes its exact posterior
 moments given its counts, so a sampled success probability stays in [0, 1].
@@ -274,11 +275,11 @@ def _mixed_moments(post: GaussianPosterior, designs, noise: float):
     return acc_mean, acc_m2 - acc_mean**2
 
 
-def _params_for(params):
-    """J -> (a, b) of independent Beta or Gamma priors at dimension J; params is checked here, once."""
+def _prior_vectors(params, bases: Mapping[int, Basis]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+    """j -> (a, b) of the independent Beta or Gamma priors at each dimension of bases; params is checked here."""
     a, b = params
     a, b = _hyperparameter(a, "a"), _hyperparameter(b, "b")
-    return lambda J: (_per_basis(a, J, "a"), _per_basis(b, J, "b"))
+    return {j: (_per_basis(a, basis.dimension, "a"), _per_basis(b, basis.dimension, "b")) for j, basis in bases.items()}
 
 
 def _check_finite(**arrays) -> None:
@@ -287,65 +288,63 @@ def _check_finite(**arrays) -> None:
             raise ValueError(f"{name} must be finite")
 
 
-def binary_builder(data: RegressionDataset, bases: Mapping[int, Basis], beta_params, z_grid):
-    """The per-dimension (slots, family, eval_cols) builder of the binary model.
+def binary_builder(bases: Mapping[int, Basis], z_grid, beta_params):
+    """The builder of _engine.posterior_moments for the binary model: for_data(data) -> build.
 
     beta_params is (a, b) of the independent Beta priors, each a positive
-    finite scalar or a length-J vector. Each observation contributes one
-    slot; successes and failures update the two Beta count groups through
-    the expansion of theta'B and (1-theta)'B.
-    Rows are sorted by response, then covariate: group-major, so that the
-    rows of one window (group, first index, width) are adjacent, and the
-    sampler draws and counts a window's rows together, not row by row.
-    Every dimension's slots come from one de Boor pass per spline order
-    (_engine.dimension_slots). Its grid columns are basis.grid_columns's,
-    made once per (bases, grid) in the process and shared by every fit.
+    finite scalar or a length-J vector; the Beta families are made here.
+    Each observation contributes one slot; successes and failures update
+    the two Beta count groups through the expansion of theta'B and
+    (1-theta)'B. for_data sorts the rows by response, then covariate:
+    group-major, so that the rows of one window (group, first index, width)
+    are adjacent, and the sampler draws and counts a window's rows
+    together, not row by row. Its slots and grid columns are made as in
+    density.density_builder.
     """
-    if data.kind != "binary":
-        raise ValueError("binary_moment needs a binary dataset")
-    order = np.lexsort((data.covariates, data.responses))
-    z = data.covariates[order]
-    groups = np.where(data.responses[order] == 1.0, 0, 1)
-    params_for = _params_for(beta_params)
-    cols = grid_columns(bases, z_grid)
-    tables = {j: slots for j, slots, _, _ in _engine.dimension_slots(bases, z, groups=groups)}
+    families = {j: _engine.BetaFamily(a, b) for j, (a, b) in _prior_vectors(beta_params, bases).items()}
 
-    def build(j):
-        return tables[j], _engine.BetaFamily(*params_for(bases[j].dimension)), cols[j]
+    def for_data(data: RegressionDataset):
+        if data.kind != "binary":
+            raise ValueError("binary_moment needs a binary dataset")
+        cols = grid_columns(bases, z_grid)
+        order = np.lexsort((data.covariates, data.responses))
+        z = data.covariates[order]
+        groups = np.where(data.responses[order] == 1.0, 0, 1)
+        slots = _engine.dimension_slots(bases, z, groups=groups)
+        return {j: (table, families[j], cols[j]) for j, table, _, _ in slots}.__getitem__
 
-    return build
+    return for_data
 
 
-def poisson_builder(data: RegressionDataset, bases: Mapping[int, Basis], gamma_params, z_grid):
-    """The per-dimension (slots, family, eval_cols) builder of the Poisson model.
+def poisson_builder(bases: Mapping[int, Basis], z_grid, gamma_params):
+    """The builder of _engine.posterior_moments for the Poisson model: for_data(data) -> build.
 
     gamma_params is (a, b) of the independent Gamma(a, b) priors (rate b),
     each a positive finite scalar or a length-J vector. The exponential
-    likelihood factor contributes the per-coordinate tilt c_k = sum_i B_k(Z_i);
-    each observation then adds X_i expansion slots for the monomial part
-    (ordered tuples carry the multinomial multiplicities). The slots and
-    the tilt come from one de Boor pass per spline order
-    (_engine.dimension_slots): c_k is a weighted bincount of the local
-    values, in observation order. The grid columns are basis.grid_columns's,
-    made once per (bases, grid) in the process and shared by every fit.
+    likelihood factor contributes the per-coordinate tilt c_k = sum_i B_k(Z_i),
+    so the Gamma families are made per dataset; each observation then adds
+    X_i expansion slots for the monomial part (ordered tuples carry the
+    multinomial multiplicities). The slots and the tilt come from one de
+    Boor pass per spline order (_engine.dimension_slots): c_k is a weighted
+    bincount of the local values, in observation order.
     """
-    if data.kind != "poisson":
-        raise ValueError("poisson_moment needs a poisson dataset")
-    order = np.lexsort((data.responses, data.covariates))
-    z = data.covariates[order]
-    x = data.responses[order].astype(int)
-    params_for = _params_for(gamma_params)
-    cols = grid_columns(bases, z_grid)
-    parts = {}
-    for j, slots, first, values in _engine.dimension_slots(bases, z, repeats=x):
-        index = first[:, None] + np.arange(values.shape[1])
-        parts[j] = slots, np.bincount(index.ravel(), weights=values.ravel(), minlength=bases[j].dimension)
+    prior = _prior_vectors(gamma_params, bases)
 
-    def build(j):
-        slots, tilt = parts[j]
-        return slots, _engine.GammaFamily(*params_for(bases[j].dimension), tilt), cols[j]
+    def for_data(data: RegressionDataset):
+        if data.kind != "poisson":
+            raise ValueError("poisson_moment needs a poisson dataset")
+        cols = grid_columns(bases, z_grid)
+        order = np.lexsort((data.responses, data.covariates))
+        z = data.covariates[order]
+        x = data.responses[order].astype(int)
+        built = {}
+        for j, slots, first, values in _engine.dimension_slots(bases, z, repeats=x):
+            index = first[:, None] + np.arange(values.shape[1])
+            tilt = np.bincount(index.ravel(), weights=values.ravel(), minlength=bases[j].dimension)
+            built[j] = slots, _engine.GammaFamily(*prior[j], tilt), cols[j]
+        return built.__getitem__
 
-    return build
+    return for_data
 
 
 def binary_moment(
@@ -360,9 +359,8 @@ def binary_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the success probability f(z) = theta' B(z)."""
-    _engine.check_mode(mode, n_terms, seed)  # before the builder evaluates any basis
-    build = binary_builder(data, bases, beta_params, z_grid)
-    return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)
+    for_data = binary_builder(bases, z_grid, beta_params)
+    return _engine.posterior_moments(for_data, data, bases, model_prior, z_grid, m, mode, n_terms, seed)
 
 
 def poisson_moment(
@@ -377,6 +375,5 @@ def poisson_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the Poisson rate f(z) = theta' B(z)."""
-    _engine.check_mode(mode, n_terms, seed)  # before the builder evaluates any basis
-    build = poisson_builder(data, bases, gamma_params, z_grid)
-    return _engine.posterior_moments(build, bases, model_prior, z_grid, m, mode, n_terms, seed)
+    for_data = poisson_builder(bases, z_grid, gamma_params)
+    return _engine.posterior_moments(for_data, data, bases, model_prior, z_grid, m, mode, n_terms, seed)

@@ -21,10 +21,11 @@ from oracles import (
 )
 
 from series_prior import _engine
+from series_prior import basis as basis_mod
 from series_prior._engine import EnumerationCapError, assignment_count, posterior_moments
 from series_prior.basis import eval_basis, eval_normalized, make_basis
 from series_prior.cli import cli
-from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment
+from series_prior.density import DensityDataset, bases_for_prior, density_builder, exact_moment, mc_moment
 from series_prior.harness import fit_density, metric_grid, mixture_51, sample_density
 from series_prior.priors import ModelSizePrior
 from series_prior.regression import (
@@ -42,7 +43,7 @@ def _density_case():
     mp = ModelSizePrior.geometric(0.5, 4, 7)
     bases = bases_for_prior(2, mp)
     data = DensityDataset(np.random.default_rng(2).random(5))
-    return density_builder(bases, GRID)(data), bases, mp
+    return density_builder(bases, GRID), data, bases, mp
 
 
 def _binary_case():
@@ -50,7 +51,22 @@ def _binary_case():
     bases = bases_for_prior(2, mp)
     rng = np.random.default_rng(3)
     data = RegressionDataset(rng.random(6), (rng.random(6) < 0.5).astype(float), "binary")
-    return binary_builder(data, bases, (1.0, 1.0), GRID), bases, mp
+    return binary_builder(bases, GRID, (1.0, 1.0)), data, bases, mp
+
+
+def _counting(for_data, calls):
+    """for_data whose builds append each dimension they build to calls."""
+
+    def counted_for(data):
+        build = for_data(data)
+
+        def counted(j):
+            calls.append(int(j))
+            return build(j)
+
+        return counted
+
+    return counted_for
 
 
 def _assert_same(a, b):
@@ -61,17 +77,18 @@ def _assert_same(a, b):
 class TestAutoMode:
     @pytest.mark.parametrize("case", [_density_case, _binary_case])
     def test_exact_at_cap_mc_above(self, case, monkeypatch):
-        build, bases, mp = case()
+        for_data, data, bases, mp = case()
+        build = for_data(data)
         worst = max(assignment_count(build(j)[0]) for j in bases)
         assert worst > 1
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst)
-        at_cap = posterior_moments(build, bases, mp, GRID, mode="auto")
+        at_cap = posterior_moments(for_data, data, bases, mp, GRID, mode="auto")
         assert at_cap.mode == "exact"
-        _assert_same(at_cap, posterior_moments(build, bases, mp, GRID, mode="exact"))
+        _assert_same(at_cap, posterior_moments(for_data, data, bases, mp, GRID, mode="exact"))
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst - 1)
-        over = posterior_moments(build, bases, mp, GRID, mode="auto", n_terms=200, seed=5)
+        over = posterior_moments(for_data, data, bases, mp, GRID, mode="auto", n_terms=200, seed=5)
         assert over.mode == "mc"
-        _assert_same(over, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=200, seed=5))
+        _assert_same(over, posterior_moments(for_data, data, bases, mp, GRID, mode="mc", n_terms=200, seed=5))
 
     def test_fit_density_auto_equals_exact_moment(self):
         mp = ModelSizePrior.geometric(0.6, 5, 9)
@@ -82,14 +99,9 @@ class TestAutoMode:
         _assert_same(fit, exact)
 
     def test_auto_builds_each_dimension_once_within_cap(self):
-        build, bases, mp = _density_case()
+        for_data, data, bases, mp = _density_case()
         calls = []
-
-        def counted(j):
-            calls.append(int(j))
-            return build(j)
-
-        assert posterior_moments(counted, bases, mp, GRID, mode="auto").mode == "exact"
+        assert posterior_moments(_counting(for_data, calls), data, bases, mp, GRID, mode="auto").mode == "exact"
         assert calls == sorted(bases)
 
     @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
@@ -98,20 +110,15 @@ class TestAutoMode:
         # exact mode runs within the cap, auto past it.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        build = density_builder(bases, GRID)(DensityDataset(np.array([0.25, 0.5, 0.75])))
+        for_data, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
         calls = []
-
-        def counted(j):
-            calls.append(int(j))
-            return build(j)
-
         if mode == "auto":
             monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
-        fit = posterior_moments(counted, bases, mp, GRID, mode=mode, n_terms=50, seed=3)
+        fit = posterior_moments(_counting(for_data, calls), data, bases, mp, GRID, mode=mode, n_terms=50, seed=3)
         assert calls == [5, 6, 7, 8]
         assert fit.mode == ("exact" if mode == "exact" else "mc")
         if mode == "auto":
-            _assert_same(fit, posterior_moments(build, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
+            _assert_same(fit, posterior_moments(for_data, data, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
 
 
 class TestExactCap:
@@ -120,12 +127,12 @@ class TestExactCap:
         # J=5 needs a single term and the first dimension over a cap of 4 is J=6.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        build = density_builder(bases, GRID)(DensityDataset(np.array([0.25, 0.5, 0.75])))
-        counts = {j: assignment_count(build(j)[0]) for j in sorted(bases)}
+        for_data, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
+        counts = {j: assignment_count(for_data(data)(j)[0]) for j in sorted(bases)}
         assert counts[5] == 1 and counts[6] > 4
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
         with pytest.raises(EnumerationCapError, match="J=6") as err:
-            posterior_moments(build, bases, mp, GRID, mode="exact")
+            posterior_moments(for_data, data, bases, mp, GRID, mode="exact")
         assert err.value.j == 6 and err.value.total == counts[6]
 
 
@@ -153,9 +160,62 @@ class TestValidation:
             fit_density(data, 2, mp, grid=GRID, mode=mode, n_terms=1)
 
     def test_moment_order_checked(self):
-        build, bases, mp = _density_case()
+        for_data, data, bases, mp = _density_case()
         with pytest.raises(ValueError, match="moment order"):
-            posterior_moments(build, bases, mp, GRID, m=3)
+            posterior_moments(for_data, data, bases, mp, GRID, m=3)
+
+    _REFUSALS = [
+        ("exact_moment", dict(m=3), "moment order"),
+        ("mc_moment", dict(m=3), "moment order"),
+        ("mc_moment", dict(n_terms=1), "at least 2"),
+        ("mc_moment", dict(seed=-1), "non-negative"),
+        ("fit_density", dict(mode="bogus"), "mode must be"),
+        ("fit_density", dict(n_terms=1), "at least 2"),
+        ("fit_density", dict(seed=-1), "non-negative"),
+    ] + [
+        (fit, flags, message)
+        for fit in ("binary_moment", "poisson_moment")
+        for flags, message in [
+            (dict(m=3), "moment order"),
+            (dict(mode="bogus"), "mode must be"),
+            (dict(mode="mc", n_terms=1), "at least 2"),
+            (dict(mode="auto", seed=-1), "non-negative"),
+        ]
+    ]
+
+    @pytest.mark.parametrize(
+        "fit, flags, message",
+        _REFUSALS,
+        ids=[fit + "-" + ",".join(f"{k}={v}" for k, v in flags.items()) for fit, flags, _ in _REFUSALS],
+    )
+    def test_refused_before_any_basis_pass(self, fit, flags, message, monkeypatch):
+        # The driver checks every fit argument before it calls the builder on
+        # the data, and making a builder evaluates no basis: with the grid
+        # columns unmade, no de Boor pass may run before the refusal.
+        mp = ModelSizePrior.geometric(0.5, 4, 6)
+        bases = bases_for_prior(2, mp)  # fit_density's bases too: make_basis keeps them
+        z, grid = np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 5)
+        density = DensityDataset(z)
+        fits = {
+            "exact_moment": lambda **kw: exact_moment(density, grid, bases, mp, **kw),
+            "mc_moment": lambda **kw: mc_moment(density, grid, bases, mp, **kw),
+            "fit_density": lambda **kw: fit_density(density, 2, mp, grid=grid, **kw),
+            "binary_moment": lambda **kw: binary_moment(
+                RegressionDataset(z, [1.0, 0.0], "binary"), bases, (1.0, 1.0), mp, grid, **kw
+            ),
+            "poisson_moment": lambda **kw: poisson_moment(
+                RegressionDataset(z, [2.0, 0.0], "poisson"), bases, (1.0, 1.0), mp, grid, **kw
+            ),
+        }
+
+        def fail(*args, **kwargs):
+            raise AssertionError("a basis was evaluated before the fit's arguments were checked")
+
+        basis_mod._grid_columns.cache_clear()
+        monkeypatch.setattr(basis_mod, "local_values", fail)
+        monkeypatch.setattr(_engine, "local_values", fail)
+        with pytest.raises(ValueError, match=message):
+            fits[fit](**flags)
 
 
 unit = st.floats(0.0, 1.0)
@@ -597,8 +657,8 @@ def test_density_mean_integrates_to_one(mode, q, x, p):
     mp = ModelSizePrior.geometric(p, q, q + 5)
     bases = bases_for_prior(q, mp)
     pts, wts = union_breakpoint_rule(bases, total_points=400)
-    build = density_builder(bases, pts)(DensityDataset(np.array(x)))
-    mean = posterior_moments(build, bases, mp, pts, m=1, mode=mode, n_terms=100).mean
+    data = DensityDataset(np.array(x))
+    mean = posterior_moments(density_builder(bases, pts), data, bases, mp, pts, m=1, mode=mode, n_terms=100).mean
     assert abs(wts @ mean - 1.0) <= 1e-10
 
 
@@ -652,10 +712,10 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
         build = density_builder(bases, GRID)(DensityDataset(z))
     elif kind == "binary":
         data = RegressionDataset(z, (rng.random(60) < z).astype(float), kind)
-        build = binary_builder(data, bases, (1.0, 1.0), GRID)
+        build = binary_builder(bases, GRID, (1.0, 1.0))(data)
     else:
         data = RegressionDataset(z, rng.poisson(1.0 + 2.0 * z).astype(float), kind)
-        build = poisson_builder(data, bases, (1.0, 1.0), GRID)
+        build = poisson_builder(bases, GRID, (1.0, 1.0))(data)
     pieces = []
     for j in sorted(bases):
         slots, family, eval_cols = build(j)

@@ -58,24 +58,47 @@ class TestModelSizePrior:
         with pytest.raises(ValueError):
             ModelSizePrior.poisson(-1.0, 1, 5)
 
+    @pytest.mark.parametrize(
+        "family, params, j_min, j_max, message",
+        [
+            ("geometric", (2.0,), 5, 25, "success probability must be in"),
+            ("geometric", (float("nan"),), 5, 25, "success probability must be in"),
+            ("poisson", (float("inf"),), 5, 25, "lambda must be positive and finite"),
+            ("negative-binomial", (float("nan"), 0.5), 5, 25, "r must be positive and finite"),
+            ("negative-binomial", (2.0, 1.0), 5, 25, "p in \\(0,1\\)"),
+            ("negative-binomial", (1.0,), 5, 25, "takes 2 parameter"),
+            ("geometric", (0.5, 0.5), 5, 25, "takes 1 parameter"),
+            ("geometric", (0.5,), 5.5, 25, "must be integers"),
+            ("poisson", (3.0,), 5, 25.0, "must be integers"),
+        ],
+    )
+    def test_direct_construction_checked(self, family, params, j_min, j_max, message):
+        # Built directly, not by a factory, a prior is checked all the same.
+        with pytest.raises(ValueError, match=message):
+            ModelSizePrior(family, params, j_min, j_max)
+
+    def test_direct_construction_matches_factory(self):
+        prior = ModelSizePrior("negative-binomial", [2, 0.4], np.int64(3), 60)
+        assert prior == ModelSizePrior.negative_binomial(2.0, 0.4, 3, 60)
+        assert prior.params == (2.0, 0.4)
+
 
 class TestCoefficientHyperparameters:
     def test_vector_hyperparameters(self):
         data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
-        bases = {3: make_basis(1, 3), 4: make_basis(1, 4)}
-        build = binary_builder(data, bases, (np.array([1.0, 2.0, 3.0]), 1.0), [0.5])
-        family = build(3)[1]
+        params = (np.array([1.0, 2.0, 3.0]), 1.0)
+        family = binary_builder({3: make_basis(1, 3)}, [0.5], params)(data)(3)[1]
         np.testing.assert_array_equal(family.a, [1, 2, 3])
         np.testing.assert_array_equal(family.b, [1, 1, 1])
+        # A vector of the wrong length for any dimension is refused when the builder is made.
         with pytest.raises(ValueError, match="a must be scalar or length-4"):
-            build(4)
+            binary_builder({3: make_basis(1, 3), 4: make_basis(1, 4)}, [0.5], params)
 
     def test_invalid_hyperparameters(self):
         with pytest.raises(ValueError, match="hyperparameter a must be positive"):
             density_builder({2: make_basis(1, 2)}, [0.5], 0.0)
-        data = RegressionDataset([0.5], [1.0], kind="poisson")
         with pytest.raises(ValueError, match="hyperparameter b must be positive"):
-            poisson_builder(data, {2: make_basis(1, 2)}, (1.0, -2.0), [0.5])
+            poisson_builder({2: make_basis(1, 2)}, [0.5], (1.0, -2.0))
 
 
 class TestDirichletNormalizer:

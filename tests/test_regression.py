@@ -8,7 +8,6 @@ from oracles import (
 )
 from series_prior import _engine
 from series_prior import basis as basis_mod
-from series_prior import regression as regression_mod
 from series_prior.basis import eval_basis, local_values, make_basis
 from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder
 from series_prior.priors import ModelSizePrior
@@ -69,8 +68,6 @@ def test_non_finite_input_rejected(make):
 _DESIGN = {1: np.ones((3, 1))}
 _MP1 = ModelSizePrior.geometric(0.5, 1, 1)
 _BASES3 = {3: make_basis(1, 3)}
-_BINARY = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
-_COUNTS = RegressionDataset([0.2, 0.7], [3.0, 0.0], kind="poisson")
 
 
 @pytest.mark.parametrize("value", [NAN, INF, -INF])
@@ -79,8 +76,8 @@ _COUNTS = RegressionDataset([0.2, 0.7], [3.0, 0.0], kind="poisson")
     [
         (lambda v: density_builder(_BASES3, [0.5], v), "hyperparameter a"),
         (lambda v: density_builder(_BASES3, [0.5], [1.0, v, 2.0]), "hyperparameter a"),
-        (lambda v: binary_builder(_BINARY, _BASES3, (1.0, v), [0.5]), "hyperparameter b"),
-        (lambda v: poisson_builder(_COUNTS, _BASES3, (v, 1.0), [0.5]), "hyperparameter a"),
+        (lambda v: binary_builder(_BASES3, [0.5], (1.0, v)), "hyperparameter b"),
+        (lambda v: poisson_builder(_BASES3, [0.5], (v, 1.0)), "hyperparameter a"),
         (lambda v: ModelSizePrior.poisson(v, 1, 5), "lambda"),
         (lambda v: ModelSizePrior.negative_binomial(v, 0.5, 1, 5), "r="),
         (lambda v: gaussian_fit(_DESIGN, [0.1, 0.5, 0.9], _MP1, g=v), "g "),
@@ -358,7 +355,7 @@ def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
     basis_mod._grid_columns.cache_clear()
     builder = binary_builder if kind == "binary" else poisson_builder
     for _ in range(2):
-        build = builder(RegressionDataset(z, x, kind), bases, (1.0, 1.0), z_grid)
+        build = builder(bases, z_grid, (1.0, 1.0))(RegressionDataset(z, x, kind))
         for _ in range(3):
             for j in bases:
                 build(j)
@@ -366,25 +363,12 @@ def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
     assert passes == [[4, 5, 6]] * 2
 
 
-@pytest.mark.parametrize(
-    "mode, n_terms, seed, message",
-    [("bogus", 3000, 0, "mode must be"), ("mc", 1, 0, "at least 2"), ("auto", 3000, -1, "non-negative")],
-)
-def test_bad_mode_refused_before_any_basis_pass(mode, n_terms, seed, message, monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("a basis was evaluated before the mode check")
-
-    monkeypatch.setattr(_engine, "local_values", fail)
-    monkeypatch.setattr(regression_mod, "eval_basis", fail)
-    monkeypatch.setattr(regression_mod, "grid_columns", fail)
-    mp = ModelSizePrior.geometric(0.5, 4, 6)
-    bases = bases_for_prior(2, mp)
-    z, grid = np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 5)
-    flags = dict(mode=mode, n_terms=n_terms, seed=seed)
-    with pytest.raises(ValueError, match=message):
-        binary_moment(RegressionDataset(z, np.array([1.0, 0.0]), "binary"), bases, (1.0, 1.0), mp, grid, **flags)
-    with pytest.raises(ValueError, match=message):
-        poisson_moment(RegressionDataset(z, np.array([2.0, 0.0]), "poisson"), bases, (1.0, 1.0), mp, grid, **flags)
+@pytest.mark.parametrize("fit, kind", [(binary_moment, "poisson"), (poisson_moment, "binary")])
+def test_wrong_dataset_kind_refused(fit, kind):
+    mp = ModelSizePrior.geometric(0.5, 2, 3)
+    data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind)
+    with pytest.raises(ValueError, match="needs a (binary|poisson) dataset"):
+        fit(data, bases_for_prior(1, mp), (1.0, 1.0), mp, [0.5])
 
 
 class TestBinary:
