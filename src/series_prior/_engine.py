@@ -6,13 +6,13 @@ the assignment the coefficient integral has a closed conjugate form.
 
 Every active set is a run of at most q consecutive indices, so four numbers
 describe a slot: its first index, its width, its count group and its log
-basis values. A dimension's slots are one SlotTable, a frozen table with
-those four columns (log_values is n x q, 0 past each row's width), built by
-slots_for with whole-array operations from each observation's local basis
-window: the q values that can be nonzero there and the index of the first.
-dimension_slots makes every dimension's table of a dataset from one de Boor
-pass per spline order (basis.local_values), so no n x J basis matrix is
-formed. The engines read the columns; there is no per-slot Python object.
+basis values. A SlotTable is a frozen table with those four columns
+(log_values is n x q, 0 past each row's width), built by slots_for with
+whole-array operations from each observation's local basis window. A
+dataset has one: dimension_slots makes every dimension's rows, in equal
+blocks, from one de Boor pass (basis.local_values), so no n x J basis matrix
+is formed. exact_fit reads the table in place, the sampler and the cap count
+each dimension's block (SlotTable.split); there is no per-slot Python object.
 
 The exact mode sums every assignment without listing them, in one pass per
 fit (exact_fit; exact_mixture is its one-dimension case). An assignment's
@@ -121,21 +121,26 @@ def worker_count(tasks: int) -> int:
     return max(1, min(cap, tasks))
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_mode(mode: str, n_terms: int, seed) -> None:
-    """Refuse an unknown mode, fewer than 2 sampled terms or a negative seed, in any mode."""
+    """Refuse, in any mode, an unknown mode, an n_terms that is not an integer >= 2 or a seed not an integer >= 0."""
     if mode not in ("auto", "exact", "mc"):
         raise ValueError(f"mode must be auto, exact, or mc, got {mode!r}")
-    if int(n_terms) < 2:
-        raise ValueError(f"need at least 2 sampled terms, got {n_terms}")
-    if int(seed) < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    if not (is_integer(n_terms) and n_terms >= 2):
+        raise ValueError(f"need an integer count of at least 2 sampled terms, got {n_terms!r}")
+    if not (is_integer(seed) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class SlotTable:
-    """The expansion slots of one dimension, one row per slot, as columns.
+    """Expansion slots as columns, one row per slot: one dimension's, or a dataset's in equal blocks.
 
-    Row i picks one basis index from its active window
+    Row i picks one basis index of its dimension from its active window
     first[i] .. first[i] + width[i] - 1, a run of consecutive indices;
     log_values[i, o] is the log basis value of index first[i] + o, and 0
     past width[i]. group[i] is the row's count group. len() is the row count.
@@ -153,13 +158,18 @@ class SlotTable:
         """The table of the given rows (an index array, mask or slice), in that order."""
         return SlotTable(self.first[rows], self.width[rows], self.group[rows], self.log_values[rows])
 
+    def split(self, parts: int) -> list[SlotTable]:
+        """The table cut into parts equal blocks of consecutive rows, in order, as views."""
+        rows = len(self) // parts
+        return [self.take(slice(d * rows, (d + 1) * rows)) for d in range(parts)]
+
 
 def assignment_count(slots: SlotTable) -> int:
     """The number of index assignments, the product of the widths, as an exact int."""
     return prod(w**c for w, c in enumerate(np.bincount(slots.width).tolist()))
 
 
-def slots_for(values: np.ndarray, groups=None, repeats=None, offset=0) -> SlotTable:
+def slots_for(values: np.ndarray, groups=None, offset=0) -> SlotTable:
     """The slot table of the basis values at the observations, one value row per observation.
 
     values[i, c] is the value of basis index offset[i] + c at observation i:
@@ -167,8 +177,7 @@ def slots_for(values: np.ndarray, groups=None, repeats=None, offset=0) -> SlotTa
     (basis.local_values) with its first index as offset. A row's active
     window is the run of its positive values: first is its first index,
     width its length, and log_values the logs of its values. groups gives
-    each observation's count group (default 0); repeats the number of rows
-    it contributes, in place (default 1, 0 drops it). A row with no positive
+    each observation's count group (default 0). A row with no positive
     value, or whose positive values are not consecutive, raises ValueError.
     """
     values = np.asarray(values, dtype=float)
@@ -184,36 +193,26 @@ def slots_for(values: np.ndarray, groups=None, repeats=None, offset=0) -> SlotTa
     if not np.all(window > 0.0):
         raise ValueError("an observation's active basis indices are not consecutive")
     group = np.zeros(len(values), dtype=np.intp) if groups is None else np.asarray(groups, dtype=np.intp)
-    table = SlotTable(start + offset, width, group, np.log(window))
-    return table if repeats is None else table.take(np.repeat(np.arange(len(values)), repeats))
+    return SlotTable(start + offset, width, group, np.log(window))
 
 
 def dimension_slots(bases: Mapping[int, Basis], x, groups=None, repeats=None, normalized=False):
-    """(j, slots, first, values) of every dimension j of bases at the points x, from one de Boor pass per order.
+    """(slots, first, values) of every dimension of bases at the points x, from one de Boor pass.
 
-    first and values are the basis's local window at x (basis.local_values,
-    with its normalized flag), and slots equals slots_for of the dense
-    basis matrix with these groups and repeats. The bases of one order are
-    evaluated together and their windows stacked into one table by one
-    slots_for call; each dimension's table is a row slice of it, with its
-    log_values cut to the dimension's own widest observation.
+    first (D, P) and values (D, P, q) are the local windows at x of the
+    bases, which share their order (basis.local_values, normalized or not).
+    slots holds their rows in equal blocks, in the order of bases: block d
+    is slots_for of the d-th dense basis matrix with these groups, row i
+    repeated in place repeats[i] times (default once, 0 drops it), with
+    log_values as wide as the widest window at x. SlotTable.split cuts it.
     """
-    orders: dict[int, list] = {}
-    for j, basis in bases.items():
-        orders.setdefault(basis.order, []).append(j)
-    for js in orders.values():
-        first, values = local_values([bases[j] for j in js], x, normalized)
-        D, P, q = values.shape
-        groups_d = None if groups is None else np.tile(groups, D)
-        table = slots_for(values.reshape(D * P, q), groups=groups_d, offset=first.ravel())
-        widest = table.width.reshape(D, P).max(axis=1, initial=1).tolist()
-        if repeats is not None:
-            table = table.take((np.arange(D)[:, None] * P + np.repeat(np.arange(P), repeats)).ravel())
-        rows = len(table) // D
-        for d, j in enumerate(js):
-            part = slice(d * rows, (d + 1) * rows)
-            slots = SlotTable(table.first[part], table.width[part], table.group[part], table.log_values[part, : widest[d]])
-            yield j, slots, first[d], values[d]
+    first, values = local_values(list(bases.values()), x, normalized)
+    D, P, q = values.shape
+    groups = None if groups is None else np.tile(groups, D)
+    slots = slots_for(values.reshape(D * P, q), groups=groups, offset=first.ravel())
+    if repeats is not None:
+        slots = slots.take((np.arange(D)[:, None] * P + np.repeat(np.arange(P), repeats)).ravel())
+    return slots, first, values
 
 
 def lgamma(x):
@@ -463,18 +462,19 @@ def _chain(entering, log_values, base, G, tables, band, cross, second):
     return log_z.reshape(B), mean, pair
 
 
-def exact_fit(dims, second: bool = False):
+def exact_fit(slots: SlotTable, dims, second: bool = False):
     """Exact sums over every assignment of each dimension of a fit, in one pass.
 
-    dims is a sequence of (slots, family, J, eval_cols, band), one per
-    dimension, as exact_mixture takes them; the result is the list of their
-    (log_den, f1, f2), in the same order. A dimension's result has the same
-    bits whether it is solved alone, with other dimensions, or in another
-    order: every batched step acts on each run alone.
+    slots holds every dimension's rows in equal blocks (dimension_slots),
+    and dims the (family, J, eval_cols, band) of each block, as
+    exact_mixture takes them; the result is the list of their (log_den, f1,
+    f2), in that order. A dimension's result has the same bits whether it
+    is solved alone, with other dimensions, or in another order: every
+    batched step acts on each run alone.
 
-    The dimensions' slot tables are stacked, with each first index moved to
-    a global basis index (its dimension's offset plus the index), so one
-    pass serves the fit. The width-1 rows are folded into fixed counts (one
+    The table is read in place: each first index is moved to a global
+    basis index (its dimension's offset plus the index), so one pass serves
+    the fit. The width-1 rows are folded into fixed counts (one
     bincount) and, per dimension, an exact sum of their log values. The
     other rows are sorted by window with one lexsort on (first, last, group,
     log values), which makes the result independent of the row order, and
@@ -497,25 +497,20 @@ def exact_fit(dims, second: bool = False):
     counts.
     """
     dims = list(dims)
-    Js = [int(J) for _, _, J, _, _ in dims]
-    sizes = [len(slots) for slots, *_ in dims]
+    Js = [int(J) for _, J, _, _ in dims]
+    n = len(slots) // len(dims)  # each dimension's rows
     offset = np.cumsum([0] + Js)
     offsets = offset.tolist()
     total = offsets[-1]
-    G = max(family.n_groups for _, family, *_ in dims)
-    Q = max(slots.log_values.shape[1] for slots, *_ in dims)
-    first = np.concatenate([slots.first for slots, *_ in dims]) + np.repeat(offset[:-1], sizes)
-    width = np.concatenate([slots.width for slots, *_ in dims])
-    group = np.concatenate([slots.group for slots, *_ in dims])
-    row_of = np.cumsum([0] + sizes).tolist()
+    G = max(family.n_groups for family, *_ in dims)
+    first = slots.first + np.repeat(offset[:-1], n)
+    width, group = slots.width, slots.group
     single = width == 1
     every = bool(single.all())  # no row is chained, so none need masking out
     folded = slice(None) if every else single
     fixed = np.bincount(group[folded] * total + first[folded], minlength=G * total).reshape(G, total)
-    singles = [  # each dimension's exact sum of its width-1 rows' log values
-        math.fsum((slots.log_values[:, 0] if every else slots.log_values[single[lo:hi], 0]).tolist())
-        for (slots, *_), lo, hi in zip(dims, row_of, row_of[1:])
-    ]
+    lv0 = slots.log_values[:, 0].reshape(len(dims), n)
+    singles = [math.fsum(v[s].tolist()) for v, s in zip(lv0, single.reshape(len(dims), n))]  # exact, per dimension
 
     # The chained rows, sorted by window and split into runs: a run starts at
     # each row whose first index passes every earlier row's last. Each basis's
@@ -524,10 +519,7 @@ def exact_fit(dims, second: bool = False):
     patterns: dict[tuple, list[int]] = {}  # (groups, row pattern) -> its runs
     if not every:
         chained = np.flatnonzero(~single)
-        c_log_values = np.zeros((len(chained), Q))
-        cut = np.searchsorted(chained, row_of).tolist()
-        for (slots, *_), r, lo, hi in zip(dims, row_of, cut, cut[1:]):
-            c_log_values[lo:hi, : slots.log_values.shape[1]] = slots.log_values[chained[lo:hi] - r]
+        c_log_values = slots.log_values[chained]
         last = first[chained] + width[chained] - 1
         order = np.lexsort((*c_log_values.T[::-1], group[chained], last, first[chained]))
         chained, last, c_log_values = chained[order], last[order], c_log_values[order]
@@ -541,7 +533,7 @@ def exact_fit(dims, second: bool = False):
         rel = c_first - np.repeat(run_start, np.diff(np.append(starts, len(chained))))
         row_keys = list(zip(rel.tolist(), c_width.tolist(), c_group.tolist()))
         for r, (d, lo, hi) in enumerate(zip(run_dim.tolist(), starts.tolist(), [*starts[1:].tolist(), len(chained)])):
-            patterns.setdefault((dims[d][1].n_groups, tuple(row_keys[lo:hi])), []).append(r)
+            patterns.setdefault((dims[d][0].n_groups, tuple(row_keys[lo:hi])), []).append(r)
         inner = np.ones_like(span)  # step of group g's count within a block
         for g in range(G - 1, 0, -1):
             inner[g - 1] = inner[g] * span[g]
@@ -559,7 +551,7 @@ def exact_fit(dims, second: bool = False):
         local = base - np.repeat(offset[:-1], Js)
     # The closing-factor, E[theta] and E[theta^2] tables, one row each.
     tables, cross, edges = np.empty((3, edges[-1])), [], edges.tolist()
-    for (slots, family, *_), o, J, n in zip(dims, offsets, Js, sizes):
+    for (family, *_), o, J in zip(dims, offsets, Js):
         lo, hi = edges[o], edges[o + J]
         own = tuple(counts[: family.n_groups, lo:hi])
         k = local[lo:hi]
@@ -578,17 +570,17 @@ def exact_fit(dims, second: bool = False):
     with np.errstate(divide="ignore", under="ignore"):
         for (g, pattern), runs in patterns.items():
             runs = np.array(runs)
-            B, R = len(runs), len(pattern)
+            R = len(pattern)
             P = max(r + w for r, w, _ in pattern)
             D = max(w for _, w, _ in pattern) * g
             entering = [[] for _ in range(P + 1)]
             for i, (r, w, h) in enumerate(pattern):
                 entering[r].append((tuple(range(1 + h, 1 + w * g, g)), i))
-            lv = c_log_values[starts[runs] + np.arange(R)[:, None]]  # (R, B, Q)
-            lv = lv.transpose(0, 2, 1).reshape((R, Q, B) + (1,) * D)
+            lv = c_log_values[starts[runs] + np.arange(R)[:, None]].transpose(0, 2, 1)  # (R, Q, B)
+            lv = lv.reshape(lv.shape + (1,) * D)
             ks = run_start[runs][:, None] + np.arange(P)
             of = run_dim[runs].tolist()
-            group_band = max(dims[d][4] for d in of) if second else 0
+            group_band = max(dims[d][3] for d in of) if second else 0
             run_cross = np.array([cross[d] for d in of])
             lz, run_mean, run_pair = _chain(entering, lv, base[ks], g, tables, group_band, run_cross, second)
             log_z[runs] = lz
@@ -600,7 +592,7 @@ def exact_fit(dims, second: bool = False):
 
         out = []
         run_cut = np.searchsorted(run_dim, np.arange(len(dims) + 1)).tolist()
-        for i, ((_, family, J, eval_cols, band), o, n) in enumerate(zip(dims, offsets, sizes)):
+        for i, ((family, J, eval_cols, band), o) in enumerate(zip(dims, offsets)):
             part = slice(o, o + J)
             parts = [family.log_global(n), singles[i]]
             parts += log_z[run_cut[i] : run_cut[i + 1]].tolist()
@@ -648,7 +640,7 @@ def exact_mixture(
     passes the basis order less one. A band past the columns' own adds only
     products of zero grid values, so it does not change the result.
     """
-    return exact_fit([(slots, family, J, eval_cols, band)], second)[0]
+    return exact_fit(slots, [(family, J, eval_cols, band)], second)[0]
 
 
 @dataclass
@@ -853,7 +845,7 @@ class PosteriorSummary:
 
 
 def posterior_moments(
-    for_data: Callable[[object], Callable[[int], tuple[SlotTable, object, np.ndarray]]],
+    for_data: Callable[[object], tuple[SlotTable, Mapping[int, tuple[object, np.ndarray]]]],
     data,
     bases: Mapping,
     model_prior,
@@ -867,31 +859,31 @@ def posterior_moments(
 
     for_data is a model's builder (density.density_builder,
     regression.binary_builder or poisson_builder), made for these bases and
-    grid: for_data(data) returns build, and build(j) returns (slots,
-    family, eval_cols) for dimension j, where slots is the dimension's
-    SlotTable and eval_cols holds the basis values at the grid points
-    (J x G). m=1 computes the mean only; m=2 also the pointwise second
-    moment. A bad m, an unknown mode, n_terms below 2, a negative seed or a
-    dimension of the prior's support with no basis is refused first, in
-    every mode, before for_data(data) evaluates any basis. Then every
-    dimension is built once, before the engine is chosen, and the engine is
-    chosen from all of them: mode "exact" sums every assignment of every
-    dimension in one exact_fit call, whose forward-backward recursions read
-    per-dimension count tables and step the runs of one row pattern
-    together, and whose cost does not grow with the assignment count; it
-    raises EnumerationCapError naming the first dimension that has more
-    than DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
-    dimension; "auto" is exact when every dimension is within the cap,
-    sampled otherwise.
+    grid: for_data(data) returns (slots, built), the dataset's one slot
+    table (dimension_slots) and a mapping of each dimension j, in the order
+    of the table's blocks, to (family, eval_cols), eval_cols holding the
+    basis values at the grid points (J x G). m=1 computes the mean only;
+    m=2 also the pointwise second moment. A bad m, mode, n_terms or seed
+    (check_mode), a grid that is not one-dimensional, a basis not keyed by
+    its dimension or a dimension of the prior's support with no basis is
+    refused first, in every mode, before for_data(data) evaluates any
+    basis. Then every dimension is built once, before the engine is chosen,
+    and the engine is chosen from all of them: mode "exact" sums every
+    assignment of every dimension in one exact_fit call on the table, whose
+    cost does not grow with the assignment count; it raises
+    EnumerationCapError naming the first dimension that has more than
+    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
+    dimension from its block; "auto" is exact when every dimension is
+    within the cap, sampled otherwise.
 
     A sampled fit with n_terms >= _POOL_MIN_TERMS runs its dimensions on a
     pool of worker_count(dimensions) threads (SERIES_PRIOR_THREADS caps it);
     every other fit, and every exact fit, runs in the calling thread, since
     lighter dimensions are many small numpy calls, which two threads run
     more slowly than one. Each dimension draws from its own (seed, J)
-    generator and the pieces are mixed in J order, so the result is the
-    same for every thread count. A dimension that raises drops the queued
-    ones.
+    generator and the results are mixed in J order, so they are the same
+    for every thread count and every order of bases. A dimension that
+    raises drops the queued ones.
 
     The exact engine gets band = order - 1 for each dimension: eval_cols
     are the basis's values at the grid points, so no column has more than
@@ -901,39 +893,43 @@ def posterior_moments(
         raise ValueError(f"moment order must be 1 or 2, got {m}")
     check_mode(mode, n_terms, seed)
     grid = np.atleast_1d(np.asarray(grid, dtype=float))
-    j_values = np.asarray(sorted(bases), dtype=int)
-    if j_values.size == 0:
+    if grid.ndim != 1:
+        raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
+    miskeyed = [j for j, basis in bases.items() if basis.dimension != j]
+    if miskeyed:
+        raise ValueError(f"bases must be keyed by their dimension; keys {miskeyed} are not")
+    j_values = sorted(map(int, bases))
+    if not j_values:
         raise ValueError("empty truncation range")
     missing = set(model_prior.support) - set(bases)
     if missing:
         raise ValueError(f"no basis supplied for dimensions {sorted(missing)}")
-    log_prior = model_prior.log_pmf(j_values)
+    log_prior = model_prior.log_pmf(np.asarray(j_values, dtype=int))
     with_second = m == 2
 
-    build = for_data(data)
-    built = {int(j): build(j) for j in j_values}
-    totals = {} if mode == "mc" else {j: assignment_count(b[0]) for j, b in built.items()}
+    slots, built = for_data(data)
+    tables = dict(zip(built, slots.split(len(built))))
+    totals = {} if mode == "mc" else {j: assignment_count(tables[j]) for j in j_values}
     over = [j for j, total in totals.items() if total > DEFAULT_TERM_CAP]
     if over and mode == "exact":
         raise EnumerationCapError(totals[over[0]], DEFAULT_TERM_CAP, over[0])
     engine = "mc" if mode == "mc" or over else "exact"
     if engine == "exact":
-        per_j = exact_fit(
-            [(s, f, bases[j].dimension, cols, bases[j].order - 1) for j, (s, f, cols) in built.items()], with_second
-        )
-        mean, second, j_w_log = combine_exact(per_j, log_prior)
+        fits = exact_fit(slots, [(f, j, cols, bases[j].order - 1) for j, (f, cols) in built.items()], with_second)
+        by_j = dict(zip(built, fits))
+        mean, second, j_w_log = combine_exact([by_j[j] for j in j_values], log_prior)
         se = np.zeros_like(mean)
     else:
 
         def piece(j):
-            s, f, cols = built[j]
+            f, cols = built[j]
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), j]))
-            return mc_mixture(s, f, bases[j].dimension, cols, n_terms, rng, with_second)
+            return mc_mixture(tables[j], f, j, cols, n_terms, rng, with_second)
 
         workers = worker_count(len(built)) if n_terms >= _POOL_MIN_TERMS else 1
         pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
-            per_j = list(map(piece, built) if pool is None else pool.map(piece, built))
+            per_j = list(map(piece, j_values) if pool is None else pool.map(piece, j_values))
         finally:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
@@ -945,8 +941,8 @@ def posterior_moments(
         band_low=None,
         band_high=None,
         mc_se=se,
-        j_values=j_values,
+        j_values=np.asarray(j_values, dtype=int),
         j_weights=np.exp(j_w_log),
         mode=engine,
-        upper=min(f.upper for _, f, _ in built.values()),
+        upper=min(f.upper for f, _ in built.values()),
     )

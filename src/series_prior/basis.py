@@ -241,9 +241,9 @@ def grid_columns(bases: Mapping[int, Basis], x, normalized: bool = False) -> Map
     cols[j] holds the same values, in the same F-ordered layout, as
     eval_basis(bases[j], x).T, or eval_normalized(bases[j], x).T if
     normalized. A fit on a fixed grid reads these and never changes them,
-    so they are made once per (bases, x, normalized) in the process: a
-    miss takes one local_values pass per spline order and scatters each
-    basis's window into a (P, J) array; a hit returns the same arrays.
+    so they are made once per (bases, x, normalized) in the process: a miss
+    takes one local_values pass over the bases, which share their order, and
+    scatters each window into a (P, J) array; a hit returns the same arrays.
     Neither the mapping nor its arrays can be written. x is a vector of
     points in [0, 1].
 
@@ -258,17 +258,12 @@ def grid_columns(bases: Mapping[int, Basis], x, normalized: bool = False) -> Map
 
 @lru_cache(maxsize=16)
 def _grid_columns(key: _GridKey) -> Mapping[int, np.ndarray]:
-    x = key.grid
-    by_order: dict[int, list[int]] = {}
-    for j, basis in key.bases.items():
-        by_order.setdefault(basis.order, []).append(j)
+    first, values = local_values(list(key.bases.values()), key.grid, key.flag)
     cols = {}
-    for js in by_order.values():
-        first, values = local_values([key.bases[j] for j in js], x, key.flag)
-        for d, j in enumerate(js):
-            out = _dense(first[d], values[d], key.bases[j].dimension)
-            out.flags.writeable = False
-            cols[j] = out.T
+    for d, (j, basis) in enumerate(key.bases.items()):
+        out = _dense(first[d], values[d], basis.dimension)
+        out.flags.writeable = False
+        cols[j] = out.T
     return MappingProxyType(cols)
 
 

@@ -9,9 +9,9 @@ density_builder(bases, grid, a) has the shape of every model's builder: it
 checks the Dirichlet parameter ``a`` (a positive finite scalar or a
 length-J vector) and makes each dimension's Dirichlet family, and evaluates
 no basis. Its for_data(data) reads the grid columns from basis.grid_columns,
-which makes them once per (bases, grid) in the process, and makes every
-dimension's slot table from one de Boor pass over the observations
-(_engine.dimension_slots), with no n x J basis matrix. Every
+which makes them once per (bases, grid) in the process, and makes the
+dataset's one slot table, every dimension's rows, from one de Boor pass over
+the observations (_engine.dimension_slots), with no n x J basis matrix. Every
 posterior-moment entry point of the package (exact_moment, mc_moment,
 harness.fit_density, regression.binary_moment and regression.poisson_moment)
 hands its builder and data to _engine.posterior_moments, which refuses a bad
@@ -90,26 +90,27 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
 
 
 def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
-    """The builder of _engine.posterior_moments for densities: for_data(data) -> build.
+    """The builder of _engine.posterior_moments for densities: for_data(data) -> (slots, built).
 
     a is the Dirichlet parameter: a positive finite scalar, repeated once
     per basis function, or a length-J vector. It is checked here, and each
     dimension's Dirichlet family, which depends only on (bases, a), is made
-    here, once; no basis is evaluated. for_data(data) reads the grid
-    columns from basis.grid_columns, made once per (bases, grid) in the
-    process, and makes every dimension's slot table from one de Boor pass
-    over the observations per spline order (_engine.dimension_slots), so no
-    n x J basis matrix is formed. Observations are taken in sorted order,
-    so outputs do not depend on their order.
+    here, once; no basis is evaluated. for_data(data) refuses data that is
+    not a DensityDataset, reads the grid columns from basis.grid_columns
+    (made once per (bases, grid) in the process), makes the dataset's one
+    slot table in one de Boor pass over the sorted observations, so that
+    outputs do not depend on their order (_engine.dimension_slots), and
+    maps each j of bases to (family, grid columns).
     """
     a = _hyperparameter(a, "a")
     families = {j: _engine.DirichletFamily(_per_basis(a, basis.dimension, "a")) for j, basis in bases.items()}
 
     def for_data(data: DensityDataset):
+        if not isinstance(data, DensityDataset):
+            raise ValueError(f"a density fit needs a DensityDataset, got {type(data).__name__}")
         cols = grid_columns(bases, grid, normalized=True)
-        obs = np.sort(data.observations)
-        slots = _engine.dimension_slots(bases, obs, normalized=True)
-        return {j: (table, families[j], cols[j]) for j, table, _, _ in slots}.__getitem__
+        slots, _, _ = _engine.dimension_slots(bases, np.sort(data.observations), normalized=True)
+        return slots, {j: (families[j], cols[j]) for j in bases}
 
     return for_data
 

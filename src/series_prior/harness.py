@@ -129,7 +129,9 @@ def grid_metrics(estimate, truth: TrueDensity, grid) -> tuple[float, float]:
 
 
 def metric_grid(size: int = 100) -> np.ndarray:
-    """Midpoint grid of size points, at least 1; keeps endpoint-singular truths finite."""
+    """Midpoint grid of size points, an integer of at least 1; keeps endpoint-singular truths finite."""
+    if not _engine.is_integer(size):
+        raise ValueError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError(f"grid size must be at least 1, got {size}")
     return (np.arange(size) + 0.5) / size
@@ -154,14 +156,11 @@ class ExperimentConfig:
     output_dir: str | None = None
 
     def __post_init__(self):
-        metric_grid(self.grid_size)  # refuses a size below 1, as every command does
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
-        if self.n < 1:
-            raise ValueError(f"need n >= 1, got n={self.n}")
+        metric_grid(self.grid_size)  # refuses a size that is not an integer of at least 1, as every command does
+        for label, name in (("the replication count", "replications"), ("n", "n"), ("order q", "q")):
+            if not (_engine.is_integer(getattr(self, name)) and getattr(self, name) >= 1):
+                raise ValueError(f"{label} must be a positive integer, got {name}={getattr(self, name)!r}")
         _band_z(self.level)  # refuses a level outside (0, 1), as credible_band does
-        if self.q < 1:
-            raise ValueError(f"order q must be a positive integer, got q={self.q}")
         if self.j_min < self.q:
             raise ValueError(f"j_min={self.j_min} is below the spline order q={self.q}; need j_min >= q")
         _engine.check_mode(self.mode, self.n_terms, self.seed)

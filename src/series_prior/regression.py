@@ -14,13 +14,13 @@ plain (unnormalized) basis:
   X_i expansion slots.
 
 binary_builder and poisson_builder take (bases, z_grid, (a, b)), as
-density.density_builder does, and give each dimension's slots and
-coefficient family. The hyperparameters (a, b) are plain values, each a
-positive finite scalar, repeated once per basis function, or a length-J
-vector; a bad value is refused when the builder is made. binary_moment and
-poisson_moment hand a builder and the data to the shared driver
-_engine.posterior_moments, which returns the same PosteriorSummary as the
-density module; its docstring states the rules of ``mode``. The exact
+density.density_builder does, and give the dataset's one slot table and each
+dimension's coefficient family. The hyperparameters (a, b) are plain values,
+each a positive finite scalar, repeated once per basis function, or a
+length-J vector; a bad value is refused when the builder is made.
+binary_moment and poisson_moment hand a builder and the data to the shared
+driver _engine.posterior_moments, which returns the same PosteriorSummary as
+the density module; its docstring states the rules of ``mode``. The exact
 recursion runs over the success/failure or count state of the open basis
 functions, and each sampled assignment contributes its exact posterior
 moments given its counts, so a sampled success probability stays in [0, 1].
@@ -289,7 +289,7 @@ def _check_finite(**arrays) -> None:
 
 
 def binary_builder(bases: Mapping[int, Basis], z_grid, beta_params):
-    """The builder of _engine.posterior_moments for the binary model: for_data(data) -> build.
+    """The builder of _engine.posterior_moments for the binary model: for_data(data) -> (slots, built).
 
     beta_params is (a, b) of the independent Beta priors, each a positive
     finite scalar or a length-J vector; the Beta families are made here.
@@ -298,51 +298,50 @@ def binary_builder(bases: Mapping[int, Basis], z_grid, beta_params):
     (1-theta)'B. for_data sorts the rows by response, then covariate:
     group-major, so that the rows of one window (group, first index, width)
     are adjacent, and the sampler draws and counts a window's rows
-    together, not row by row. Its slots and grid columns are made as in
-    density.density_builder.
+    together, not row by row. Its slot table and grid columns are made as
+    in density.density_builder.
     """
     families = {j: _engine.BetaFamily(a, b) for j, (a, b) in _prior_vectors(beta_params, bases).items()}
 
     def for_data(data: RegressionDataset):
-        if data.kind != "binary":
+        if getattr(data, "kind", None) != "binary":
             raise ValueError("binary_moment needs a binary dataset")
         cols = grid_columns(bases, z_grid)
         order = np.lexsort((data.covariates, data.responses))
-        z = data.covariates[order]
         groups = np.where(data.responses[order] == 1.0, 0, 1)
-        slots = _engine.dimension_slots(bases, z, groups=groups)
-        return {j: (table, families[j], cols[j]) for j, table, _, _ in slots}.__getitem__
+        slots, _, _ = _engine.dimension_slots(bases, data.covariates[order], groups=groups)
+        return slots, {j: (families[j], cols[j]) for j in bases}
 
     return for_data
 
 
 def poisson_builder(bases: Mapping[int, Basis], z_grid, gamma_params):
-    """The builder of _engine.posterior_moments for the Poisson model: for_data(data) -> build.
+    """The builder of _engine.posterior_moments for the Poisson model: for_data(data) -> (slots, built).
 
     gamma_params is (a, b) of the independent Gamma(a, b) priors (rate b),
     each a positive finite scalar or a length-J vector. The exponential
     likelihood factor contributes the per-coordinate tilt c_k = sum_i B_k(Z_i),
     so the Gamma families are made per dataset; each observation then adds
     X_i expansion slots for the monomial part (ordered tuples carry the
-    multinomial multiplicities). The slots and the tilt come from one de
-    Boor pass per spline order (_engine.dimension_slots): c_k is a weighted
-    bincount of the local values, in observation order.
+    multinomial multiplicities). The slot table and the tilt come from one
+    de Boor pass (_engine.dimension_slots): c_k is a weighted bincount of
+    the local values, in observation order.
     """
     prior = _prior_vectors(gamma_params, bases)
 
     def for_data(data: RegressionDataset):
-        if data.kind != "poisson":
+        if getattr(data, "kind", None) != "poisson":
             raise ValueError("poisson_moment needs a poisson dataset")
         cols = grid_columns(bases, z_grid)
         order = np.lexsort((data.responses, data.covariates))
-        z = data.covariates[order]
         x = data.responses[order].astype(int)
+        slots, first, values = _engine.dimension_slots(bases, data.covariates[order], repeats=x)
+        index = first[..., None] + np.arange(values.shape[2])
         built = {}
-        for j, slots, first, values in _engine.dimension_slots(bases, z, repeats=x):
-            index = first[:, None] + np.arange(values.shape[1])
-            tilt = np.bincount(index.ravel(), weights=values.ravel(), minlength=bases[j].dimension)
-            built[j] = slots, _engine.GammaFamily(*prior[j], tilt), cols[j]
-        return built.__getitem__
+        for d, (j, basis) in enumerate(bases.items()):
+            tilt = np.bincount(index[d].ravel(), weights=values[d].ravel(), minlength=basis.dimension)
+            built[j] = _engine.GammaFamily(*prior[j], tilt), cols[j]
+        return slots, built
 
     return for_data
 

@@ -175,33 +175,45 @@ def test_stacked_pass_refuses_mixed_orders_and_no_bases():
 
 
 def _same_table(got, want):
-    for column in ("first", "width", "group", "log_values"):
+    """The same rows; got's log_values may be wider than want's, and are 0 past want's columns."""
+    for column in ("first", "width", "group"):
         a, b = getattr(got, column), getattr(want, column)
         assert a.shape == b.shape and np.array_equal(a, b), column
+    q = want.log_values.shape[1]
+    assert got.log_values.shape[0] == want.log_values.shape[0] and got.log_values.shape[1] >= q
+    assert np.array_equal(got.log_values[:, :q], want.log_values) and not np.any(got.log_values[:, q:])
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_dimension_slots_equal_slots_of_the_dense_matrix(data):
-    orders = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
-    drawn = [data.draw(stacked_points(q)) for q in orders]
-    bases = {b.dimension * 10 + b.order: b for group, _ in drawn for b in group}  # keys need not be J
-    x = np.concatenate([points for _, points in drawn])
+    q = data.draw(st.integers(1, 4))
+    drawn, x = data.draw(stacked_points(q))
+    bases = {b.dimension * 10 + b.order: b for b in drawn}  # keys need not be J
     n = x.size
     groups = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
     repeats = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
     normalized = data.draw(st.booleans())
     evaluate = eval_normalized if normalized else eval_basis
-    seen = []
-    for j, slots, first, values in _engine.dimension_slots(bases, x, groups, repeats, normalized):
-        basis = bases[j]
-        _same_table(slots, _engine.slots_for(evaluate(basis, x), groups=groups, repeats=repeats))
-        assert np.array_equal(_scatter(first, values, basis.dimension), evaluate(basis, x))
-        # One basis on its own gives the same table as the mixed-order mapping.
-        (_, alone, _, _), = _engine.dimension_slots({j: basis}, x, groups, repeats, normalized)
-        _same_table(slots, alone)
-        seen.append(j)
-    assert sorted(seen) == sorted(bases)
+    rows = np.arange(n) if repeats is None else np.repeat(np.arange(n), repeats)
+    slots, first, values = _engine.dimension_slots(bases, x, groups, repeats, normalized)
+    assert first.shape == (len(bases), n) and values.shape == (len(bases), n, q)
+    assert slots.log_values.shape[1] == np.count_nonzero(values > 0.0, axis=-1).max(initial=1)  # the widest window
+    for d, ((j, basis), part) in enumerate(zip(bases.items(), slots.split(len(bases)))):
+        _same_table(part, _engine.slots_for(evaluate(basis, x), groups=groups).take(rows))
+        assert np.array_equal(_scatter(first[d], values[d], basis.dimension), evaluate(basis, x))
+        # One basis on its own gives the same rows as its block of the stacked table.
+        _same_table(part, _engine.dimension_slots({j: basis}, x, groups, repeats, normalized)[0])
+
+
+def test_one_pass_refuses_mixed_orders():
+    # A fit has one spline order: the stacked slot table and the grid columns
+    # are one de Boor pass each, which bases of two orders cannot share.
+    bases = {4: make_basis(2, 3), 5: make_basis(3, 3)}
+    with pytest.raises(ValueError, match="share their order"):
+        _engine.dimension_slots(bases, [0.5])
+    with pytest.raises(ValueError, match="share their order"):
+        grid_columns(bases, [0.5])
 
 
 @settings(max_examples=100, deadline=None)
@@ -222,11 +234,10 @@ def test_local_sums_equal_dense_column_sums(data):
 @given(st.data())
 def test_grid_columns_are_the_dense_columns(data):
     # The memo's columns have the values and the F-ordered layout of
-    # eval_basis(b, x).T and eval_normalized(b, x).T, for bases of mixed orders.
-    orders = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=3, unique=True))
-    drawn = [data.draw(stacked_points(q)) for q in orders]
-    bases = {b.dimension * 10 + b.order: b for group, _ in drawn for b in group}
-    x = np.concatenate([points for _, points in drawn])
+    # eval_basis(b, x).T and eval_normalized(b, x).T, from one pass over every basis.
+    q = data.draw(st.integers(1, 4))
+    drawn, x = data.draw(stacked_points(q))
+    bases = {b.dimension * 10 + b.order: b for b in drawn}
     for normalized, evaluate in ((False, eval_basis), (True, eval_normalized)):
         cols = grid_columns(bases, x, normalized)
         assert sorted(cols) == sorted(bases)

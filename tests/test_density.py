@@ -45,7 +45,8 @@ class TestLogTerm:
     @staticmethod
     def _log_marginal(obs, basis, a=1.0):
         J = basis.dimension
-        slots, family, cols = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))(J)
+        slots, built = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))
+        family, cols = built[J]
         return _engine.exact_mixture(slots, family, J, cols, basis.order - 1)[0]
 
     def test_empty_data_term_is_one(self):
@@ -93,11 +94,11 @@ class TestExactMoment:
         bases = bases_for_prior(2, mp)
         grid = np.array([0.15, 0.5, 0.85])
 
-        build = density_builder(bases, grid)(data)
+        slots, built = density_builder(bases, grid)(data)
         log_den, log_num = [], []
-        for j in mp.support:
-            slots, family, eval_cols = build(j)
-            den, num, _ = enumerate_mixture(slots, family, bases[j].dimension, eval_cols)
+        for j, part in zip(built, slots.split(len(built))):
+            family, eval_cols = built[j]
+            den, num, _ = enumerate_mixture(part, family, bases[j].dimension, eval_cols)
             log_den.append(mp.log_pmf(int(j)) + den)
             log_num.append(mp.log_pmf(int(j)) + num)
         expected = np.exp(logsumexp(log_num, axis=0) - logsumexp(log_den))

@@ -55,16 +55,12 @@ def _binary_case():
 
 
 def _counting(for_data, calls):
-    """for_data whose builds append each dimension they build to calls."""
+    """for_data that appends each dimension it builds to calls, every time it is called."""
 
     def counted_for(data):
-        build = for_data(data)
-
-        def counted(j):
-            calls.append(int(j))
-            return build(j)
-
-        return counted
+        slots, built = for_data(data)
+        calls.extend(int(j) for j in built)
+        return slots, built
 
     return counted_for
 
@@ -78,8 +74,8 @@ class TestAutoMode:
     @pytest.mark.parametrize("case", [_density_case, _binary_case])
     def test_exact_at_cap_mc_above(self, case, monkeypatch):
         for_data, data, bases, mp = case()
-        build = for_data(data)
-        worst = max(assignment_count(build(j)[0]) for j in bases)
+        slots, built = for_data(data)
+        worst = max(map(assignment_count, slots.split(len(built))))
         assert worst > 1
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst)
         at_cap = posterior_moments(for_data, data, bases, mp, GRID, mode="auto")
@@ -128,7 +124,8 @@ class TestExactCap:
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
         for_data, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
-        counts = {j: assignment_count(for_data(data)(j)[0]) for j in sorted(bases)}
+        slots, built = for_data(data)
+        counts = dict(zip(built, map(assignment_count, slots.split(len(built)))))
         assert counts[5] == 1 and counts[6] > 4
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
         with pytest.raises(EnumerationCapError, match="J=6") as err:
@@ -169,9 +166,15 @@ class TestValidation:
         ("mc_moment", dict(m=3), "moment order"),
         ("mc_moment", dict(n_terms=1), "at least 2"),
         ("mc_moment", dict(seed=-1), "non-negative"),
+        ("mc_moment", dict(seed=-0.5), "non-negative"),  # refused, not truncated to seed 0
+        ("mc_moment", dict(n_terms=50.7), "at least 2"),  # refused, not truncated to 50 draws
         ("fit_density", dict(mode="bogus"), "mode must be"),
         ("fit_density", dict(n_terms=1), "at least 2"),
         ("fit_density", dict(seed=-1), "non-negative"),
+        ("fit_density", dict(mode="mc", seed=1.5), "non-negative"),  # refused, not truncated to seed 1
+        ("fit_density", dict(seed="3"), "non-negative"),
+        ("fit_density", dict(seed=True), "non-negative"),
+        ("fit_density", dict(n_terms=np.float64(3000.0)), "at least 2"),
     ] + [
         (fit, flags, message)
         for fit in ("binary_moment", "poisson_moment")
@@ -181,6 +184,17 @@ class TestValidation:
             (dict(mode="mc", n_terms=1), "at least 2"),
             (dict(mode="auto", seed=-1), "non-negative"),
         ]
+    ] + [
+        # The grid of every fit must be one-dimensional, and each basis must
+        # sit under its own dimension, or it is mixed under another J's prior
+        # mass ("miskeyed" puts the J=6 basis at key 5).
+        (fit, flags, message)
+        for fit in ("exact_moment", "mc_moment", "fit_density", "binary_moment", "poisson_moment")
+        for flags, message in [
+            (dict(grid=((0.2, 0.7), (0.3, 0.8))), "one-dimensional"),
+            (dict(miskeyed=5), "keyed by their dimension"),
+        ]
+        if not (fit == "fit_density" and "miskeyed" in flags)  # fit_density makes its own bases
     ]
 
     @pytest.mark.parametrize(
@@ -194,7 +208,11 @@ class TestValidation:
         # columns unmade, no de Boor pass may run before the refusal.
         mp = ModelSizePrior.geometric(0.5, 4, 6)
         bases = bases_for_prior(2, mp)  # fit_density's bases too: make_basis keeps them
-        z, grid = np.array([0.2, 0.7]), np.linspace(0.0, 1.0, 5)
+        flags = dict(flags)
+        if "miskeyed" in flags:
+            j = flags.pop("miskeyed")
+            bases = {**bases, j: make_basis(2, j)}  # dimension j + 1
+        z, grid = np.array([0.2, 0.7]), np.asarray(flags.pop("grid", np.linspace(0.0, 1.0, 5)))
         density = DensityDataset(z)
         fits = {
             "exact_moment": lambda **kw: exact_moment(density, grid, bases, mp, **kw),
@@ -217,6 +235,12 @@ class TestValidation:
         with pytest.raises(ValueError, match=message):
             fits[fit](**flags)
 
+    def test_numpy_integer_terms_and_seed_accepted(self):
+        data = DensityDataset(np.random.default_rng(8).random(7))
+        mp = ModelSizePrior.geometric(0.6, 5, 9)
+        want = fit_density(data, 2, mp, grid=GRID, mode="mc", n_terms=50, seed=3)
+        _assert_same(fit_density(data, 2, mp, grid=GRID, mode="mc", n_terms=np.int32(50), seed=np.uint8(3)), want)
+
 
 unit = st.floats(0.0, 1.0)
 shape = st.floats(0.3, 3.0)
@@ -229,23 +253,28 @@ def test_slots_for_groups_and_repeats(data):
     basis = make_basis(q, K)
     points = st.one_of(unit, st.sampled_from(basis.breakpoints().tolist()))
     x = np.array(data.draw(st.lists(points, max_size=8)), dtype=float)
-    values = data.draw(st.sampled_from([eval_basis, eval_normalized]))(basis, x)
+    normalized = data.draw(st.booleans())
+    values = (eval_normalized if normalized else eval_basis)(basis, x)
     n = x.size
     groups = data.draw(st.none() | st.lists(st.integers(0, 1), min_size=n, max_size=n))
     repeats = data.draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
-    table = _engine.slots_for(values, groups=groups, repeats=repeats)
     want = []  # (first, width, group, log values) of each row, repeats expanded in place
     for i, row in enumerate(values):
         active = np.flatnonzero(row > 0.0)
         np.testing.assert_array_equal(active, np.arange(active[0], active[-1] + 1))
         g = 0 if groups is None else groups[i]
         want += [(active[0], active.size, g, np.log(row[active]))] * (1 if repeats is None else repeats[i])
-    assert len(table) == len(want)
-    for r, (first, width, g, logs) in enumerate(want):
-        assert (table.first[r], table.width[r], table.group[r]) == (first, width, g)
-        np.testing.assert_array_equal(table.log_values[r, :width], logs)
-        assert not np.any(table.log_values[r, width:])
-    assert assignment_count(table) == math.prod(int(width) for _, width, *_ in want)
+    # slots_for makes one row per observation; dimension_slots is where repeats apply.
+    tables = [_engine.dimension_slots({basis.dimension: basis}, x, groups, repeats, normalized)[0]]
+    if repeats is None:
+        tables.append(_engine.slots_for(values, groups=groups))
+    for table in tables:
+        assert len(table) == len(want)
+        for r, (first, width, g, logs) in enumerate(want):
+            assert (table.first[r], table.width[r], table.group[r]) == (first, width, g)
+            np.testing.assert_array_equal(table.log_values[r, :width], logs)
+            assert not np.any(table.log_values[r, width:])
+        assert assignment_count(table) == math.prod(int(width) for _, width, *_ in want)
     at = data.draw(st.integers(0, n))
     with pytest.raises(ValueError, match="no active basis"):
         _engine.slots_for(np.insert(values, at, 0.0, axis=0))
@@ -283,7 +312,7 @@ def chain_cases(draw, max_points=6):
         slots = _engine.slots_for(vals, groups=groups)
         return slots, _engine.BetaFamily(a, b), J, eval_basis(basis, grid).T, q - 1
     repeats = draw(st.lists(st.integers(0, 3), min_size=x.size, max_size=x.size))
-    slots = _engine.slots_for(vals, repeats=repeats)
+    slots = _engine.slots_for(vals).take(np.repeat(np.arange(x.size), repeats))
     return slots, _engine.GammaFamily(a, b, vals.sum(axis=0)), J, eval_basis(basis, grid).T, q - 1
 
 
@@ -347,7 +376,7 @@ def test_exact_mixture_band_past_the_grid_changes_no_bit(case, second, extra):
 
 @st.composite
 def fit_cases(draw, max_points=12):
-    """The (slots, family, J, eval_cols, band) of several dimensions of one fit.
+    """The stacked slot table of several dimensions of one fit, and their (family, J, eval_cols, band).
 
     The dimensions share one order, family kind and data set, and have
     their own knot count (often repeated) and hyperparameters, so one row
@@ -360,21 +389,26 @@ def fit_cases(draw, max_points=12):
     grid = np.array(draw(st.lists(points, max_size=5)))
     groups = draw(st.lists(st.integers(0, 1), min_size=x.size, max_size=x.size))
     repeats = draw(st.lists(st.integers(0, 2), min_size=x.size, max_size=x.size))
+    bases = [make_basis(q, K) for K in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))]
+    stacked = dict(enumerate(bases))  # keys need not be J, and one basis may recur
+    if kind == "dirichlet":
+        slots = _engine.dimension_slots(stacked, x, normalized=True)[0]
+    elif kind == "beta":
+        slots = _engine.dimension_slots(stacked, x, groups=groups)[0]
+    else:
+        slots = _engine.dimension_slots(stacked, x, repeats=repeats)[0]
     dims = []
-    for K in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)):
-        basis = make_basis(q, K)
+    for basis in bases:
         J = basis.dimension
         a = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
         b = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
         if kind == "dirichlet":
-            dims.append((_engine.slots_for(eval_normalized(basis, x)), _engine.DirichletFamily(a), J, eval_normalized(basis, grid).T, q - 1))
+            dims.append((_engine.DirichletFamily(a), J, eval_normalized(basis, grid).T, q - 1))
             continue
         vals, cols = eval_basis(basis, x), eval_basis(basis, grid).T
-        if kind == "beta":
-            dims.append((_engine.slots_for(vals, groups=groups), _engine.BetaFamily(a, b), J, cols, q - 1))
-        else:
-            dims.append((_engine.slots_for(vals, repeats=repeats), _engine.GammaFamily(a, b, vals.sum(axis=0)), J, cols, q - 1))
-    return dims
+        family = _engine.BetaFamily(a, b) if kind == "beta" else _engine.GammaFamily(a, b, vals.sum(axis=0))
+        dims.append((family, J, cols, q - 1))
+    return slots, dims
 
 
 def _bits(result):
@@ -383,15 +417,18 @@ def _bits(result):
 
 @settings(max_examples=300, deadline=None)
 @given(fit_cases(), st.booleans(), st.randoms(use_true_random=False))
-def test_exact_fit_gives_each_dimension_the_bits_it_has_alone(dims, second, rnd):
+def test_exact_fit_gives_each_dimension_the_bits_it_has_alone(case, second, rnd):
     # Runs of one row pattern are stepped together whichever dimension they
     # come from; no dimension's result may depend on its company or place.
-    fit = _engine.exact_fit(dims, second)
+    slots, dims = case
+    fit = _engine.exact_fit(slots, dims, second)
     order = list(range(len(dims)))
     rnd.shuffle(order)
-    shuffled = _engine.exact_fit([dims[i] for i in order], second)
-    for i, dim in enumerate(dims):
-        alone = _bits(_engine.exact_mixture(*dim, second))
+    rows = len(slots) // len(dims)
+    blocks = (np.array(order)[:, None] * rows + np.arange(rows)).ravel()
+    shuffled = _engine.exact_fit(slots.take(blocks), [dims[i] for i in order], second)
+    for i, (part, dim) in enumerate(zip(slots.split(len(dims)), dims)):
+        alone = _bits(_engine.exact_mixture(part, *dim, second))
         assert _bits(fit[i]) == alone
         assert _bits(shuffled[order.index(i)]) == alone
 
@@ -599,7 +636,8 @@ def test_mc_mixture_with_dominant_draw():
     mp = ModelSizePrior.geometric(0.9, 5, 25)
     bases = bases_for_prior(3, mp)
     data = sample_density(mixture_51(), 500, 7)
-    slots, family, eval_cols = density_builder(bases, metric_grid())(data)(25)
+    slots, built = density_builder({25: bases[25]}, metric_grid())(data)
+    family, eval_cols = built[25]
     J, N, seed = bases[25].dimension, 3000, 1
     got = _engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True)
     sum_u, sum_u2 = N * got.mean_u_den, (N - 1) * got.var_u_den + N * got.mean_u_den**2
@@ -709,18 +747,18 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
     rng = np.random.default_rng(6)
     z = rng.random(60)
     if kind == "density":
-        build = density_builder(bases, GRID)(DensityDataset(z))
+        slots, built = density_builder(bases, GRID)(DensityDataset(z))
     elif kind == "binary":
         data = RegressionDataset(z, (rng.random(60) < z).astype(float), kind)
-        build = binary_builder(bases, GRID, (1.0, 1.0))(data)
+        slots, built = binary_builder(bases, GRID, (1.0, 1.0))(data)
     else:
         data = RegressionDataset(z, rng.poisson(1.0 + 2.0 * z).astype(float), kind)
-        build = poisson_builder(bases, GRID, (1.0, 1.0))(data)
+        slots, built = poisson_builder(bases, GRID, (1.0, 1.0))(data)
     pieces = []
-    for j in sorted(bases):
-        slots, family, eval_cols = build(j)
+    for j, part in zip(built, slots.split(len(built))):
+        family, eval_cols = built[j]
         rng_j = np.random.default_rng(j)
-        pieces.append(_engine.mc_mixture(slots, family, bases[j].dimension, eval_cols, 500, rng_j, second=True))
+        pieces.append(_engine.mc_mixture(part, family, bases[j].dimension, eval_cols, 500, rng_j, second=True))
     mean, _, second, _ = _engine.combine_mc(pieces, mp.log_pmf(np.array(sorted(bases))))
     assert np.all(second >= mean**2 * (1.0 - 1e-12))
 

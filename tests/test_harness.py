@@ -303,6 +303,22 @@ class TestRunExperiment:
             ExperimentConfig(n=10, replications=1, output_dir=str(tmp_path / "out"), **bad)
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["n", "q", "replications", "grid_size"])
+    def test_non_integer_size_rejected_when_made(self, tmp_path, field):
+        # Refused when made: run_experiment would otherwise write the header
+        # of metrics.csv before a non-integer size fails inside a replication.
+        good = ExperimentConfig(n=10, replications=1, output_dir=str(tmp_path / "out"))
+        for bad in (getattr(good, field) + 0.5, float(getattr(good, field)), str(getattr(good, field)), True):
+            with pytest.raises(ValueError, match="integer"):
+                dataclasses.replace(good, **{field: bad})
+        assert not (tmp_path / "out").exists()
+
+    def test_metric_grid_refuses_a_non_integer_size(self):
+        for bad in (2.5, 3.0, "3", True, np.float64(4.0)):
+            with pytest.raises(ValueError, match="grid size must be an integer"):
+                metric_grid(bad)
+        np.testing.assert_array_equal(metric_grid(np.int64(4)), metric_grid(4))
+
     def test_raising_replication_stops_the_pool(self, monkeypatch):
         # A dimension that raises drops the queued ones, and so stops the run.
         monkeypatch.setenv("SERIES_PRIOR_THREADS", "2")

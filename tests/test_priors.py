@@ -87,7 +87,7 @@ class TestCoefficientHyperparameters:
     def test_vector_hyperparameters(self):
         data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
         params = (np.array([1.0, 2.0, 3.0]), 1.0)
-        family = binary_builder({3: make_basis(1, 3)}, [0.5], params)(data)(3)[1]
+        family, _ = binary_builder({3: make_basis(1, 3)}, [0.5], params)(data)[1][3]
         np.testing.assert_array_equal(family.a, [1, 2, 3])
         np.testing.assert_array_equal(family.b, [1, 1, 1])
         # A vector of the wrong length for any dimension is refused when the builder is made.

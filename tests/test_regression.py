@@ -9,7 +9,8 @@ from oracles import (
 from series_prior import _engine
 from series_prior import basis as basis_mod
 from series_prior.basis import eval_basis, local_values, make_basis
-from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder
+from series_prior.density import DensityDataset, _band_z, bases_for_prior, credible_band, density_builder, exact_moment
+from series_prior.harness import fit_density
 from series_prior.priors import ModelSizePrior
 from series_prior.rates import SieveConstants
 from series_prior.regression import (
@@ -335,7 +336,7 @@ def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
     # The grid columns are one stacked de Boor pass over the grid per
     # (bases, grid) in the process: a second builder on the same bases and
     # grid, as a repeat fit makes, reads them. Each builder evaluates its data
-    # in one stacked pass, however often build(j) is called.
+    # in one stacked pass, which makes every dimension's slots.
     rng = np.random.default_rng(4)
     z, z_grid = rng.random(9), np.linspace(0.0, 1.0, 6)
     x = (rng.random(9) < 0.5).astype(float) if kind == "binary" else rng.integers(0, 3, 9).astype(float)
@@ -355,10 +356,8 @@ def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
     basis_mod._grid_columns.cache_clear()
     builder = binary_builder if kind == "binary" else poisson_builder
     for _ in range(2):
-        build = builder(bases, z_grid, (1.0, 1.0))(RegressionDataset(z, x, kind))
-        for _ in range(3):
-            for j in bases:
-                build(j)
+        slots, built = builder(bases, z_grid, (1.0, 1.0))(RegressionDataset(z, x, kind))
+        assert list(built) == list(bases) and len(slots) == len(bases) * (9 if kind == "binary" else x.sum())
     assert grid_passes == [([4, 5, 6], True, False)]
     assert passes == [[4, 5, 6]] * 2
 
@@ -369,6 +368,18 @@ def test_wrong_dataset_kind_refused(fit, kind):
     data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind)
     with pytest.raises(ValueError, match="needs a (binary|poisson) dataset"):
         fit(data, bases_for_prior(1, mp), (1.0, 1.0), mp, [0.5])
+    with pytest.raises(ValueError, match="needs a (binary|poisson) dataset"):
+        fit(DensityDataset([0.2, 0.7]), bases_for_prior(1, mp), (1.0, 1.0), mp, [0.5])
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "binary", "poisson"])
+def test_density_fit_refuses_a_regression_dataset(kind):
+    mp = ModelSizePrior.geometric(0.5, 2, 3)
+    data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind)
+    with pytest.raises(ValueError, match="needs a DensityDataset, got RegressionDataset"):
+        fit_density(data, 1, mp, grid=[0.5])
+    with pytest.raises(ValueError, match="needs a DensityDataset"):
+        exact_moment(data, [0.5], bases_for_prior(1, mp), mp)
 
 
 class TestBinary:
