@@ -58,11 +58,11 @@ exact mode applies these once per dimension to every count each basis
 can reach; the sampler to one row of counts per sampled assignment.
 
 posterior_moments is the one driver every model goes through: it checks
-the fit's arguments, only then calls the model's builder on the data, picks
-the mode, runs the sums (one exact pass for the fit, or one sampled sum per
-dimension, on a thread pool when they are heavy enough), and mixes them
-over J; its docstring is the one statement of the mode and pool rules.
-Everything here is pure given its inputs; the
+the fit's arguments and its Builder's bases and grid, only then calls
+for_data on the data, picks the mode, runs the sums (one exact pass for the
+fit, or one sampled sum per dimension, on a thread pool when they are heavy
+enough), and mixes them over J; its docstring is the one statement of the
+mode and pool rules. Everything here is pure given its inputs; the
 Monte-Carlo generator of dimension J is derived from (seed, J), and the
 dimensions are mixed in J order, so results do not depend on scheduling or
 on the thread count.
@@ -76,11 +76,11 @@ import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import prod
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .basis import Basis, local_values
+from .basis import Basis, is_integer, local_values
 
 #: Largest per-dimension assignment count that the exact mode accepts.
 DEFAULT_TERM_CAP = 10_000_000
@@ -119,11 +119,6 @@ def worker_count(tasks: int) -> int:
     if cap == 0:
         cap = os.cpu_count() or 1
     return max(1, min(cap, tasks))
-
-
-def is_integer(value) -> bool:
-    """True for an int or a numpy integer, and not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def check_mode(mode: str, n_terms: int, seed) -> None:
@@ -844,37 +839,42 @@ class PosteriorSummary:
     upper: float = np.inf
 
 
+class Builder(NamedTuple):
+    """A model's bases and grid, the one copy of both that a fit reads, and its for_data.
+
+    for_data(data) returns (slots, built): dimension_slots of bases at the
+    data, its blocks in the order of bases, and built[j] = (family,
+    eval_cols) for each j of bases, eval_cols the basis values at the grid.
+    """
+
+    bases: Mapping[int, Basis]
+    grid: object
+    for_data: Callable[[object], tuple[SlotTable, Mapping[int, tuple[object, np.ndarray]]]]
+
+
 def posterior_moments(
-    for_data: Callable[[object], tuple[SlotTable, Mapping[int, tuple[object, np.ndarray]]]],
+    builder: Builder,
     data,
-    bases: Mapping,
     model_prior,
-    grid,
     m: int = 2,
     mode: str = "auto",
     n_terms: int = 3000,
     seed=0,
 ) -> PosteriorSummary:
-    """Posterior moments of data at the grid points, mixed over every dimension in bases.
+    """Posterior moments of data at the builder's grid, mixed over every dimension of its bases.
 
-    for_data is a model's builder (density.density_builder,
-    regression.binary_builder or poisson_builder), made for these bases and
-    grid: for_data(data) returns (slots, built), the dataset's one slot
-    table (dimension_slots) and a mapping of each dimension j, in the order
-    of the table's blocks, to (family, eval_cols), eval_cols holding the
-    basis values at the grid points (J x G). m=1 computes the mean only;
-    m=2 also the pointwise second moment. A bad m, mode, n_terms or seed
-    (check_mode), a grid that is not one-dimensional, a basis not keyed by
-    its dimension or a dimension of the prior's support with no basis is
-    refused first, in every mode, before for_data(data) evaluates any
-    basis. Then every dimension is built once, before the engine is chosen,
-    and the engine is chosen from all of them: mode "exact" sums every
-    assignment of every dimension in one exact_fit call on the table, whose
-    cost does not grow with the assignment count; it raises
-    EnumerationCapError naming the first dimension that has more than
-    DEFAULT_TERM_CAP assignments; "mc" samples n_terms assignments per
-    dimension from its block; "auto" is exact when every dimension is
-    within the cap, sampled otherwise.
+    m=1 computes the mean only; m=2 also the pointwise second moment. A bad
+    m, mode, n_terms or seed (check_mode), a grid that is not
+    one-dimensional, a basis not keyed by its dimension or a dimension of
+    the prior's support with no basis is refused first, in every mode,
+    before builder.for_data(data) evaluates any basis. Then every dimension
+    is built once, before the engine is chosen, and the engine is chosen
+    from all of them: mode "exact" sums every assignment of every dimension
+    in one exact_fit call on the table, whose cost does not grow with the
+    assignment count; it raises EnumerationCapError naming the first
+    dimension that has more than DEFAULT_TERM_CAP assignments; "mc" samples
+    n_terms assignments per dimension from its block; "auto" is exact when
+    every dimension is within the cap, sampled otherwise.
 
     A sampled fit with n_terms >= _POOL_MIN_TERMS runs its dimensions on a
     pool of worker_count(dimensions) threads (SERIES_PRIOR_THREADS caps it);
@@ -892,7 +892,8 @@ def posterior_moments(
     if m not in (1, 2):
         raise ValueError(f"moment order must be 1 or 2, got {m}")
     check_mode(mode, n_terms, seed)
-    grid = np.atleast_1d(np.asarray(grid, dtype=float))
+    bases = builder.bases
+    grid = np.atleast_1d(np.asarray(builder.grid, dtype=float))
     if grid.ndim != 1:
         raise ValueError(f"grid must be one-dimensional, got shape {grid.shape}")
     miskeyed = [j for j, basis in bases.items() if basis.dimension != j]
@@ -907,16 +908,16 @@ def posterior_moments(
     log_prior = model_prior.log_pmf(np.asarray(j_values, dtype=int))
     with_second = m == 2
 
-    slots, built = for_data(data)
-    tables = dict(zip(built, slots.split(len(built))))
+    slots, built = builder.for_data(data)
+    tables = dict(zip(bases, slots.split(len(bases))))
     totals = {} if mode == "mc" else {j: assignment_count(tables[j]) for j in j_values}
     over = [j for j, total in totals.items() if total > DEFAULT_TERM_CAP]
     if over and mode == "exact":
         raise EnumerationCapError(totals[over[0]], DEFAULT_TERM_CAP, over[0])
     engine = "mc" if mode == "mc" or over else "exact"
     if engine == "exact":
-        fits = exact_fit(slots, [(f, j, cols, bases[j].order - 1) for j, (f, cols) in built.items()], with_second)
-        by_j = dict(zip(built, fits))
+        dims = [(built[j][0], j, built[j][1], basis.order - 1) for j, basis in bases.items()]
+        by_j = dict(zip(bases, exact_fit(slots, dims, with_second)))
         mean, second, j_w_log = combine_exact([by_j[j] for j in j_values], log_prior)
         se = np.zeros_like(mean)
     else:
@@ -926,7 +927,7 @@ def posterior_moments(
             rng = np.random.default_rng(np.random.SeedSequence([int(seed), j]))
             return mc_mixture(tables[j], f, j, cols, n_terms, rng, with_second)
 
-        workers = worker_count(len(built)) if n_terms >= _POOL_MIN_TERMS else 1
+        workers = worker_count(len(bases)) if n_terms >= _POOL_MIN_TERMS else 1
         pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
         try:
             per_j = list(map(piece, j_values) if pool is None else pool.map(piece, j_values))

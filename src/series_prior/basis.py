@@ -62,6 +62,11 @@ class Basis:
         return np.arange(self.intervals + 1) / self.intervals
 
 
+def is_integer(value) -> bool:
+    """True for an int or a numpy integer, and not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def make_basis(q: int, K: int) -> Basis:
     """Build the order-q basis on K equal subintervals of [0, 1].
 
@@ -72,9 +77,9 @@ def make_basis(q: int, K: int) -> Basis:
     J <= 25 the cache holds at most 0.4 MB. The returned arrays are
     read-only.
     """
-    if not (isinstance(q, (int, np.integer)) and q >= 1):
+    if not (is_integer(q) and q >= 1):
         raise ValueError(f"order q must be a positive integer, got {q!r}")
-    if not (isinstance(K, (int, np.integer)) and K >= 1):
+    if not (is_integer(K) and K >= 1):
         raise ValueError(f"interval count K must be a positive integer, got {K!r}")
     return _make_basis_cached(int(q), int(K))
 

@@ -7,15 +7,15 @@ sums over active-set index assignments.
 
 density_builder(bases, grid, a) has the shape of every model's builder: it
 checks the Dirichlet parameter ``a`` (a positive finite scalar or a
-length-J vector) and makes each dimension's Dirichlet family, and evaluates
-no basis. Its for_data(data) reads the grid columns from basis.grid_columns,
-which makes them once per (bases, grid) in the process, and makes the
-dataset's one slot table, every dimension's rows, from one de Boor pass over
-the observations (_engine.dimension_slots), with no n x J basis matrix. Every
-posterior-moment entry point of the package (exact_moment, mc_moment,
-harness.fit_density, regression.binary_moment and regression.poisson_moment)
-hands its builder and data to _engine.posterior_moments, which refuses a bad
-m, ``mode`` ("exact", "mc" or "auto"), term count or seed before it calls
+length-J vector), makes each dimension's Dirichlet family, evaluates no
+basis, and returns an _engine.Builder, the one copy of the bases and grid
+that the fit reads. Its for_data(data) reads the grid columns from
+basis.grid_columns, made once per (bases, grid) in the process, and makes
+the dataset's one slot table from one de Boor pass over the observations
+(_engine.dimension_slots). Every posterior-moment entry point of the
+package (exact_moment, mc_moment, harness.fit_density and the regression
+module's binary_moment and poisson_moment) hands its builder and data to
+_engine.posterior_moments, which checks every argument before it calls
 for_data, and whose docstring states the rules of the mode and the term cap.
 """
 
@@ -90,7 +90,7 @@ def bases_for_prior(q: int, model_prior: ModelSizePrior) -> dict[int, Basis]:
 
 
 def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
-    """The builder of _engine.posterior_moments for densities: for_data(data) -> (slots, built).
+    """The _engine.Builder of densities on these bases and grid, for _engine.posterior_moments.
 
     a is the Dirichlet parameter: a positive finite scalar, repeated once
     per basis function, or a length-J vector. It is checked here, and each
@@ -112,7 +112,7 @@ def density_builder(bases: Mapping[int, Basis], grid, a=1.0):
         slots, _, _ = _engine.dimension_slots(bases, np.sort(data.observations), normalized=True)
         return slots, {j: (families[j], cols[j]) for j in bases}
 
-    return for_data
+    return _engine.Builder(bases, grid, for_data)
 
 
 def exact_moment(
@@ -129,8 +129,7 @@ def exact_moment(
     m=1 computes the mean only; m=2 also the pointwise second moment. This is
     mode "exact" of _engine.posterior_moments, so the term cap applies.
     """
-    for_data = density_builder(bases, grid, a)
-    return _engine.posterior_moments(for_data, data, bases, model_prior, grid, m=m, mode="exact")
+    return _engine.posterior_moments(density_builder(bases, grid, a), data, model_prior, m=m, mode="exact")
 
 
 def mc_moment(
@@ -155,10 +154,8 @@ def mc_moment(
     Reproducible for a given seed regardless of scheduling: each dimension
     uses a generator derived from (seed, j).
     """
-    for_data = density_builder(bases, grid, a)
-    return _engine.posterior_moments(
-        for_data, data, bases, model_prior, grid, m=m, mode="mc", n_terms=n_terms, seed=seed
-    )
+    builder = density_builder(bases, grid, a)
+    return _engine.posterior_moments(builder, data, model_prior, m=m, mode="mc", n_terms=n_terms, seed=seed)
 
 
 def _band_z(level: float) -> float:

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import _engine
 from ._engine import worker_count
+from .basis import is_integer
 from .density import DensityDataset, PosteriorSummary, _band_z, bases_for_prior, credible_band, density_builder
 from .priors import ModelSizePrior
 from .quadrature import simpson_panel_rule
@@ -130,7 +131,7 @@ def grid_metrics(estimate, truth: TrueDensity, grid) -> tuple[float, float]:
 
 def metric_grid(size: int = 100) -> np.ndarray:
     """Midpoint grid of size points, an integer of at least 1; keeps endpoint-singular truths finite."""
-    if not _engine.is_integer(size):
+    if not is_integer(size):
         raise ValueError(f"grid size must be an integer, got {size!r}")
     if size < 1:
         raise ValueError(f"grid size must be at least 1, got {size}")
@@ -158,7 +159,7 @@ class ExperimentConfig:
     def __post_init__(self):
         metric_grid(self.grid_size)  # refuses a size that is not an integer of at least 1, as every command does
         for label, name in (("the replication count", "replications"), ("n", "n"), ("order q", "q")):
-            if not (_engine.is_integer(getattr(self, name)) and getattr(self, name) >= 1):
+            if not (is_integer(getattr(self, name)) and getattr(self, name) >= 1):
                 raise ValueError(f"{label} must be a positive integer, got {name}={getattr(self, name)!r}")
         _band_z(self.level)  # refuses a level outside (0, 1), as credible_band does
         if self.j_min < self.q:
@@ -214,21 +215,17 @@ def fit_density(
     _band_z(level)  # refuses a level outside (0, 1) before any fit
     bases = bases_for_prior(q, model_prior)
     grid = metric_grid() if grid is None else np.asarray(grid, dtype=float)
-    summary = _engine.posterior_moments(
-        density_builder(bases, grid, a), data, bases, model_prior, grid, 2, mode, n_terms, seed
-    )
+    summary = _engine.posterior_moments(density_builder(bases, grid, a), data, model_prior, 2, mode, n_terms, seed)
     return credible_band(summary, level)
 
 
 def _one_replication(config: ExperimentConfig, density: TrueDensity, model, rep: int):
-    """Sample replication rep, fit it with model = (for_data, bases, model_prior, grid) and score it."""
-    for_data, bases, model_prior, grid = model
+    """Sample replication rep, fit it with model = (builder, model_prior) and score it."""
+    builder, model_prior = model
     t0 = time.perf_counter()
     data = sample_density(density, config.n, np.random.SeedSequence([config.seed, rep]))
     seed = int(np.random.SeedSequence([config.seed, rep, 1]).generate_state(1)[0])
-    summary = _engine.posterior_moments(
-        for_data, data, bases, model_prior, grid, 2, config.mode, config.n_terms, seed
-    )
+    summary = _engine.posterior_moments(builder, data, model_prior, 2, config.mode, config.n_terms, seed)
     summary = credible_band(summary, config.level)
     l1, l2 = grid_metrics(summary.mean, density, summary.grid)
     return MetricsRow(rep, l1, l2, time.perf_counter() - t0), summary
@@ -244,7 +241,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     model_prior = ModelSizePrior.geometric(config.geometric_p, config.j_min, config.j_max)
     bases = bases_for_prior(config.q, model_prior)
     grid = metric_grid(config.grid_size)
-    model = density_builder(bases, grid), bases, model_prior, grid
+    model = density_builder(bases, grid), model_prior
     worker_count(1)  # a bad SERIES_PRIOR_THREADS is refused before any output
     out_dir = Path(config.output_dir) if config.output_dir else None
     metrics_file = None

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._engine import lgamma, logsumexp
+from .basis import is_integer
 
 _MODEL_FAMILIES = {"geometric": 1, "poisson": 1, "negative-binomial": 2}  # family -> parameter count
 
@@ -71,7 +72,7 @@ class ModelSizePrior:
             raise ValueError(f"unknown model-size family {self.family!r}")
         params = tuple(float(v) for v in self.params)
         _check_params(self.family, params)
-        if not all(isinstance(j, (int, np.integer)) for j in (self.j_min, self.j_max)):
+        if not all(is_integer(j) for j in (self.j_min, self.j_max)):
             raise ValueError(f"truncation bounds must be integers, got [{self.j_min}, {self.j_max}]")
         if not (1 <= self.j_min <= self.j_max):
             raise ValueError(

@@ -289,7 +289,7 @@ def _check_finite(**arrays) -> None:
 
 
 def binary_builder(bases: Mapping[int, Basis], z_grid, beta_params):
-    """The builder of _engine.posterior_moments for the binary model: for_data(data) -> (slots, built).
+    """The _engine.Builder of the binary model on these bases and grid, for _engine.posterior_moments.
 
     beta_params is (a, b) of the independent Beta priors, each a positive
     finite scalar or a length-J vector; the Beta families are made here.
@@ -312,11 +312,11 @@ def binary_builder(bases: Mapping[int, Basis], z_grid, beta_params):
         slots, _, _ = _engine.dimension_slots(bases, data.covariates[order], groups=groups)
         return slots, {j: (families[j], cols[j]) for j in bases}
 
-    return for_data
+    return _engine.Builder(bases, z_grid, for_data)
 
 
 def poisson_builder(bases: Mapping[int, Basis], z_grid, gamma_params):
-    """The builder of _engine.posterior_moments for the Poisson model: for_data(data) -> (slots, built).
+    """The _engine.Builder of the Poisson model on these bases and grid, for _engine.posterior_moments.
 
     gamma_params is (a, b) of the independent Gamma(a, b) priors (rate b),
     each a positive finite scalar or a length-J vector. The exponential
@@ -343,7 +343,7 @@ def poisson_builder(bases: Mapping[int, Basis], z_grid, gamma_params):
             built[j] = _engine.GammaFamily(*prior[j], tilt), cols[j]
         return slots, built
 
-    return for_data
+    return _engine.Builder(bases, z_grid, for_data)
 
 
 def binary_moment(
@@ -358,8 +358,8 @@ def binary_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the success probability f(z) = theta' B(z)."""
-    for_data = binary_builder(bases, z_grid, beta_params)
-    return _engine.posterior_moments(for_data, data, bases, model_prior, z_grid, m, mode, n_terms, seed)
+    builder = binary_builder(bases, z_grid, beta_params)
+    return _engine.posterior_moments(builder, data, model_prior, m, mode, n_terms, seed)
 
 
 def poisson_moment(
@@ -374,5 +374,5 @@ def poisson_moment(
     seed=0,
 ) -> PosteriorSummary:
     """Posterior moments of the Poisson rate f(z) = theta' B(z)."""
-    for_data = poisson_builder(bases, z_grid, gamma_params)
-    return _engine.posterior_moments(for_data, data, bases, model_prior, z_grid, m, mode, n_terms, seed)
+    builder = poisson_builder(bases, z_grid, gamma_params)
+    return _engine.posterior_moments(builder, data, model_prior, m, mode, n_terms, seed)

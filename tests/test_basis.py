@@ -40,7 +40,7 @@ class TestConstruction:
         err = np.abs(quadrature_integrals(b) - b.integrals).max()
         assert err < 1e-10
 
-    @pytest.mark.parametrize("q,K", [(0, 5), (-1, 5), (3, 0), (2.5, 4)])
+    @pytest.mark.parametrize("q,K", [(0, 5), (-1, 5), (3, 0), (2.5, 4), (True, 2), (2, True), ("2", 3)])
     def test_invalid_arguments(self, q, K):
         with pytest.raises(ValueError):
             make_basis(q, K)

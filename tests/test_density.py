@@ -45,7 +45,7 @@ class TestLogTerm:
     @staticmethod
     def _log_marginal(obs, basis, a=1.0):
         J = basis.dimension
-        slots, built = density_builder({J: basis}, np.empty(0), a)(DensityDataset(np.asarray(obs)))
+        slots, built = density_builder({J: basis}, np.empty(0), a).for_data(DensityDataset(np.asarray(obs)))
         family, cols = built[J]
         return _engine.exact_mixture(slots, family, J, cols, basis.order - 1)[0]
 
@@ -94,7 +94,7 @@ class TestExactMoment:
         bases = bases_for_prior(2, mp)
         grid = np.array([0.15, 0.5, 0.85])
 
-        slots, built = density_builder(bases, grid)(data)
+        slots, built = density_builder(bases, grid).for_data(data)
         log_den, log_num = [], []
         for j, part in zip(built, slots.split(len(built))):
             family, eval_cols = built[j]

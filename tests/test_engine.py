@@ -43,7 +43,7 @@ def _density_case():
     mp = ModelSizePrior.geometric(0.5, 4, 7)
     bases = bases_for_prior(2, mp)
     data = DensityDataset(np.random.default_rng(2).random(5))
-    return density_builder(bases, GRID), data, bases, mp
+    return density_builder(bases, GRID), data, mp
 
 
 def _binary_case():
@@ -51,18 +51,18 @@ def _binary_case():
     bases = bases_for_prior(2, mp)
     rng = np.random.default_rng(3)
     data = RegressionDataset(rng.random(6), (rng.random(6) < 0.5).astype(float), "binary")
-    return binary_builder(bases, GRID, (1.0, 1.0)), data, bases, mp
+    return binary_builder(bases, GRID, (1.0, 1.0)), data, mp
 
 
-def _counting(for_data, calls):
-    """for_data that appends each dimension it builds to calls, every time it is called."""
+def _counting(builder, calls):
+    """The builder whose for_data appends each dimension it builds to calls, every time it is called."""
 
     def counted_for(data):
-        slots, built = for_data(data)
+        slots, built = builder.for_data(data)
         calls.extend(int(j) for j in built)
         return slots, built
 
-    return counted_for
+    return builder._replace(for_data=counted_for)
 
 
 def _assert_same(a, b):
@@ -73,18 +73,18 @@ def _assert_same(a, b):
 class TestAutoMode:
     @pytest.mark.parametrize("case", [_density_case, _binary_case])
     def test_exact_at_cap_mc_above(self, case, monkeypatch):
-        for_data, data, bases, mp = case()
-        slots, built = for_data(data)
+        builder, data, mp = case()
+        slots, built = builder.for_data(data)
         worst = max(map(assignment_count, slots.split(len(built))))
         assert worst > 1
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst)
-        at_cap = posterior_moments(for_data, data, bases, mp, GRID, mode="auto")
+        at_cap = posterior_moments(builder, data, mp, mode="auto")
         assert at_cap.mode == "exact"
-        _assert_same(at_cap, posterior_moments(for_data, data, bases, mp, GRID, mode="exact"))
+        _assert_same(at_cap, posterior_moments(builder, data, mp, mode="exact"))
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", worst - 1)
-        over = posterior_moments(for_data, data, bases, mp, GRID, mode="auto", n_terms=200, seed=5)
+        over = posterior_moments(builder, data, mp, mode="auto", n_terms=200, seed=5)
         assert over.mode == "mc"
-        _assert_same(over, posterior_moments(for_data, data, bases, mp, GRID, mode="mc", n_terms=200, seed=5))
+        _assert_same(over, posterior_moments(builder, data, mp, mode="mc", n_terms=200, seed=5))
 
     def test_fit_density_auto_equals_exact_moment(self):
         mp = ModelSizePrior.geometric(0.6, 5, 9)
@@ -95,10 +95,10 @@ class TestAutoMode:
         _assert_same(fit, exact)
 
     def test_auto_builds_each_dimension_once_within_cap(self):
-        for_data, data, bases, mp = _density_case()
+        builder, data, mp = _density_case()
         calls = []
-        assert posterior_moments(_counting(for_data, calls), data, bases, mp, GRID, mode="auto").mode == "exact"
-        assert calls == sorted(bases)
+        assert posterior_moments(_counting(builder, calls), data, mp, mode="auto").mode == "exact"
+        assert calls == sorted(builder.bases)
 
     @pytest.mark.parametrize("mode", ["exact", "mc", "auto"])
     def test_every_mode_builds_each_dimension_once(self, mode, monkeypatch):
@@ -106,15 +106,28 @@ class TestAutoMode:
         # exact mode runs within the cap, auto past it.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        for_data, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
+        builder, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
         calls = []
         if mode == "auto":
             monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
-        fit = posterior_moments(_counting(for_data, calls), data, bases, mp, GRID, mode=mode, n_terms=50, seed=3)
+        fit = posterior_moments(_counting(builder, calls), data, mp, mode=mode, n_terms=50, seed=3)
         assert calls == [5, 6, 7, 8]
         assert fit.mode == ("exact" if mode == "exact" else "mc")
         if mode == "auto":
-            _assert_same(fit, posterior_moments(for_data, data, bases, mp, GRID, mode="mc", n_terms=50, seed=3))
+            _assert_same(fit, posterior_moments(builder, data, mp, mode="mc", n_terms=50, seed=3))
+
+
+@pytest.mark.parametrize("mode", ["exact", "mc"])
+def test_blocks_pair_with_the_builders_bases_not_the_built_order(mode):
+    # The table's blocks follow the builder's bases; built is read by key.
+    builder, data, mp = _density_case()
+
+    def reversed_for(data):
+        slots, built = builder.for_data(data)
+        return slots, dict(reversed(built.items()))
+
+    fit = posterior_moments(builder._replace(for_data=reversed_for), data, mp, mode=mode, n_terms=50)
+    _assert_same(fit, posterior_moments(builder, data, mp, mode=mode, n_terms=50))
 
 
 class TestExactCap:
@@ -123,13 +136,13 @@ class TestExactCap:
         # J=5 needs a single term and the first dimension over a cap of 4 is J=6.
         mp = ModelSizePrior.geometric(0.5, 5, 8)
         bases = bases_for_prior(2, mp)
-        for_data, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
-        slots, built = for_data(data)
+        builder, data = density_builder(bases, GRID), DensityDataset(np.array([0.25, 0.5, 0.75]))
+        slots, built = builder.for_data(data)
         counts = dict(zip(built, map(assignment_count, slots.split(len(built)))))
         assert counts[5] == 1 and counts[6] > 4
         monkeypatch.setattr(_engine, "DEFAULT_TERM_CAP", 4)
         with pytest.raises(EnumerationCapError, match="J=6") as err:
-            posterior_moments(for_data, data, bases, mp, GRID, mode="exact")
+            posterior_moments(builder, data, mp, mode="exact")
         assert err.value.j == 6 and err.value.total == counts[6]
 
 
@@ -157,9 +170,9 @@ class TestValidation:
             fit_density(data, 2, mp, grid=GRID, mode=mode, n_terms=1)
 
     def test_moment_order_checked(self):
-        for_data, data, bases, mp = _density_case()
+        builder, data, mp = _density_case()
         with pytest.raises(ValueError, match="moment order"):
-            posterior_moments(for_data, data, bases, mp, GRID, m=3)
+            posterior_moments(builder, data, mp, m=3)
 
     _REFUSALS = [
         ("exact_moment", dict(m=3), "moment order"),
@@ -376,20 +389,27 @@ def test_exact_mixture_band_past_the_grid_changes_no_bit(case, second, extra):
 
 @st.composite
 def fit_cases(draw, max_points=12):
-    """The stacked slot table of several dimensions of one fit, and their (family, J, eval_cols, band).
+    """The stacked slot table of several dimensions of one fit, their (family, J, eval_cols, band), and their own tables.
 
     The dimensions share one order, family kind and data set, and have
     their own knot count (often repeated) and hyperparameters, so one row
     pattern recurs across dimensions with other fixed counts and tables.
+    The stacked table comes from dimension_slots, its log_values as wide as
+    the widest window of any dimension; each dimension's own table is
+    slots_for of its dense basis matrix, as wide as its own widest window.
     """
     q = draw(st.integers(1, 4))
     kind = draw(st.sampled_from(["dirichlet", "beta", "gamma"]))
     points = st.one_of(unit, st.sampled_from([0.2, 0.25, 0.5, 0.75, 1.0 / 3.0]))
-    x = np.array(draw(st.lists(points, max_size=max_points // 2 if kind == "gamma" else max_points)))
+    bases = [make_basis(q, K) for K in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))]
+    # Data on the first basis's breakpoints has narrower windows there than
+    # in a dimension with other knots, so the stacked table pads its rows.
+    on_knots = st.sampled_from(bases[0].breakpoints().tolist())
+    size = max_points // 2 if kind == "gamma" else max_points
+    x = np.array(draw(st.lists(draw(st.sampled_from([points, on_knots])), max_size=size)))
     grid = np.array(draw(st.lists(points, max_size=5)))
     groups = draw(st.lists(st.integers(0, 1), min_size=x.size, max_size=x.size))
     repeats = draw(st.lists(st.integers(0, 2), min_size=x.size, max_size=x.size))
-    bases = [make_basis(q, K) for K in draw(st.lists(st.integers(1, 8), min_size=1, max_size=5))]
     stacked = dict(enumerate(bases))  # keys need not be J, and one basis may recur
     if kind == "dirichlet":
         slots = _engine.dimension_slots(stacked, x, normalized=True)[0]
@@ -397,18 +417,23 @@ def fit_cases(draw, max_points=12):
         slots = _engine.dimension_slots(stacked, x, groups=groups)[0]
     else:
         slots = _engine.dimension_slots(stacked, x, repeats=repeats)[0]
-    dims = []
+    dims, own = [], []
     for basis in bases:
         J = basis.dimension
         a = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
         b = np.array(draw(st.lists(shape, min_size=J, max_size=J)))
         if kind == "dirichlet":
             dims.append((_engine.DirichletFamily(a), J, eval_normalized(basis, grid).T, q - 1))
+            own.append(_engine.slots_for(eval_normalized(basis, x)))
             continue
         vals, cols = eval_basis(basis, x), eval_basis(basis, grid).T
-        family = _engine.BetaFamily(a, b) if kind == "beta" else _engine.GammaFamily(a, b, vals.sum(axis=0))
-        dims.append((family, J, cols, q - 1))
-    return slots, dims
+        if kind == "beta":
+            dims.append((_engine.BetaFamily(a, b), J, cols, q - 1))
+            own.append(_engine.slots_for(vals, groups=groups))
+        else:
+            dims.append((_engine.GammaFamily(a, b, vals.sum(axis=0)), J, cols, q - 1))
+            own.append(_engine.slots_for(vals).take(np.repeat(np.arange(x.size), repeats)))
+    return slots, dims, own
 
 
 def _bits(result):
@@ -419,16 +444,17 @@ def _bits(result):
 @given(fit_cases(), st.booleans(), st.randoms(use_true_random=False))
 def test_exact_fit_gives_each_dimension_the_bits_it_has_alone(case, second, rnd):
     # Runs of one row pattern are stepped together whichever dimension they
-    # come from; no dimension's result may depend on its company or place.
-    slots, dims = case
+    # come from; no dimension's result may depend on its company, its place
+    # or how far the stacked table pads its log values past its own windows.
+    slots, dims, own = case
     fit = _engine.exact_fit(slots, dims, second)
     order = list(range(len(dims)))
     rnd.shuffle(order)
     rows = len(slots) // len(dims)
     blocks = (np.array(order)[:, None] * rows + np.arange(rows)).ravel()
     shuffled = _engine.exact_fit(slots.take(blocks), [dims[i] for i in order], second)
-    for i, (part, dim) in enumerate(zip(slots.split(len(dims)), dims)):
-        alone = _bits(_engine.exact_mixture(part, *dim, second))
+    for i, (alone_slots, dim) in enumerate(zip(own, dims)):
+        alone = _bits(_engine.exact_mixture(alone_slots, *dim, second))
         assert _bits(fit[i]) == alone
         assert _bits(shuffled[order.index(i)]) == alone
 
@@ -636,7 +662,7 @@ def test_mc_mixture_with_dominant_draw():
     mp = ModelSizePrior.geometric(0.9, 5, 25)
     bases = bases_for_prior(3, mp)
     data = sample_density(mixture_51(), 500, 7)
-    slots, built = density_builder({25: bases[25]}, metric_grid())(data)
+    slots, built = density_builder({25: bases[25]}, metric_grid()).for_data(data)
     family, eval_cols = built[25]
     J, N, seed = bases[25].dimension, 3000, 1
     got = _engine.mc_mixture(slots, family, J, eval_cols, N, np.random.default_rng(seed), True)
@@ -696,7 +722,7 @@ def test_density_mean_integrates_to_one(mode, q, x, p):
     bases = bases_for_prior(q, mp)
     pts, wts = union_breakpoint_rule(bases, total_points=400)
     data = DensityDataset(np.array(x))
-    mean = posterior_moments(density_builder(bases, pts), data, bases, mp, pts, m=1, mode=mode, n_terms=100).mean
+    mean = posterior_moments(density_builder(bases, pts), data, mp, m=1, mode=mode, n_terms=100).mean
     assert abs(wts @ mean - 1.0) <= 1e-10
 
 
@@ -747,13 +773,13 @@ def test_sampled_second_moment_at_least_mean_squared(kind):
     rng = np.random.default_rng(6)
     z = rng.random(60)
     if kind == "density":
-        slots, built = density_builder(bases, GRID)(DensityDataset(z))
+        slots, built = density_builder(bases, GRID).for_data(DensityDataset(z))
     elif kind == "binary":
         data = RegressionDataset(z, (rng.random(60) < z).astype(float), kind)
-        slots, built = binary_builder(bases, GRID, (1.0, 1.0))(data)
+        slots, built = binary_builder(bases, GRID, (1.0, 1.0)).for_data(data)
     else:
         data = RegressionDataset(z, rng.poisson(1.0 + 2.0 * z).astype(float), kind)
-        slots, built = poisson_builder(bases, GRID, (1.0, 1.0))(data)
+        slots, built = poisson_builder(bases, GRID, (1.0, 1.0)).for_data(data)
     pieces = []
     for j, part in zip(built, slots.split(len(built))):
         family, eval_cols = built[j]

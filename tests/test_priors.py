@@ -70,6 +70,7 @@ class TestModelSizePrior:
             ("geometric", (0.5, 0.5), 5, 25, "takes 1 parameter"),
             ("geometric", (0.5,), 5.5, 25, "must be integers"),
             ("poisson", (3.0,), 5, 25.0, "must be integers"),
+            ("geometric", (0.5,), True, 3, "must be integers"),
         ],
     )
     def test_direct_construction_checked(self, family, params, j_min, j_max, message):
@@ -87,7 +88,7 @@ class TestCoefficientHyperparameters:
     def test_vector_hyperparameters(self):
         data = RegressionDataset([0.2, 0.7], [1.0, 0.0], kind="binary")
         params = (np.array([1.0, 2.0, 3.0]), 1.0)
-        family, _ = binary_builder({3: make_basis(1, 3)}, [0.5], params)(data)[1][3]
+        family, _ = binary_builder({3: make_basis(1, 3)}, [0.5], params).for_data(data)[1][3]
         np.testing.assert_array_equal(family.a, [1, 2, 3])
         np.testing.assert_array_equal(family.b, [1, 1, 1])
         # A vector of the wrong length for any dimension is refused when the builder is made.

@@ -356,7 +356,7 @@ def test_builder_makes_grid_columns_and_slots_once(kind, monkeypatch):
     basis_mod._grid_columns.cache_clear()
     builder = binary_builder if kind == "binary" else poisson_builder
     for _ in range(2):
-        slots, built = builder(bases, z_grid, (1.0, 1.0))(RegressionDataset(z, x, kind))
+        slots, built = builder(bases, z_grid, (1.0, 1.0)).for_data(RegressionDataset(z, x, kind))
         assert list(built) == list(bases) and len(slots) == len(bases) * (9 if kind == "binary" else x.sum())
     assert grid_passes == [([4, 5, 6], True, False)]
     assert passes == [[4, 5, 6]] * 2
